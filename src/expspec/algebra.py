@@ -33,11 +33,19 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg2 import cond2, eig2, mat2, mat_inv, mat_mul, op_norm
+from .linalg2 import cond2, eig2, eye_like, mat2, mat_inv, mat_mul, op_norm, planar, sort_pair
 
 __all__ = [
     "DomainError",
     "phi",
+    "field_one",
+    "field_a",
+    "field_b",
+    "field_c",
+    "field_ab",
+    "field_ba",
+    "field_one_minus_2ab",
+    "field_one_minus_2ba",
     "eval_one",
     "eval_a",
     "eval_b",
@@ -55,6 +63,7 @@ __all__ = [
     "ELEMENTS",
     "MU_PROBES",
     "CHUNK",
+    "sweep",
 ]
 
 # fixed probe multipliers for the inverse identity; 1/mu probes the
@@ -68,6 +77,17 @@ CHUNK = 1 << 19
 
 class DomainError(ValueError):
     """Argument outside the function's documented domain."""
+
+
+def sweep(kernel, *arrays):
+    """Apply kernel to consecutive CHUNK-long slices of equal-length arrays.
+
+    Returns the per-chunk results in array order. The slices are views, so
+    a kernel can write its output into the slice of an array passed for
+    that purpose. Every kernel given here is pointwise, so the folded
+    results do not depend on CHUNK.
+    """
+    return [kernel(*(x[i : i + CHUNK] for x in arrays)) for i in range(0, len(arrays[0]), CHUNK)]
 
 
 def _coords(z0, z1, z2):
@@ -92,37 +112,35 @@ def phi(z2):
     return -(w * w)
 
 
-def eval_one(z0, z1, z2):
+# The field_* evaluators return planar Fields (the sweeps' representation);
+# the eval_* evaluators return the same values as (..., 2, 2) stacks.
+
+
+def field_one(z0, z1, z2):
     z0, z1, z2 = _coords(z0, z1, z2)
-    shape = np.broadcast(z0, z1, z2).shape
-    out = np.zeros(shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    return out
+    return planar(np.ones(np.broadcast(z0, z1, z2).shape), 0.0, 0.0, 1.0)
 
 
-def eval_a(z0, z1, z2):
+def field_a(z0, z1, z2):
     """First column (z0, z1)/(1 + i z2), second column zero."""
     z0, z1, z2 = _coords(z0, z1, z2)
     w = 1.0 / (1.0 + 1j * z2)
-    zero = np.zeros(np.broadcast(z0, z1, z2).shape, dtype=np.complex128)
-    return mat2(z0 * w, zero, z1 * w, zero)
+    return planar(z0 * w, 0.0, z1 * w, 0.0)
 
 
-def eval_b(z0, z1, z2):
+def field_b(z0, z1, z2):
     """First row (conj z0, conj z1)/(1 + i z2), second row zero."""
     z0, z1, z2 = _coords(z0, z1, z2)
     w = 1.0 / (1.0 + 1j * z2)
-    zero = np.zeros(np.broadcast(z0, z1, z2).shape, dtype=np.complex128)
-    return mat2(np.conj(z0) * w, np.conj(z1) * w, zero, zero)
+    return planar(np.conj(z0) * w, np.conj(z1) * w, 0.0, 0.0)
 
 
-def eval_c(z0, z1, z2):
+def field_c(z0, z1, z2):
     """The closed-form unitary map c (oracle for 1 - 2ab, never its computation path)."""
     z0, z1, z2 = _coords(z0, z1, z2)
     w = 1.0 / (1.0 + 1j * z2)
     beta = w * w
-    return mat2(
+    return planar(
         1.0 - 2.0 * beta * z0 * np.conj(z0),
         -2.0 * beta * z0 * np.conj(z1),
         -2.0 * beta * z1 * np.conj(z0),
@@ -130,22 +148,56 @@ def eval_c(z0, z1, z2):
     )
 
 
+def field_ab(z0, z1, z2):
+    return mat_mul(field_a(z0, z1, z2), field_b(z0, z1, z2))
+
+
+def field_ba(z0, z1, z2):
+    return mat_mul(field_b(z0, z1, z2), field_a(z0, z1, z2))
+
+
+def field_one_minus_2ab(z0, z1, z2):
+    """I - 2 a(x) b(x), computed by literal matrix multiplication."""
+    ab = field_ab(z0, z1, z2)
+    return eye_like(ab) - 2.0 * ab
+
+
+def field_one_minus_2ba(z0, z1, z2):
+    """I - 2 b(x) a(x); equals diag(phi(z2), 1) pointwise."""
+    ba = field_ba(z0, z1, z2)
+    return eye_like(ba) - 2.0 * ba
+
+
+def eval_one(z0, z1, z2):
+    return mat2(*field_one(z0, z1, z2))
+
+
+def eval_a(z0, z1, z2):
+    return mat2(*field_a(z0, z1, z2))
+
+
+def eval_b(z0, z1, z2):
+    return mat2(*field_b(z0, z1, z2))
+
+
+def eval_c(z0, z1, z2):
+    return mat2(*field_c(z0, z1, z2))
+
+
 def eval_ab(z0, z1, z2):
-    return mat_mul(eval_a(z0, z1, z2), eval_b(z0, z1, z2))
+    return mat2(*field_ab(z0, z1, z2))
 
 
 def eval_ba(z0, z1, z2):
-    return mat_mul(eval_b(z0, z1, z2), eval_a(z0, z1, z2))
+    return mat2(*field_ba(z0, z1, z2))
 
 
 def eval_one_minus_2ab(z0, z1, z2):
-    """I - 2 a(x) b(x), computed by literal matrix multiplication."""
-    return eval_one(z0, z1, z2) - 2.0 * eval_ab(z0, z1, z2)
+    return mat2(*field_one_minus_2ab(z0, z1, z2))
 
 
 def eval_one_minus_2ba(z0, z1, z2):
-    """I - 2 b(x) a(x); equals diag(phi(z2), 1) pointwise."""
-    return eval_one(z0, z1, z2) - 2.0 * eval_ba(z0, z1, z2)
+    return mat2(*field_one_minus_2ba(z0, z1, z2))
 
 
 def product_eigenvalue(z2):
@@ -157,24 +209,36 @@ def product_eigenvalue(z2):
 
 @dataclass(frozen=True)
 class Element:
-    """A named built-in element of C(S^4, M2) with its evaluator."""
+    """A named built-in element of C(S^4, M2) with its planar evaluator."""
 
     name: str
-    evaluate: Callable
+    field: Callable
 
 
 ELEMENTS = {
     e.name: e
     for e in (
-        Element("one", eval_one),
-        Element("a", eval_a),
-        Element("b", eval_b),
-        Element("ab", eval_ab),
-        Element("ba", eval_ba),
-        Element("one-minus-2ab", eval_one_minus_2ab),
-        Element("one-minus-2ba", eval_one_minus_2ba),
+        Element("one", field_one),
+        Element("a", field_a),
+        Element("b", field_b),
+        Element("ab", field_ab),
+        Element("ba", field_ba),
+        Element("one-minus-2ab", field_one_minus_2ab),
+        Element("one-minus-2ba", field_one_minus_2ba),
     )
 }
+
+
+def _inverse_identity_residual(a, b, ba, m, mu, where=True):
+    """Pointwise ||(I - mu ba)(I + mu b u a) - I|| with u = m^{-1}, m = I - mu ab.
+
+    Only the lanes selected by `where` are guarded by mat_inv's
+    singularity threshold; the others may come out inf or nan.
+    """
+    eye = eye_like(m)
+    u = mat_inv(m, where=where)
+    lhs = mat_mul(eye - mu * ba, eye + mu * mat_mul(b, mat_mul(u, a)))
+    return op_norm(lhs - eye)
 
 
 def check_inverse_identity(z0, z1, z2, mu):
@@ -184,46 +248,44 @@ def check_inverse_identity(z0, z1, z2, mu):
     SingularMatrix (from mat_inv) when it is not. For condition numbers
     up to 1e6 the residual stays below 1e-10.
     """
-    a = eval_a(z0, z1, z2)
-    b = eval_b(z0, z1, z2)
-    one = eval_one(z0, z1, z2)
-    u = mat_inv(one - mu * mat_mul(a, b))
-    lhs = mat_mul(one - mu * mat_mul(b, a), one + mu * mat_mul(b, mat_mul(u, a)))
-    res = op_norm(lhs - one)
+    a = field_a(z0, z1, z2)
+    b = field_b(z0, z1, z2)
+    ab = mat_mul(a, b)
+    res = _inverse_identity_residual(a, b, mat_mul(b, a), eye_like(ab) - mu * ab, mu)
     return float(res) if res.ndim == 0 else res
+
+
+def _inverse_identity_chunk(z0, z1, z2, mus, cond_limit):
+    a = field_a(z0, z1, z2)
+    b = field_b(z0, z1, z2)
+    ab = mat_mul(a, b)
+    ba = mat_mul(b, a)
+    eye = eye_like(ab)
+    worst = 0.0
+    skipped = 0
+    for mu in mus:
+        m = eye - mu * ab
+        ok = cond2(m) <= cond_limit
+        skipped += int(np.count_nonzero(~ok))
+        if not np.any(ok):
+            continue
+        # unconditioned lanes may overflow to inf or nan; the mask drops them
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = _inverse_identity_residual(a, b, ba, m, mu, where=ok)
+            # np.maximum, unlike max(), keeps a nan from a conditioned lane
+            worst = np.maximum(worst, np.where(ok, res, 0.0).max())
+    return float(worst), skipped
 
 
 def inverse_identity_sweep(mesh, mus=MU_PROBES, cond_limit=1e6):
     """Max inverse-identity residual over mesh x probe values, conditioned cases only.
 
-    Points where cond(I - mu ab) exceeds cond_limit (or the matrix is
-    below the singularity threshold) are skipped; returns
-    (max_residual, skipped_count).
+    Points where cond(I - mu ab) exceeds cond_limit are skipped; a
+    conditioned point below the singularity threshold still raises
+    SingularMatrix. Returns (max_residual, skipped_count).
     """
-    z0, z1, z2 = mesh.arrays()
-    worst = 0.0
-    skipped = 0
-    for i in range(0, len(z0), CHUNK):
-        a = eval_a(z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK])
-        b = eval_b(z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK])
-        ab = mat_mul(a, b)
-        ba = mat_mul(b, a)
-        one = np.broadcast_to(np.eye(2, dtype=np.complex128), ab.shape)
-        for mu in mus:
-            m = one - mu * ab
-            cond = cond2(m)
-            ok = cond <= cond_limit
-            skipped += int(np.count_nonzero(~ok))
-            if not np.any(ok):
-                continue
-            mok = m[ok]
-            u = mat_inv(mok)
-            lhs = mat_mul(
-                one[ok] - mu * ba[ok],
-                one[ok] + mu * mat_mul(b[ok], mat_mul(u, a[ok])),
-            )
-            worst = max(worst, float(op_norm(lhs - one[ok]).max()))
-    return worst, skipped
+    parts = sweep(lambda *x: _inverse_identity_chunk(*x, mus, cond_limit), *mesh.arrays())
+    return float(np.max([w for w, _ in parts])), sum(s for _, s in parts)
 
 
 @dataclass(frozen=True)
@@ -248,6 +310,29 @@ class IdentityResiduals:
         )
 
 
+def _identity_chunk(x0, x1, x2):
+    a = field_a(x0, x1, x2)
+    b = field_b(x0, x1, x2)
+    ab = mat_mul(a, b)
+    eye = eye_like(ab)
+
+    r_ab = op_norm((eye - 2.0 * ab) - field_c(x0, x1, x2)).max()
+
+    ph = phi(x2)
+    r_ba = op_norm((eye - 2.0 * mat_mul(b, a)) - planar(ph, 0.0, 0.0, 1.0)).max()
+    r_phi = np.abs(np.abs(ph) - 1.0).max()
+
+    w = 1.0 / (1.0 + 1j * x2)
+    r_a2 = op_norm(mat_mul(a, a) - (x0 * w) * a).max()
+    r_b2 = op_norm(mat_mul(b, b) - (np.conj(x0) * w) * b).max()
+
+    lam = product_eigenvalue(x2)
+    lo, hi = sort_pair(np.zeros_like(lam), lam)
+    got_lo, got_hi = eig2(ab)
+    r_eig = max(np.abs(got_lo - lo).max(), np.abs(got_hi - hi).max())
+    return tuple(float(r) for r in (r_ab, r_ba, r_phi, r_a2, r_b2, r_eig))
+
+
 def identity_residuals(mesh):
     """Sweep the algebra identities over a mesh, returning per-identity maxima.
 
@@ -255,42 +340,5 @@ def identity_residuals(mesh):
     a^2 = (z0/(1+i z2)) a, b^2 = (conj z0/(1+i z2)) b (rank-one algebra),
     1-2ab = c, 1-2ba = diag(phi, 1), and eig(ab) = {product eigenvalue, 0}.
     """
-    z0, z1, z2 = mesh.arrays()
-    r_ab = r_ba = r_phi = r_a2 = r_b2 = r_eig = 0.0
-    for i in range(0, len(z0), CHUNK):
-        x0, x1, x2 = z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK]
-        a = eval_a(x0, x1, x2)
-        b = eval_b(x0, x1, x2)
-        ab = mat_mul(a, b)
-        one = np.broadcast_to(np.eye(2, dtype=np.complex128), ab.shape)
-
-        r_ab = max(r_ab, float(op_norm((one - 2.0 * ab) - eval_c(x0, x1, x2)).max()))
-
-        ph = phi(x2)
-        diag = mat2(ph, np.zeros_like(ph), np.zeros_like(ph), np.ones_like(ph))
-        r_ba = max(r_ba, float(op_norm((one - 2.0 * mat_mul(b, a)) - diag).max()))
-        r_phi = max(r_phi, float(np.abs(np.abs(ph) - 1.0).max()))
-
-        w = 1.0 / (1.0 + 1j * x2)
-        r_a2 = max(r_a2, float(op_norm(mat_mul(a, a) - (x0 * w)[..., None, None] * a).max()))
-        r_b2 = max(
-            r_b2,
-            float(op_norm(mat_mul(b, b) - (np.conj(x0) * w)[..., None, None] * b).max()),
-        )
-
-        lam = product_eigenvalue(x2)
-        expect = np.stack([np.zeros_like(lam), lam], axis=-1)
-        # sort the expected pair the same way eig2 sorts its output
-        swap = (expect[..., 0].real > expect[..., 1].real) | (
-            (expect[..., 0].real == expect[..., 1].real)
-            & (expect[..., 0].imag > expect[..., 1].imag)
-        )
-        lo = np.where(swap, expect[..., 1], expect[..., 0])
-        hi = np.where(swap, expect[..., 0], expect[..., 1])
-        got = eig2(ab)
-        r_eig = max(
-            r_eig,
-            float(np.abs(got[..., 0] - lo).max()),
-            float(np.abs(got[..., 1] - hi).max()),
-        )
-    return IdentityResiduals(r_ab, r_ba, r_phi, r_a2, r_b2, r_eig)
+    parts = sweep(_identity_chunk, *mesh.arrays())
+    return IdentityResiduals(*(max(column) for column in zip(*parts)))

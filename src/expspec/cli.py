@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: verify-identities, spectrum, certify, generalize, report-all.
-Exit codes: 0 all checks pass, 1 a verification check failed, 2 usage or
+Exit codes: 0 all checks pass, 1 a verification check failed or a
+computation left its domain (one line on stderr, no traceback), 2 usage or
 configuration error. Reports go to stdout or, with --out, to a file;
 --format selects JSON (schema 1) or a flat CSV summary.
 """
@@ -9,6 +10,10 @@ configuration error. Reports go to stdout or, with --out, to a file;
 import argparse
 import sys
 
+from .algebra import DomainError
+from .homotopy import DegenerateNormalization, DegenerateProjection
+from .linalg2 import SingularMatrix
+from .linking import CurvesTooClose, NearPole
 from .report import (
     RunConfig,
     SPECTRUM_ELEMENTS,
@@ -21,6 +26,16 @@ from .report import (
 )
 
 __all__ = ["main", "build_parser"]
+
+# raised by the numerics when an input leaves their domain; a failed run, not a crash
+DOMAIN_ERRORS = (
+    SingularMatrix,
+    DegenerateProjection,
+    DegenerateNormalization,
+    DomainError,
+    NearPole,
+    CurvesTooClose,
+)
 
 
 def _add_common(p, spectrum_defaults=False):
@@ -115,6 +130,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"expspec: {exc}", file=sys.stderr)
         return 2
+    except DOMAIN_ERRORS as exc:
+        print(f"expspec: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"expspec: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linking
-from .algebra import CHUNK, eval_one_minus_2ba, phi
-from .linalg2 import mat2, op_norm
+from .algebra import field_one_minus_2ba, phi, sweep
+from .linalg2 import mat2, op_norm, planar
 from .sphere import equator_mesh
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "DegenerateNormalization",
     "CertificateFailure",
     "FREUDENTHAL_SUSPENSION",
-    "S4_TO_S3_MAPS",
     "hopf",
     "suspension_eh",
     "pc",
@@ -165,10 +164,6 @@ def f_map(z0, z1, z2):
     return f0, f1
 
 
-# the two S^4 -> S^3 maps whose homotopy the certificates establish
-S4_TO_S3_MAPS = {"f": f_map, "eh": suspension_eh}
-
-
 def equator_deviation(shell_count):
     """max |f - Eh| over the equator grid (they coincide there with h)."""
     z0, z1, z2 = equator_mesh(shell_count)
@@ -180,17 +175,16 @@ def equator_deviation(shell_count):
 def _second_coord_im_sign(mesh, which):
     """min over off-equator, off-pole mesh points of sign(z2)*Im(second coordinate)."""
     z0, z1, z2 = mesh.arrays()
-    sel = (z2 != 0.0) & (np.abs(z2) != 1.0)
-    worst = np.inf
-    idx = np.flatnonzero(sel)
-    for i in range(0, idx.size, CHUNK):
-        j = idx[i : i + CHUNK]
-        if which == "f":
-            _, c1 = f_map(z0[j], z1[j], z2[j])
-        else:
-            _, c1 = suspension_eh(z0[j], z1[j], z2[j])
-        worst = min(worst, float((np.sign(z2[j]) * c1.imag).min()))
-    return worst
+    coords = f_map if which == "f" else suspension_eh
+
+    def chunk_min(j):
+        _, c1 = coords(z0[j], z1[j], z2[j])
+        # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
+        # depends on the order it meets them, so the chunking would show in the sign
+        return float((np.sign(z2[j]) * c1.imag).min()) + 0.0
+
+    idx = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))
+    return min(sweep(chunk_min, idx), default=np.inf)
 
 
 def hemisphere_preservation(mesh):
@@ -210,13 +204,13 @@ def _gap_values(z0, z1, z2):
 
 def mesh_min_gap(mesh, map_a=f_map, map_b=suspension_eh):
     """min over the mesh of |A(x) + B(x)| for two S^3-valued maps."""
-    z0, z1, z2 = mesh.arrays()
-    worst = np.inf
-    for i in range(0, len(z0), CHUNK):
-        a0, a1 = map_a(z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK])
-        b0, b1 = map_b(z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK])
-        worst = min(worst, float(np.sqrt(np.abs(a0 + b0) ** 2 + np.abs(a1 + b1) ** 2).min()))
-    return worst
+
+    def chunk_min(x0, x1, x2):
+        a0, a1 = map_a(x0, x1, x2)
+        b0, b1 = map_b(x0, x1, x2)
+        return float(np.sqrt(np.abs(a0 + b0) ** 2 + np.abs(a1 + b1) ** 2).min())
+
+    return min(sweep(chunk_min, *mesh.arrays()))
 
 
 def _cap_lower_bound(z_cap):
@@ -313,8 +307,11 @@ def antipodal_gap(mesh, z_cap=Z_CAP, safety=LIPSCHITZ_SAFETY):
     """
     z0, z1, z2 = mesh.arrays()
     gaps = np.empty(len(mesh))
-    for i in range(0, len(z0), CHUNK):
-        gaps[i : i + CHUNK] = _gap_values(z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK])
+
+    def fill(out, x0, x1, x2):
+        out[:] = _gap_values(x0, x1, x2)
+
+    sweep(fill, gaps, z0, z1, z2)
     band = np.abs(z2) <= z_cap
     band_min = float(gaps[band].min()) if np.any(band) else np.inf
     cap_min = float(gaps[~band].min()) if np.any(~band) else np.inf
@@ -352,13 +349,16 @@ def straightline_homotopy(z0, z1, z2, t):
     return out0, out1
 
 
+def _null_homotopy_field(z2, t):
+    ph = phi((1.0 - t) * np.asarray(z2, dtype=np.float64) + t)
+    return planar(ph, 0.0, 0.0, 1.0)
+
+
 def null_homotopy_ba(z0, z1, z2, t):
     """Explicit null homotopy of 1 - 2ba: H(x, t) = diag(phi((1-t) z2 + t), 1)."""
     if np.any((np.asarray(t) < 0) | (np.asarray(t) > 1)):
         raise ValueError("t must lie in [0, 1]")
-    z2 = np.asarray(z2, dtype=np.float64)
-    ph = phi((1.0 - t) * z2 + t)
-    return mat2(ph, np.zeros_like(ph), np.zeros_like(ph), np.ones_like(ph))
+    return mat2(*_null_homotopy_field(z2, t))
 
 
 @dataclass(frozen=True)
@@ -382,12 +382,13 @@ def path_invertibility(mesh, t_count=33):
     dets = phi((1.0 - ts[:, None]) * z2s[None, :] + ts[:, None])
     max_det_dev = float(np.abs(np.abs(dets) - 1.0).max())
 
-    z0, z1, z2 = mesh.arrays()
-    start_res = 0.0
-    for i in range(0, len(z0), CHUNK):
-        x0, x1, x2 = z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK]
-        h0 = null_homotopy_ba(x0, x1, x2, 0.0)
-        start_res = max(start_res, float(op_norm(h0 - eval_one_minus_2ba(x0, x1, x2)).max()))
+    def start_residual(x0, x1, x2):
+        # in place, so at most two chunk Fields are alive on top of the mesh
+        d = field_one_minus_2ba(x0, x1, x2)
+        d -= _null_homotopy_field(x2, 0.0)
+        return float(op_norm(d).max())
+
+    start_res = max(sweep(start_residual, *mesh.arrays()))
     h1 = null_homotopy_ba(0.0, 0.0, np.unique(mesh.z2), 1.0)
     end_res = float(op_norm(h1 - np.eye(2)).max())
     return PathInvertibility(max_det_dev, start_res, end_res)

@@ -1,10 +1,17 @@
-"""Closed-form linear algebra for complex 2x2 matrices.
+"""Closed-form linear algebra for complex 2x2 matrix fields.
 
-Everything here works on a single (2, 2) array or on a stack shaped
-(..., 2, 2), complex dtype. No LAPACK: eigenvalues, inverses, singular
-values and condition numbers of 2x2 matrices all have exact formulas,
-which keeps a sweep over a few million mesh points cheap and makes the
-results bit-for-bit reproducible.
+A field of 2x2 matrices over N points is stored planar: a Field, an array
+of shape (4, ...) whose rows are the entry planes m00, m01, m10, m11. Each
+kernel is a handful of ufunc expressions over those planes. Products are
+literal (8 complex multiplies per matrix, no use of known zero entries),
+and eigenvalues, inverses, singular values and condition numbers all have
+exact formulas, so no LAPACK is needed and the results are bit-for-bit
+reproducible. Entrywise arithmetic on Fields (sums, differences, scalar or
+per-point multiples) is ordinary ndarray arithmetic on the planes.
+
+Every kernel also accepts a single (2, 2) matrix or a (..., 2, 2) stack:
+it unpacks the entries with _entries, runs the same planar code and packs
+a matrix result back with mat2. Fields in, Field out.
 """
 
 import numpy as np
@@ -12,9 +19,13 @@ import numpy as np
 __all__ = [
     "SingularMatrix",
     "SINGULARITY_RTOL",
+    "Field",
+    "planar",
+    "eye_like",
     "mat2",
     "mat_mul",
     "eig2",
+    "sort_pair",
     "mat_inv",
     "op_norm",
     "cond2",
@@ -29,6 +40,28 @@ class SingularMatrix(ArithmeticError):
     """Raised when a matrix (or any matrix in a stack) fails the invertibility threshold."""
 
 
+class Field(np.ndarray):
+    """A field of complex 2x2 matrices: shape (4, ...), rows m00, m01, m10, m11.
+
+    The type only marks the planar layout, so the kernels can tell a
+    Field from a (..., 2, 2) stack; build one with planar().
+    """
+
+
+_EYE = np.array([1, 0, 0, 1], dtype=np.complex128)
+_EYE.flags.writeable = False
+
+
+def planar(m00, m01, m10, m11):
+    """Pack four broadcastable entry arrays into a Field."""
+    return np.array(np.broadcast_arrays(m00, m01, m10, m11), dtype=np.complex128).view(Field)
+
+
+def eye_like(m):
+    """The identity as a (read-only) Field that broadcasts against the Field m."""
+    return _EYE.reshape((4,) + (1,) * (m.ndim - 1)).view(Field)
+
+
 def mat2(m00, m01, m10, m11):
     """Assemble a (..., 2, 2) complex stack from four broadcastable entry arrays."""
     m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
@@ -40,28 +73,62 @@ def mat2(m00, m01, m10, m11):
     return out
 
 
+def _planes(f):
+    # f[i, ...] keeps a 0-d plane an array (f[i] would be a scalar), so it can take out=
+    p = f.view(np.ndarray)
+    return p[0, ...], p[1, ...], p[2, ...], p[3, ...]
+
+
 def _entries(m):
+    """The four entry planes of a Field or of a (..., 2, 2) stack."""
+    if isinstance(m, Field):
+        return _planes(m)
     m = np.asarray(m, dtype=np.complex128)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected trailing shape (2, 2), got {m.shape}")
     return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
 
 
+def _empty_like(m, shape):
+    """An uninitialized matrix result in the layout of m, and its four entry planes."""
+    if isinstance(m, Field):
+        out = np.empty((4,) + shape, dtype=np.complex128).view(Field)
+        return out, _planes(out)
+    out = np.empty(shape + (2, 2), dtype=np.complex128)
+    return out, (out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1])
+
+
 def mat_mul(x, y):
-    """Matrix product of two (..., 2, 2) stacks (literal multiplication, no shortcuts)."""
-    return np.asarray(x, dtype=np.complex128) @ np.asarray(y, dtype=np.complex128)
+    """Matrix product of two fields or stacks (literal multiplication, no shortcuts)."""
+    x00, x01, x10, x11 = _entries(x)
+    y00, y01, y10, y11 = _entries(y)
+    out, (o00, o01, o10, o11) = _empty_like(x, np.broadcast_shapes(x00.shape, y00.shape))
+    np.multiply(x00, y00, out=o00)
+    o00 += x01 * y10
+    np.multiply(x00, y01, out=o01)
+    o01 += x01 * y11
+    np.multiply(x10, y00, out=o10)
+    o10 += x11 * y10
+    np.multiply(x10, y01, out=o11)
+    o11 += x11 * y11
+    return out
+
+
+def sort_pair(r1, r2):
+    """(lo, hi): the two values ordered lexicographically by (re, im)."""
+    swap = (r1.real > r2.real) | ((r1.real == r2.real) & (r1.imag > r2.imag))
+    return np.where(swap, r2, r1), np.where(swap, r1, r2)
 
 
 def eig2(m):
-    """Both eigenvalues of each 2x2 matrix, shape (..., 2).
+    """Both eigenvalues of each 2x2 matrix: shape (2, ...) for a Field, (..., 2) for a stack.
 
     Roots of lambda^2 - tr*lambda + det via the stable quadratic formula:
     the half-discriminant is added to the mean with the sign that avoids
     cancellation, giving the larger-magnitude root first; the second root
     is det/root1 (exact product relation), or 0 when root1 is 0, which
     happens only for the zero-trace, zero-det case. The returned pair is
-    sorted lexicographically by (re, im) so set comparisons are
-    deterministic.
+    sorted by sort_pair so set comparisons are deterministic.
     """
     a, b, c, d = _entries(m)
     mid = 0.5 * (a + d)
@@ -72,10 +139,8 @@ def eig2(m):
     det = a * d - b * c
     safe = np.where(r1 == 0, 1.0, r1)
     r2 = np.where(r1 == 0, 0.0 + 0.0j, det / safe)
-    swap = (r1.real > r2.real) | ((r1.real == r2.real) & (r1.imag > r2.imag))
-    lo = np.where(swap, r2, r1)
-    hi = np.where(swap, r1, r2)
-    return np.stack([lo, hi], axis=-1)
+    pair = sort_pair(r1, r2)
+    return np.stack(pair) if isinstance(m, Field) else np.stack(pair, axis=-1)
 
 
 def op_norm(m):
@@ -99,16 +164,24 @@ def cond2(m):
     return out
 
 
-def mat_inv(m):
-    """Adjugate inverse of each matrix in the stack.
+def mat_inv(m, where=True):
+    """Adjugate inverse of each matrix in the field or stack.
 
-    Raises SingularMatrix if any |det| <= SINGULARITY_RTOL * op_norm^2.
-    For condition numbers below 1e6 the residual ||m @ mat_inv(m) - I||
-    stays within a small multiple of machine epsilon times the condition
-    number.
+    Raises SingularMatrix if |det| <= SINGULARITY_RTOL * op_norm^2 for any
+    matrix selected by the boolean mask `where` (default: every matrix).
+    Unselected matrices are inverted without the guard and may come out
+    inf or nan; callers that pass a mask discard them. For condition
+    numbers below 1e6 the residual ||m @ mat_inv(m) - I|| stays within a
+    small multiple of machine epsilon times the condition number.
     """
     a, b, c, d = _entries(m)
     det = a * d - b * c
-    if np.any(np.abs(det) <= SINGULARITY_RTOL * op_norm(m) ** 2):
+    if np.any(where & (np.abs(det) <= SINGULARITY_RTOL * op_norm(m) ** 2)):
         raise SingularMatrix("matrix below invertibility threshold")
-    return mat2(d / det, -b / det, -c / det, a / det)
+    out, (o00, o01, o10, o11) = _empty_like(m, det.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(d, det, out=o00)
+        np.divide(-b, det, out=o01)
+        np.divide(-c, det, out=o10)
+        np.divide(a, det, out=o11)
+    return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CHUNK, ELEMENTS, MU_PROBES, inverse_identity_sweep
+from .algebra import ELEMENTS, MU_PROBES, inverse_identity_sweep, sweep
 from .linalg2 import eig2
 
 __all__ = [
@@ -127,10 +127,7 @@ def sample_spectrum(element, mesh):
     z0, z1, z2 = mesh.arrays()
     if len(z0) == 0:
         raise ValueError("empty mesh")
-    chunks = []
-    for i in range(0, len(z0), CHUNK):
-        vals = eig2(el.evaluate(z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK]))
-        chunks.append(_dedup(vals.ravel()))
+    chunks = sweep(lambda *x: _dedup(eig2(el.field(*x)).ravel()), z0, z1, z2)
     return SpectrumEstimate(
         element=el.name,
         cloud=_dedup(np.concatenate(chunks)),
@@ -193,9 +190,9 @@ def eigenvalue_lipschitz(mesh, element):
     el = ELEMENTS[element] if isinstance(element, str) else element
     z0, z1, z2 = mesh.arrays()
     reps = [sl.start for sl in mesh.lat_slices]
-    vals = eig2(el.evaluate(z0[reps], z1[reps], z2[reps]))
+    vals = eig2(el.field(z0[reps], z1[reps], z2[reps]))
     dpsi = np.pi / (mesh.lat_count - 1)
-    diffs = np.abs(np.diff(vals, axis=0)).max(axis=1)
+    diffs = np.abs(np.diff(vals, axis=1)).max(axis=0)
     return float(diffs.max() / dpsi)
 
 

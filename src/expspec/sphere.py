@@ -45,7 +45,6 @@ __all__ = [
     "SpherePoint3",
     "SpherePoint4",
     "SphereMesh4",
-    "sphere_point3",
     "sphere_point4",
     "s3_shell_grid",
     "shell_point_count",
@@ -77,13 +76,6 @@ class SpherePoint4(NamedTuple):
 
     def norm_defect(self):
         return abs(abs(self.z0) ** 2 + abs(self.z1) ** 2 + self.z2**2 - 1.0)
-
-
-def sphere_point3(w0, w1):
-    p = SpherePoint3(complex(w0), complex(w1))
-    if not (p.norm_defect() <= POINT_NORM_TOL):
-        raise ValueError(f"not on S3 within {POINT_NORM_TOL}: {p}")
-    return p
 
 
 def sphere_point4(z0, z1, z2):

@@ -120,3 +120,35 @@ def test_inverse_identity_random_mus(mesh9):
     mus = tuple(rng.uniform(-2, 2, 4) + 1j * rng.uniform(-2, 2, 4))
     worst, _ = inverse_identity_sweep(mesh9, mus)
     assert worst <= 1e-10
+
+
+def test_inverse_identity_sweep_guards_conditioned_lanes(mesh9):
+    # with no conditioning cut the singular equator ring at mu = 1 is a
+    # conditioned lane, so the singularity guard must fire
+    with pytest.raises(SingularMatrix):
+        inverse_identity_sweep(mesh9, (1.0,), cond_limit=np.inf)
+
+
+def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
+    from expspec import algebra, homotopy, spectrum
+
+    def run_all_sweeps():
+        return repr(
+            (
+                identity_residuals(mesh9),
+                inverse_identity_sweep(mesh9),
+                homotopy.hemisphere_preservation(mesh9),
+                homotopy.mesh_min_gap(mesh9),
+                homotopy.antipodal_gap(mesh9),
+                homotopy.path_invertibility(mesh9),
+                [spectrum.sample_spectrum(name, mesh9).cloud.tolist() for name in algebra.ELEMENTS],
+            )
+        )
+
+    assert len(mesh9) <= algebra.CHUNK
+    one_chunk = run_all_sweeps()
+    monkeypatch.setattr(algebra, "CHUNK", 7)
+    assert len(mesh9) % 7 != 0
+    idx = np.arange(len(mesh9))
+    assert np.array_equal(np.concatenate(algebra.sweep(lambda j: j, idx)), idx)
+    assert run_all_sweeps() == one_chunk

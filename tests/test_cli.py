@@ -120,3 +120,17 @@ def test_version_recorded(capsys):
 
     code, out, _ = run(["generalize", *FAST], capsys)
     assert json.loads(out)["tool"] == {"name": "expspec", "version": expspec.__version__}
+
+
+def test_domain_error_exits_1_without_traceback(monkeypatch, capsys):
+    from expspec import report
+    from expspec.linalg2 import SingularMatrix
+
+    def singular(mesh):
+        raise SingularMatrix("matrix below invertibility threshold")
+
+    monkeypatch.setattr(report, "identity_residuals", singular)
+    code, out, err = run(["verify-identities", *FAST], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "expspec: SingularMatrix: matrix below invertibility threshold\n"

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from expspec.linalg2 import (
     SINGULARITY_RTOL,
+    Field,
     SingularMatrix,
     cond2,
     eig2,
@@ -11,6 +12,7 @@ from expspec.linalg2 import (
     mat_inv,
     mat_mul,
     op_norm,
+    planar,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -144,3 +146,62 @@ def test_mat2_broadcasting():
     m = mat2(np.zeros(5), 1.0, 0.0, np.ones(5))
     assert m.shape == (5, 2, 2)
     assert_allclose(m[2], [[0, 1], [0, 1]])
+
+
+def as_field(m):
+    return planar(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
+
+
+def as_stack(f):
+    return mat2(*f)
+
+
+def rel_err(ours, ref, axes):
+    return (np.abs(ours - ref).max(axis=axes) / np.abs(ref).max(axis=axes)).max()
+
+
+def test_planar_kernels_match_numpy():
+    rng = np.random.RandomState(13)
+    x = rand_mat2(rng, 1000)
+    y = rand_mat2(rng, 1000)
+    fx, fy = as_field(x), as_field(y)
+
+    prod = mat_mul(fx, fy)
+    assert isinstance(prod, Field) and prod.shape == (4, 1000)
+    assert rel_err(as_stack(prod), x @ y, (1, 2)) <= 1e-13
+
+    inv = mat_inv(fx)
+    assert isinstance(inv, Field)
+    assert rel_err(as_stack(inv), np.linalg.inv(x), (1, 2)) <= 1e-13
+
+    smax = np.linalg.svd(x, compute_uv=False)[:, 0]
+    assert np.abs(op_norm(fx) / smax - 1.0).max() <= 1e-13
+    assert np.abs(cond2(fx) / np.linalg.cond(x, 2) - 1.0).max() <= 1e-13
+
+    ref = np.linalg.eigvals(x)
+    ref = np.take_along_axis(ref, np.lexsort((ref.imag, ref.real), axis=1), axis=1)
+    ev = eig2(fx)
+    assert ev.shape == (2, 1000)
+    assert rel_err(ev.T, ref, 1) <= 1e-13
+
+
+def test_stack_api_is_the_planar_kernels():
+    rng = np.random.RandomState(17)
+    x = rand_mat2(rng, 50)
+    y = rand_mat2(rng, 50)
+    fx, fy = as_field(x), as_field(y)
+    assert np.array_equal(mat_mul(x, y), as_stack(mat_mul(fx, fy)))
+    assert np.array_equal(mat_inv(x), as_stack(mat_inv(fx)))
+    assert np.array_equal(op_norm(x), op_norm(fx))
+    assert np.array_equal(cond2(x), cond2(fx))
+    assert np.array_equal(eig2(x), eig2(fx).T)
+
+
+def test_mat_inv_guards_only_selected_lanes():
+    m = planar(np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(SingularMatrix):
+        mat_inv(m)
+    inv = mat_inv(m, where=np.array([True, False]))
+    assert np.array_equal(as_stack(inv)[0], I2)
+    with pytest.raises(SingularMatrix):
+        mat_inv(m, where=np.array([False, True]))
