@@ -499,7 +499,7 @@ def build_certificates(mesh, segments=256, sabotage=None):
     )
 
     link = linking.hopf_invariant_of_h(segments, _self_link=(sabotage == "fiber"))
-    link_tol = 0.05 if segments >= 256 else 0.2
+    link_tol = linking.residual_tolerance(segments)
     _require(
         abs(link.rounded) == 1,
         "hopf_linking_rounded",

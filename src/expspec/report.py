@@ -17,6 +17,7 @@ from . import __version__
 from .algebra import eval_a, eval_b, identity_residuals, inverse_identity_sweep
 from .generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
 from .homotopy import CertificateFailure, build_certificates
+from .linking import residual_tolerance
 from .sphere import InvalidResolution, mesh_s4
 from .spectrum import (
     CIRCLE_C,
@@ -370,7 +371,7 @@ def run_certify(cfg, mesh=None):
         "ab_hopf_linking_residual",
         "the Gauss sum is close to its integer",
         ev["hopf_linking_residual"],
-        0.05 if cfg.segments >= 256 else 0.2,
+        residual_tolerance(cfg.segments),
         "<=",
     )
     rep.add(

@@ -1,13 +1,18 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from expspec.homotopy import hopf
 from expspec.linking import (
+    BLOCK_ELEMENTS,
     DEFAULT_POLE,
     CurvesTooClose,
     LinkingResult,
     NearPole,
     PolylineCurve3,
+    _min_vertex_segment_distance,
     curve_separation,
     fiber_to_csv,
     gauss_linking,
@@ -178,3 +183,123 @@ def test_fiber_csv_export(tmp_path):
     fiber_to_csv(curve, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data, curve.points)
+
+
+# Reference: the (n, m, 3) formulation the row-blocked kernels replace. The
+# kernels reproduce its roundings, so they must equal it bit for bit.
+def reference_min_vertex_segment_distance(verts, segs_a, segs_b):
+    d = segs_b - segs_a
+    rel = verts[:, None, :] - segs_a[None, :, :]
+    denom = np.einsum("mk,mk->m", d, d)
+    t = np.einsum("nmk,mk->nm", rel, d) / denom[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    closest = segs_a[None, :, :] + t[:, :, None] * d[None, :, :]
+    return float(np.linalg.norm(verts[:, None, :] - closest, axis=2).min())
+
+
+def reference_curve_separation(c1, c2):
+    p1, p2 = c1.points, c2.points
+    return min(
+        reference_min_vertex_segment_distance(p1, p2, np.roll(p2, -1, axis=0)),
+        reference_min_vertex_segment_distance(p2, p1, np.roll(p1, -1, axis=0)),
+    )
+
+
+def reference_gauss_raw(c1, c2):
+    p1, p2 = c1.points, c2.points
+    d1 = np.roll(p1, -1, axis=0) - p1
+    d2 = np.roll(p2, -1, axis=0) - p2
+    m1 = p1 + 0.5 * d1
+    m2 = p2 + 0.5 * d2
+    r = m1[:, None, :] - m2[None, :, :]
+    cr = np.cross(d1[:, None, :], d2[None, :, :])
+    num = np.einsum("ijk,ijk->ij", r, cr)
+    den = np.linalg.norm(r, axis=2) ** 3
+    rows = (num / den).sum(axis=1)
+    return math.fsum(rows.tolist()) / (4.0 * math.pi)
+
+
+def hopf_fiber_pair(segments):
+    w = hopf_fiber((0.0, 1.0), segments)
+    v = hopf_fiber((0.0, -1.0), segments)
+    return PolylineCurve3(stereographic(*w)), PolylineCurve3(stereographic(*v))
+
+
+def noisy_loops(n1, n2, seed=1):
+    # two jittered, interlaced loops of unequal lengths; their linking sum is
+    # large (about -27), so a one-ulp change in many pair terms reaches raw
+    rng = np.random.default_rng(seed)
+    loops = []
+    for n, scale, shift in ((n1, 1.0, (0, 0, 0)), (n2, 1.3, (0.4, 0.1, 0.2))):
+        t = 2 * np.pi * np.arange(n) / n
+        p = np.stack([np.cos(t), np.sin(t), 0.3 * np.sin(3 * t)], axis=1)
+        p += 0.05 * rng.standard_normal((n, 3))
+        loops.append(PolylineCurve3(scale * p + np.asarray(shift, dtype=float)))
+    return loops
+
+
+@pytest.mark.parametrize("case", ["unequal_300_517", "hopf_fibers_1024", "translated_unlink"])
+def test_blocked_kernels_match_reference_bitwise(case):
+    if case == "unequal_300_517":
+        c1, c2 = noisy_loops(300, 517)
+        # several row blocks in both directions, the last one partial
+        assert 300 % (BLOCK_ELEMENTS // 517) and 517 % (BLOCK_ELEMENTS // 300)
+    elif case == "hopf_fibers_1024":
+        c1, c2 = hopf_fiber_pair(1024)
+    else:
+        c1, _ = hopf_fiber_pair(256)
+        c2 = c1.translated((10.0, 0.0, 0.0))
+    assert curve_separation(c1, c2) == reference_curve_separation(c1, c2)
+    assert gauss_linking(c1, c2).raw == reference_gauss_raw(c1, c2)
+    assert gauss_linking(c2, c1).raw == reference_gauss_raw(c2, c1)
+
+
+def test_vertex_segment_distance_matches_reference_per_vertex():
+    # one vertex at a time, so each pair term's rounding decides a minimum
+    c1, c2 = noisy_loops(300, 517)
+    a, b = c2.points, np.roll(c2.points, -1, axis=0)
+    for v in c1.points[:, None, :]:
+        expected = reference_min_vertex_segment_distance(v, a, b)
+        assert _min_vertex_segment_distance(v, a, b) == expected
+
+
+def test_curves_too_close_in_last_partial_block():
+    c1 = circle(n=300)
+    last = 299
+    # A 6 x 5 rectangle in the vertical plane through c1's vertex `last`. Its
+    # inner vertical edge passes 5e-4 outside that vertex; every vertex of
+    # the rectangle stays at least 1 away from c1, so only c1's vertices
+    # against the rectangle's segments can see the near miss.
+    u = c1.points[last]
+    up = np.array([0.0, 0.0, 1.0])
+    inner = u * (1 + 5e-4)
+    outer = u * 6.0
+    sides = [
+        inner + np.outer(np.linspace(-3, 3, 3, endpoint=False), up),  # z = -3, -1, 1
+        inner + 3 * up + np.outer(np.linspace(0, 1, 120, endpoint=False), outer - inner),
+        outer + np.outer(np.linspace(3, -3, 157, endpoint=False), up),
+        outer - 3 * up + np.outer(np.linspace(0, 1, 120, endpoint=False), inner - outer),
+    ]
+    c2 = PolylineCurve3(np.concatenate(sides))
+    step = BLOCK_ELEMENTS // len(c2)
+    assert len(c1) % step and last >= len(c1) - len(c1) % step
+    p1 = c1.points
+    assert reference_min_vertex_segment_distance(c2.points, p1, np.roll(p1, -1, axis=0)) > 0.9
+    sep = curve_separation(c1, c2)
+    assert sep == reference_curve_separation(c1, c2)
+    assert sep == pytest.approx(5e-4, rel=1e-6)
+    with pytest.raises(CurvesTooClose):
+        gauss_linking(c1, c2)
+
+
+def test_linking_memory_is_bounded():
+    # The (n, n, 3) formulation peaked near 500 MB at 2048 segments; the row
+    # blocks need about 3 MiB.
+    tracemalloc.start()
+    try:
+        res = hopf_invariant_of_h(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(res.rounded) == 1
+    assert peak < 8 * 2**20
