@@ -42,6 +42,7 @@ extension Eh(0, 0, +-1) := (0, +-i) is used, justified by the bounds
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,9 @@ __all__ = [
     "DegenerateProjection",
     "DegenerateNormalization",
     "CertificateFailure",
+    "CheckRecord",
+    "CERTIFICATE_CHECKS",
+    "certificate_records",
     "FREUDENTHAL_SUSPENSION",
     "hopf",
     "suspension_eh",
@@ -64,26 +68,14 @@ __all__ = [
     "hemisphere_preservation",
     "AntipodalGap",
     "antipodal_gap",
-    "mesh_min_gap",
     "straightline_homotopy",
     "null_homotopy_ba",
     "path_invertibility",
     "PathInvertibility",
     "HomotopyCertificate",
     "build_certificates",
-    "EQUATOR_TOL",
-    "HEMISPHERE_TOL",
-    "PATH_DET_TOL",
-    "ENDPOINT_TOL",
-    "GAP_FLOOR",
 ]
 
-# evidence thresholds for the certificates
-EQUATOR_TOL = 1e-12        # max |f - Eh| on the equator
-HEMISPHERE_TOL = -1e-13    # min sign(z2) * Im(second coordinate)
-PATH_DET_TOL = 1e-13       # max ||det H| - 1| along the ba null homotopy
-ENDPOINT_TOL = 1e-13       # endpoint residuals of the ba null homotopy
-GAP_FLOOR = 0.1            # acceptance floor for the measured antipodal minimum
 Z_CAP = 0.95               # |z2| >= Z_CAP handled by the analytic cap bound
 LIPSCHITZ_SAFETY = 2.0     # multiplier on the empirical modulus of continuity
 
@@ -103,7 +95,84 @@ class DegenerateNormalization(ArithmeticError):
 
 
 class CertificateFailure(AssertionError):
-    """An evidence bound of a homotopy certificate failed; names the first offender."""
+    """Evidence bounds of the certificates failed: the message names every failing
+    evidence key, and `evidence` holds all the evidence gathered."""
+
+    def __init__(self, message, evidence):
+        super().__init__(message)
+        self.evidence = evidence
+
+
+_COMPARE = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One report record: a claim, its measured value, the threshold and the verdict."""
+
+    name: str
+    claim: str
+    value: float
+    threshold: float
+    comparison: str  # "<=", ">=", ">"
+    passed: bool
+
+    @classmethod
+    def of(cls, name, claim, value, threshold, comparison):
+        value, threshold = float(value), float(threshold)
+        passed = bool(_COMPARE[comparison](value, threshold))
+        return cls(name, claim, value, threshold, comparison, passed)
+
+
+@dataclass(frozen=True)
+class CertificateCheck:
+    """One evidence bound of the certificates and the report record it becomes."""
+
+    name: str
+    key: str             # the evidence the bound reads
+    claim: str
+    threshold: object    # a float, or a function of the linking segment count
+    comparison: str
+    measure: object = float  # evidence value -> the value compared
+
+
+# Every bound of the two certificates, defined once: build_certificates and the
+# certify report both evaluate this table.
+CERTIFICATE_CHECKS = (
+    CertificateCheck("ba_path_invertibility", "path_max_abs_det_deviation",
+                     "|det| = 1 along the explicit null homotopy of 1 - 2ba "
+                     "(latitudes x 33 t-values)", 1e-13, "<="),
+    CertificateCheck("ba_endpoint_start", "endpoint_residual_start",
+                     "the path starts at 1 - 2ba", 1e-13, "<="),
+    CertificateCheck("ba_endpoint_end", "endpoint_residual_end",
+                     "the path ends at the identity", 1e-13, "<="),
+    CertificateCheck("ab_equator_coincidence", "equator_max_deviation",
+                     "f agrees with the suspended Hopf map on the equator", 1e-12, "<="),
+    CertificateCheck("ab_hemisphere_preservation", "hemisphere_worst_violation",
+                     "f and Eh preserve hemispheres (signed imaginary part of the second "
+                     "coordinate)", -1e-13, ">="),
+    CertificateCheck("ab_antipodal_min_gap", "antipodal_min_gap",
+                     "f(x) and Eh(x) are never antipodal: measured min |f + Eh|", 0.1, ">"),
+    CertificateCheck("ab_antipodal_certified", "antipodal_certified_lower_bound",
+                     "certified lower bound for min |f + Eh| (band minus slack, analytic caps)",
+                     0.0, ">"),
+    # measures 1.0 exactly when |lk| = 1 and less otherwise, so lk = +-2 fails too
+    CertificateCheck("ab_hopf_linking_magnitude", "hopf_linking_rounded",
+                     "the Hopf invariant of h (fiber linking number) has magnitude 1",
+                     1.0, ">=", lambda lk: 1.0 - abs(abs(lk) - 1)),
+    CertificateCheck("ab_hopf_linking_residual", "hopf_linking_residual",
+                     "the Gauss sum is close to its integer", linking.residual_tolerance, "<="),
+)
+
+
+def certificate_records(evidence, segments):
+    """One CheckRecord per row of CERTIFICATE_CHECKS, measured on the evidence dict."""
+    return [
+        CheckRecord.of(c.name, c.claim, c.measure(evidence[c.key]),
+                       c.threshold(segments) if callable(c.threshold) else c.threshold,
+                       c.comparison)
+        for c in CERTIFICATE_CHECKS
+    ]
 
 
 def hopf(w0, w1):
@@ -164,10 +233,10 @@ def f_map(z0, z1, z2):
     return f0, f1
 
 
-def equator_deviation(shell_count):
-    """max |f - Eh| over the equator grid (they coincide there with h)."""
+def equator_deviation(shell_count, f=f_map):
+    """max |f - Eh| over the equator grid (f_map and Eh coincide there with h)."""
     z0, z1, z2 = equator_mesh(shell_count)
-    f0, f1 = f_map(z0, z1, z2)
+    f0, f1 = f(z0, z1, z2)
     e0, e1 = suspension_eh(z0, z1, z2)
     return float(np.sqrt(np.abs(f0 - e0) ** 2 + np.abs(f1 - e1) ** 2).max())
 
@@ -190,8 +259,8 @@ def _second_coord_im_sign(mesh, which):
 def hemisphere_preservation(mesh):
     """Worst signed violation of hemisphere preservation for f and Eh.
 
-    Equator points (z2 = 0) and poles are excluded; the contract is that
-    the returned minimum is >= -1e-13 (no violations beyond rounding).
+    Equator points (z2 = 0) and poles are excluded; the certificate bounds
+    the returned minimum from below (ab_hemisphere_preservation).
     """
     return min(_second_coord_im_sign(mesh, "f"), _second_coord_im_sign(mesh, "eh"))
 
@@ -200,17 +269,6 @@ def _gap_values(z0, z1, z2):
     f0, f1 = f_map(z0, z1, z2)
     e0, e1 = suspension_eh(z0, z1, z2)
     return np.sqrt(np.abs(f0 + e0) ** 2 + np.abs(f1 + e1) ** 2)
-
-
-def mesh_min_gap(mesh, map_a=f_map, map_b=suspension_eh):
-    """min over the mesh of |A(x) + B(x)| for two S^3-valued maps."""
-
-    def chunk_min(x0, x1, x2):
-        a0, a1 = map_a(x0, x1, x2)
-        b0, b1 = map_b(x0, x1, x2)
-        return float(np.sqrt(np.abs(a0 + b0) ** 2 + np.abs(a1 + b1) ** 2).min())
-
-    return min(sweep(chunk_min, *mesh.arrays()))
 
 
 def _cap_lower_bound(z_cap):
@@ -432,97 +490,64 @@ class HomotopyCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _require(ok, name, detail):
-    if not ok:
-        raise CertificateFailure(f"{name}: {detail}")
+def _flipped_f(z0, z1, z2):
+    f0, f1 = f_map(z0, z1, z2)
+    return -f0, -f1
 
 
 def build_certificates(mesh, segments=256, sabotage=None):
     """Assemble the two homotopy certificates over a mesh.
 
-    Returns (certificate for 1-2ba, certificate for 1-2ab). Raises
-    CertificateFailure naming the first failing evidence bound. The
-    sabotage hook ("flip-f" negates f, "fiber" links a fiber with a
-    translate of itself) exists for negative-control tests and must make
-    this function fail.
+    Returns (certificate for 1-2ba, certificate for 1-2ab). Gathers all the
+    evidence first, then evaluates every bound of CERTIFICATE_CHECKS; if any
+    fails it raises CertificateFailure, which names every failing evidence
+    key and carries the whole evidence dict. The sabotage hook ("flip-f"
+    negates f on the equator, "fiber" links a fiber with a translate of
+    itself) exists for negative-control tests and must make this function
+    fail.
     """
     if sabotage not in (None, "flip-f", "fiber"):
         raise ValueError(f"unknown sabotage tag: {sabotage!r}")
 
-    # --- 1 - 2ba: unconditional null homotopy ---------------------------
     path = path_invertibility(mesh)
-    _require(
-        path.max_det_deviation <= PATH_DET_TOL,
-        "path_min_abs_det",
-        f"|det| deviates from 1 by {path.max_det_deviation:.3e} > {PATH_DET_TOL:.0e}",
-    )
-    _require(
-        path.endpoint_start <= ENDPOINT_TOL,
-        "endpoint_residual_start",
-        f"{path.endpoint_start:.3e} > {ENDPOINT_TOL:.0e}",
-    )
-    _require(
-        path.endpoint_end <= ENDPOINT_TOL,
-        "endpoint_residual_end",
-        f"{path.endpoint_end:.3e} > {ENDPOINT_TOL:.0e}",
-    )
+    ba_evidence = {
+        "path_max_abs_det_deviation": path.max_det_deviation,
+        "endpoint_residual_start": path.endpoint_start,
+        "endpoint_residual_end": path.endpoint_end,
+    }
+    eq_dev = equator_deviation(mesh.shell_count, _flipped_f if sabotage == "flip-f" else f_map)
+    hemi = hemisphere_preservation(mesh)
+    gap = antipodal_gap(mesh)
+    link = linking.hopf_invariant_of_h(segments, _self_link=(sabotage == "fiber"))
+    ab_evidence = {
+        "equator_max_deviation": eq_dev,
+        "hemisphere_worst_violation": hemi,
+        "antipodal_min_gap": gap.min_gap,
+        "antipodal_certified_lower_bound": gap.certified_lower_bound,
+        "hopf_linking_raw": link.raw,
+        "hopf_linking_rounded": link.rounded,
+        "hopf_linking_residual": link.residual,
+    }
+
+    evidence = {**ba_evidence, **ab_evidence}
+    failed = [
+        f"{c.key}: {r.name} measured {r.value!r}, needs {r.comparison} {r.threshold!r}"
+        for c, r in zip(CERTIFICATE_CHECKS, certificate_records(evidence, segments))
+        if not r.passed
+    ]
+    if failed:
+        raise CertificateFailure("; ".join(failed), evidence)
+
     ba_cert = HomotopyCertificate(
         subject="ONE_MINUS_2BA",
         verdict="NULL_HOMOTOPIC",
-        evidence={
-            "path_max_abs_det_deviation": path.max_det_deviation,
-            "endpoint_residual_start": path.endpoint_start,
-            "endpoint_residual_end": path.endpoint_end,
-        },
-        assumptions=[],
+        evidence=ba_evidence,
         notes=["explicit path diag(phi((1-t) z2 + t), 1); |det| = |phi| = 1 pointwise"],
     )
-
-    # --- 1 - 2ab: obstruction chain, conditional on suspension ----------
-    sign = -1.0 if sabotage == "flip-f" else 1.0  # negative control: wrecks the equator match
-
-    z0e, z1e, z2e = equator_mesh(mesh.shell_count)
-    fe0, fe1 = f_map(z0e, z1e, z2e)
-    ee0, ee1 = suspension_eh(z0e, z1e, z2e)
-    eq_dev = float(np.sqrt(np.abs(sign * fe0 - ee0) ** 2 + np.abs(sign * fe1 - ee1) ** 2).max())
-    _require(eq_dev <= EQUATOR_TOL, "equator_max_deviation", f"{eq_dev:.3e} > {EQUATOR_TOL:.0e}")
-
-    hemi = hemisphere_preservation(mesh)
-    _require(hemi >= HEMISPHERE_TOL, "hemisphere_worst_violation", f"{hemi:.3e} < {HEMISPHERE_TOL:.0e}")
-
-    gap = antipodal_gap(mesh)
-    _require(gap.min_gap > GAP_FLOOR, "antipodal_min_gap", f"{gap.min_gap:.3e} <= {GAP_FLOOR}")
-    _require(
-        gap.certified_lower_bound > 0.0,
-        "antipodal_certified_lower_bound",
-        f"{gap.certified_lower_bound:.3e} <= 0",
-    )
-
-    link = linking.hopf_invariant_of_h(segments, _self_link=(sabotage == "fiber"))
-    link_tol = linking.residual_tolerance(segments)
-    _require(
-        abs(link.rounded) == 1,
-        "hopf_linking_rounded",
-        f"fiber linking rounded to {link.rounded}, expected magnitude 1",
-    )
-    _require(
-        link.residual <= link_tol,
-        "hopf_linking_residual",
-        f"{link.residual:.3e} > {link_tol}",
-    )
-
     ab_cert = HomotopyCertificate(
         subject="ONE_MINUS_2AB",
         verdict="OBSTRUCTED_MODULO_SUSPENSION",
-        evidence={
-            "equator_max_deviation": eq_dev,
-            "hemisphere_worst_violation": hemi,
-            "antipodal_min_gap": gap.min_gap,
-            "antipodal_certified_lower_bound": gap.certified_lower_bound,
-            "hopf_linking_raw": link.raw,
-            "hopf_linking_rounded": link.rounded,
-            "hopf_linking_residual": link.residual,
-        },
+        evidence=ab_evidence,
         assumptions=[FREUDENTHAL_SUSPENSION],
         notes=[
             "Eh at the poles uses the continuity extension Eh(0,0,+-1) = (0,+-i)",

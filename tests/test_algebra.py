@@ -138,7 +138,6 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
                 identity_residuals(mesh9),
                 inverse_identity_sweep(mesh9),
                 homotopy.hemisphere_preservation(mesh9),
-                homotopy.mesh_min_gap(mesh9),
                 homotopy.antipodal_gap(mesh9),
                 homotopy.path_invertibility(mesh9),
                 [spectrum.sample_spectrum(name, mesh9).cloud.tolist() for name in algebra.ELEMENTS],

@@ -67,8 +67,45 @@ def test_certify_passes(capsys):
     assert len(certs[1]["assumptions"]) == 1
 
 
+CERTIFY_RECORDS = [
+    "ba_path_invertibility",
+    "ba_endpoint_start",
+    "ba_endpoint_end",
+    "ab_equator_coincidence",
+    "ab_hemisphere_preservation",
+    "ab_antipodal_min_gap",
+    "ab_antipodal_certified",
+    "ab_hopf_linking_magnitude",
+    "ab_hopf_linking_residual",
+    "headline",
+]
+
+
 def test_certify_sabotage_exits_1(capsys):
-    code, out, _ = run(["certify", *FAST, "--sabotage", "flip-f"], capsys)
+    # on the 33x32 mesh every bound holds without sabotage, so each control
+    # must fail exactly the record it targets and the headline derived from it
+    controls = (("flip-f", "ab_equator_coincidence"), ("fiber", "ab_hopf_linking_magnitude"))
+    for sabotage, failing in controls:
+        code, out, _ = run(["certify", *CERT, "--sabotage", sabotage], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["overall_pass"] is False
+        assert [c["name"] for c in doc["checks"]] == CERTIFY_RECORDS
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == [failing, "headline"]
+
+
+def test_certify_rejects_linking_number_two(monkeypatch, capsys, mesh33):
+    # |lk| = 2 is not the Hopf invariant of h; the report must not pass what
+    # the certificate rejects
+    from expspec import linking
+    from expspec.homotopy import CertificateFailure, build_certificates
+
+    monkeypatch.setattr(
+        linking, "hopf_invariant_of_h", lambda *a, **k: linking.LinkingResult(2.0, 2, 0.0)
+    )
+    with pytest.raises(CertificateFailure, match="hopf_linking_rounded"):
+        build_certificates(mesh33)
+    code, out, _ = run(["certify", *CERT], capsys)
     assert code == 1
     assert json.loads(out)["overall_pass"] is False
 

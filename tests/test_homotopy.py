@@ -15,7 +15,6 @@ from expspec.homotopy import (
     f_map,
     hemisphere_preservation,
     hopf,
-    mesh_min_gap,
     null_homotopy_ba,
     path_invertibility,
     pc,
@@ -124,16 +123,25 @@ def test_hemisphere_preservation(mesh9):
     assert hemisphere_preservation(mesh9) >= -1e-13
 
 
-def test_self_gap_is_two(mesh9):
-    assert mesh_min_gap(mesh9, f_map, f_map) == pytest.approx(2.0)
+def test_self_gap_is_two(mesh9, monkeypatch):
+    from expspec import homotopy
+
+    monkeypatch.setattr(homotopy, "suspension_eh", f_map)
+    assert antipodal_gap(mesh9).min_gap == pytest.approx(2.0)
 
 
-def test_antipode_gap_is_zero(mesh9):
+def test_antipode_gap_is_zero(mesh9, monkeypatch):
+    from expspec import homotopy
+
     def neg_f(z0, z1, z2):
         f0, f1 = f_map(z0, z1, z2)
         return -f0, -f1
 
-    assert mesh_min_gap(mesh9, f_map, neg_f) == pytest.approx(0.0, abs=1e-15)
+    monkeypatch.setattr(homotopy, "suspension_eh", neg_f)
+    gap = antipodal_gap(mesh9)
+    assert gap.min_gap == pytest.approx(0.0, abs=1e-15)
+    # negative control: an antipodal pair must not certify
+    assert gap.certified_lower_bound <= 0
 
 
 def test_antipodal_gap_certificate(mesh33):
