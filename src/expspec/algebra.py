@@ -329,7 +329,7 @@ def _identity_chunk(x0, x1, x2):
     lam = product_eigenvalue(x2)
     lo, hi = sort_pair(np.zeros_like(lam), lam)
     got_lo, got_hi = eig2(ab)
-    r_eig = max(np.abs(got_lo - lo).max(), np.abs(got_hi - hi).max())
+    r_eig = np.maximum(np.abs(got_lo - lo).max(), np.abs(got_hi - hi).max())
     return tuple(float(r) for r in (r_ab, r_ba, r_phi, r_a2, r_b2, r_eig))
 
 
@@ -341,4 +341,5 @@ def identity_residuals(mesh):
     1-2ab = c, 1-2ba = diag(phi, 1), and eig(ab) = {product eigenvalue, 0}.
     """
     parts = sweep(_identity_chunk, *mesh.arrays())
-    return IdentityResiduals(*(max(column) for column in zip(*parts)))
+    # np.maximum, unlike max(), keeps a nan from any chunk
+    return IdentityResiduals(*(float(np.maximum.reduce(column)) for column in zip(*parts)))

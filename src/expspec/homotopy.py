@@ -225,7 +225,7 @@ def f_map(z0, z1, z2):
     """
     p0, p1 = pc(z0, z1, z2)
     n = np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
-    if np.any(n <= 1e-13):
+    if not np.all(n > 1e-13):  # a nan norm fails too
         raise DegenerateProjection("projected column norm below 1e-13")
     f0, f1 = p0 / n, p1 / n
     if f0.ndim == 0:
@@ -241,34 +241,47 @@ def equator_deviation(shell_count, f=f_map):
     return float(np.sqrt(np.abs(f0 - e0) ** 2 + np.abs(f1 - e1) ** 2).max())
 
 
-def _second_coord_im_sign(mesh, which):
-    """min over off-equator, off-pole mesh points of sign(z2)*Im(second coordinate)."""
-    z0, z1, z2 = mesh.arrays()
-    coords = f_map if which == "f" else suspension_eh
+def _antipodal_distance(f, e):
+    """|f + Eh| pointwise, from the coordinate pairs f = (f0, f1) and e = (e0, e1)."""
+    (f0, f1), (e0, e1) = f, e
+    return np.sqrt(np.abs(f0 + e0) ** 2 + np.abs(f1 + e1) ** 2)
 
-    def chunk_min(j):
-        _, c1 = coords(z0[j], z1[j], z2[j])
+
+def _f_eh_pass(mesh):
+    """One sweep evaluating f and Eh once per mesh point.
+
+    Returns (gaps, hemisphere): |f + Eh| at every mesh point, and the minimum
+    over both maps of sign(z2) * Im(second coordinate) on the off-equator,
+    off-pole points (inf when there are none).
+    """
+    z0, z1, z2 = mesh.arrays()
+    gaps = np.empty(len(mesh))
+
+    def kernel(out, x0, x1, x2):
+        f = f_map(x0, x1, x2)
+        e = suspension_eh(x0, x1, x2)
+        out[:] = _antipodal_distance(f, e)
+        keep = (x2 != 0.0) & (np.abs(x2) != 1.0)
+        s = np.sign(x2)
+        signed = np.minimum(s * f[1].imag, s * e[1].imag)
         # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
         # depends on the order it meets them, so the chunking would show in the sign
-        return float((np.sign(z2[j]) * c1.imag).min()) + 0.0
+        return np.where(keep, signed, np.inf).min() + 0.0
 
-    idx = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))
-    return min(sweep(chunk_min, idx), default=np.inf)
+    # np.minimum, unlike min(), keeps a nan from any chunk
+    hemisphere = np.minimum.reduce(sweep(kernel, gaps, z0, z1, z2))
+    return gaps, float(hemisphere)
 
 
 def hemisphere_preservation(mesh):
     """Worst signed violation of hemisphere preservation for f and Eh.
 
     Equator points (z2 = 0) and poles are excluded; the certificate bounds
-    the returned minimum from below (ab_hemisphere_preservation).
+    the returned minimum from below (ab_hemisphere_preservation). It comes
+    from the single f/Eh pass that antipodal_gap runs, so build_certificates
+    reads it from AntipodalGap.hemisphere_worst_violation instead.
     """
-    return min(_second_coord_im_sign(mesh, "f"), _second_coord_im_sign(mesh, "eh"))
-
-
-def _gap_values(z0, z1, z2):
-    f0, f1 = f_map(z0, z1, z2)
-    e0, e1 = suspension_eh(z0, z1, z2)
-    return np.sqrt(np.abs(f0 + e0) ** 2 + np.abs(f1 + e1) ** 2)
+    return _f_eh_pass(mesh)[1]
 
 
 def _cap_lower_bound(z_cap):
@@ -303,6 +316,7 @@ class AntipodalGap:
     band_certified: float
     cap_bound: float
     certified_lower_bound: float
+    hemisphere_worst_violation: float  # from the same f/Eh pass, see hemisphere_preservation
 
 
 def _band_lipschitz_estimate(mesh, gaps, z_cap):
@@ -362,15 +376,12 @@ def antipodal_gap(mesh, z_cap=Z_CAP, safety=LIPSCHITZ_SAFETY):
     the mesh minimum is discounted by covering_radius times a widened
     empirical modulus of continuity. The certified bound is the smaller
     of the two and must come out positive.
+
+    One pass: f and Eh are evaluated once per mesh point, in the sweep that
+    also yields the hemisphere evidence (hemisphere_worst_violation).
     """
-    z0, z1, z2 = mesh.arrays()
-    gaps = np.empty(len(mesh))
-
-    def fill(out, x0, x1, x2):
-        out[:] = _gap_values(x0, x1, x2)
-
-    sweep(fill, gaps, z0, z1, z2)
-    band = np.abs(z2) <= z_cap
+    gaps, hemisphere = _f_eh_pass(mesh)
+    band = np.abs(mesh.z2) <= z_cap
     band_min = float(gaps[band].min()) if np.any(band) else np.inf
     cap_min = float(gaps[~band].min()) if np.any(~band) else np.inf
     lip = _band_lipschitz_estimate(mesh, gaps, z_cap)
@@ -387,6 +398,7 @@ def antipodal_gap(mesh, z_cap=Z_CAP, safety=LIPSCHITZ_SAFETY):
         band_certified=band_certified,
         cap_bound=cap_bound,
         certified_lower_bound=min(band_certified, cap_bound),
+        hemisphere_worst_violation=hemisphere,
     )
 
 
@@ -399,7 +411,7 @@ def straightline_homotopy(z0, z1, z2, t):
     s0 = (1.0 - t) * f0 + t * e0
     s1 = (1.0 - t) * f1 + t * e1
     n = np.sqrt(np.abs(s0) ** 2 + np.abs(s1) ** 2)
-    if np.any(n <= 1e-13):
+    if not np.all(n > 1e-13):  # a nan norm fails too
         raise DegenerateNormalization("straight-line interpolant vanished")
     out0, out1 = s0 / n, s1 / n
     if np.ndim(out0) == 0:
@@ -446,7 +458,7 @@ def path_invertibility(mesh, t_count=33):
         d -= _null_homotopy_field(x2, 0.0)
         return float(op_norm(d).max())
 
-    start_res = max(sweep(start_residual, *mesh.arrays()))
+    start_res = float(np.maximum.reduce(sweep(start_residual, *mesh.arrays())))
     h1 = null_homotopy_ba(0.0, 0.0, np.unique(mesh.z2), 1.0)
     end_res = float(op_norm(h1 - np.eye(2)).max())
     return PathInvertibility(max_det_dev, start_res, end_res)
@@ -516,12 +528,11 @@ def build_certificates(mesh, segments=256, sabotage=None):
         "endpoint_residual_end": path.endpoint_end,
     }
     eq_dev = equator_deviation(mesh.shell_count, _flipped_f if sabotage == "flip-f" else f_map)
-    hemi = hemisphere_preservation(mesh)
     gap = antipodal_gap(mesh)
     link = linking.hopf_invariant_of_h(segments, _self_link=(sabotage == "fiber"))
     ab_evidence = {
         "equator_max_deviation": eq_dev,
-        "hemisphere_worst_violation": hemi,
+        "hemisphere_worst_violation": gap.hemisphere_worst_violation,
         "antipodal_min_gap": gap.min_gap,
         "antipodal_certified_lower_bound": gap.certified_lower_bound,
         "hopf_linking_raw": link.raw,

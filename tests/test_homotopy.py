@@ -155,14 +155,15 @@ def test_antipodal_gap_certificate(mesh33):
 
 def test_cap_bound_is_sound():
     # dense sampling of the polar caps stays above the closed-form bound
-    from expspec.homotopy import _cap_lower_bound, _gap_values
+    from expspec.homotopy import _antipodal_distance, _cap_lower_bound
 
     rng = np.random.RandomState(4)
     z2 = np.sign(rng.standard_normal(20000)) * rng.uniform(0.95, 1.0, 20000)
     w = rng.standard_normal((20000, 4))
     w /= np.linalg.norm(w, axis=1)[:, None]
     r = np.sqrt(1 - z2**2)
-    g = _gap_values(r * (w[:, 0] + 1j * w[:, 1]), r * (w[:, 2] + 1j * w[:, 3]), z2)
+    x = (r * (w[:, 0] + 1j * w[:, 1]), r * (w[:, 2] + 1j * w[:, 3]), z2)
+    g = _antipodal_distance(f_map(*x), suspension_eh(*x))
     assert g.min() >= _cap_lower_bound(0.95)
 
 
@@ -255,3 +256,150 @@ def test_sabotaged_fiber_fails_linking(mesh33):
 def test_unknown_sabotage_rejected(mesh9):
     with pytest.raises(ValueError):
         build_certificates(mesh9, sabotage="nope")
+
+
+# The former two-pass hemisphere and gap code, kept as the reference for the
+# single f/Eh pass: each map was evaluated over the whole mesh twice.
+def _reference_second_coord_im_sign(mesh, which):
+    from expspec import homotopy
+    from expspec.algebra import sweep
+
+    z0, z1, z2 = mesh.arrays()
+    coords = homotopy.f_map if which == "f" else homotopy.suspension_eh
+
+    def chunk_min(j):
+        _, c1 = coords(z0[j], z1[j], z2[j])
+        return float((np.sign(z2[j]) * c1.imag).min()) + 0.0
+
+    idx = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))
+    return min(sweep(chunk_min, idx), default=np.inf)
+
+
+def _reference_hemisphere(mesh):
+    return min(_reference_second_coord_im_sign(mesh, "f"), _reference_second_coord_im_sign(mesh, "eh"))
+
+
+def _reference_antipodal_gap(mesh):
+    from expspec import homotopy
+    from expspec.algebra import sweep
+
+    z0, z1, z2 = mesh.arrays()
+    gaps = np.empty(len(mesh))
+
+    def fill(out, x0, x1, x2):
+        f0, f1 = homotopy.f_map(x0, x1, x2)
+        e0, e1 = homotopy.suspension_eh(x0, x1, x2)
+        out[:] = np.sqrt(np.abs(f0 + e0) ** 2 + np.abs(f1 + e1) ** 2)
+
+    sweep(fill, gaps, z0, z1, z2)
+    band = np.abs(z2) <= homotopy.Z_CAP
+    band_min = float(gaps[band].min()) if np.any(band) else np.inf
+    cap_min = float(gaps[~band].min()) if np.any(~band) else np.inf
+    lip = homotopy._band_lipschitz_estimate(mesh, gaps, homotopy.Z_CAP)
+    factor = homotopy.LIPSCHITZ_SAFETY * lip
+    band_certified = band_min - mesh.covering_radius * factor
+    cap_bound = homotopy._cap_lower_bound(homotopy.Z_CAP)
+    return dict(
+        min_gap=float(gaps.min()),
+        band_min=band_min,
+        cap_min=cap_min,
+        covering_radius=mesh.covering_radius,
+        band_lipschitz_estimate=lip,
+        modulus_factor=factor,
+        band_certified=band_certified,
+        cap_bound=cap_bound,
+        certified_lower_bound=min(band_certified, cap_bound),
+        hemisphere_worst_violation=_reference_hemisphere(mesh),
+    )
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh9", "mesh33"])
+def test_one_pass_matches_two_pass_reference(mesh_name, request, monkeypatch):
+    from dataclasses import asdict
+
+    from expspec import algebra
+
+    mesh = request.getfixturevalue(mesh_name)
+    assert len(mesh) <= algebra.CHUNK
+    expected = _reference_antipodal_gap(mesh)
+    for chunk in (algebra.CHUNK, 7):
+        monkeypatch.setattr(algebra, "CHUNK", chunk)
+        assert asdict(antipodal_gap(mesh)) == expected
+        assert hemisphere_preservation(mesh) == expected["hemisphere_worst_violation"]
+
+
+def _sorted_rows(z0, z1, z2):
+    """Points as rows (Re z0, Im z0, Re z1, Im z1, z2), in lexicographic order."""
+    rows = np.stack(np.broadcast_arrays(np.real(z0), np.imag(z0), np.real(z1), np.imag(z1), z2),
+                    axis=-1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def test_certificates_evaluate_f_and_eh_once_per_point(mesh9, monkeypatch):
+    from expspec import homotopy
+
+    seen = {"f_map": [], "suspension_eh": []}
+
+    def recording(name, fn):
+        def wrapped(z0, z1, z2):
+            seen[name].append(np.broadcast_arrays(z0, z1, z2))
+            return fn(z0, z1, z2)
+
+        return wrapped
+
+    for name in seen:
+        monkeypatch.setattr(homotopy, name, recording(name, getattr(homotopy, name)))
+    # mesh9 is too coarse to certify the antipodal gap; the evaluations still count
+    with pytest.raises(CertificateFailure):
+        build_certificates(mesh9, segments=64)
+
+    equator = equator_mesh(mesh9.shell_count)
+    expected = _sorted_rows(*(np.concatenate(c) for c in zip(mesh9.arrays(), equator)))
+    assert len(expected) == len(mesh9) + len(equator[2])
+    for name, calls in seen.items():
+        got = _sorted_rows(*(np.concatenate(c) for c in zip(*calls)))
+        assert got.shape == expected.shape and np.array_equal(got, expected), name
+
+
+def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
+    # a nan outside the first chunk must reach the folded maxima and minima,
+    # whatever the chunk size; a fold with Python's max() or min() dropped it
+    from expspec import algebra, homotopy
+    from expspec.algebra import identity_residuals, phi
+
+    def phi_nan_at_south_pole(z2):
+        return np.where(np.asarray(z2) == -1.0, np.nan, phi(z2))
+
+    z2 = mesh9.z2
+    lane = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))[-1]
+    monkeypatch.setattr(algebra, "CHUNK", 7)
+    assert lane >= len(mesh9) - len(mesh9) % 7  # the last chunk
+    assert z2[0] == 1.0 and z2[-1] == -1.0      # the south pole is in the last chunk
+
+    def at_lane(x0, x1, x2):
+        return (x0 == mesh9.z0[lane]) & (x1 == mesh9.z1[lane]) & (x2 == z2[lane])
+
+    assert np.count_nonzero(at_lane(*mesh9.arrays())) == 1
+
+    def eh_nan_at_lane(x0, x1, x2):
+        e0, e1 = suspension_eh(x0, x1, x2)
+        return e0, np.where(at_lane(x0, x1, x2), complex(np.nan, np.nan), e1)
+
+    monkeypatch.setattr(algebra, "phi", phi_nan_at_south_pole)
+    monkeypatch.setattr(homotopy, "phi", phi_nan_at_south_pole)
+    monkeypatch.setattr(homotopy, "suspension_eh", eh_nan_at_lane)
+    assert np.isnan(identity_residuals(mesh9).ba_vs_diag)
+    assert np.isnan(path_invertibility(mesh9).endpoint_start)
+    assert np.isnan(antipodal_gap(mesh9).hemisphere_worst_violation)
+
+
+def test_nan_norm_is_degenerate(monkeypatch):
+    # a nan norm is not above the threshold, so it must raise like a tiny one
+    from expspec import homotopy
+    from expspec.homotopy import DegenerateNormalization, DegenerateProjection
+
+    with pytest.raises(DegenerateProjection):
+        f_map(np.nan, 0, 0)
+    monkeypatch.setattr(homotopy, "suspension_eh", lambda z0, z1, z2: (np.nan, np.nan))
+    with pytest.raises(DegenerateNormalization):
+        straightline_homotopy(1.0, 0.0, 0.0, 1.0)
