@@ -30,22 +30,22 @@ mesh = mesh_s4(257, 8)  # spectra depend on latitudes only, so shells stay coars
 
 clouds = {}
 for element in ("ab", "ba", "one-minus-2ab", "one-minus-2ba"):
-    est = sample_spectrum(element, mesh)
-    clouds[element] = est
+    cloud = sample_spectrum(element, mesh)
+    clouds[element] = cloud
     csv = out_dir / f"{element}.cloud.csv"
     svg = out_dir / f"{element}.cloud.svg"
-    cloud_to_csv(est, csv)
-    cloud_to_svg(est, svg)
-    print(f"{element:15s} cloud of {len(est):4d} values -> {csv.name}, {svg.name}")
+    cloud_to_csv(cloud, csv)
+    cloud_to_svg(cloud, svg)
+    print(f"{element:15s} cloud of {len(cloud):4d} values -> {csv.name}, {svg.name}")
 
-d_ab = hausdorff_to_target(drop_zeros(clouds["ab"].cloud), CIRCLE_C)
-d_ba = hausdorff_to_target(drop_zeros(clouds["ba"].cloud), CIRCLE_C)
+d_ab = hausdorff_to_target(drop_zeros(clouds["ab"]), CIRCLE_C)
+d_ba = hausdorff_to_target(drop_zeros(clouds["ba"]), CIRCLE_C)
 print(f"Hausdorff(spectrum ab, C)  = {d_ab:.4f}")
 print(f"Hausdorff(spectrum ba, C)  = {d_ba:.4f}")
 
-sym = cloud_hausdorff(drop_zeros(clouds["ab"].cloud), drop_zeros(clouds["ba"].cloud))
+sym = cloud_hausdorff(drop_zeros(clouds["ab"]), drop_zeros(clouds["ba"]))
 print(f"nonzero clouds of ab vs ba = {sym:.2e}  (commutativity of the spectrum)")
 
-d_t = hausdorff_to_target(clouds["one-minus-2ba"].cloud, UNIT_CIRCLE_T)
-mod = np.abs(np.abs(clouds["one-minus-2ba"].cloud) - 1).max()
+d_t = hausdorff_to_target(clouds["one-minus-2ba"], UNIT_CIRCLE_T)
+mod = np.abs(np.abs(clouds["one-minus-2ba"]) - 1).max()
 print(f"spectrum of 1-2ba vs unit circle: Hausdorff {d_t:.4f}, modulus deviation {mod:.1e}")

@@ -16,107 +16,34 @@ linking number), and repeats the algebraic layer one matrix dimension up.
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    ELEMENTS,
-    check_inverse_identity,
-    eval_a,
-    eval_b,
-    eval_c,
-    eval_one_minus_2ab,
-    eval_one_minus_2ba,
-    identity_residuals,
-    inverse_identity_sweep,
-    phi,
-    product_eigenvalue,
-)
-from .homotopy import (
-    HomotopyCertificate,
-    antipodal_gap,
-    build_certificates,
-    equator_deviation,
-    f_map,
-    hemisphere_preservation,
-    hopf,
-    null_homotopy_ba,
-    path_invertibility,
-    straightline_homotopy,
-    suspension_eh,
-)
-from .linalg2 import SingularMatrix, eig2, mat_inv, mat_mul, op_norm
-from .linking import (
-    PolylineCurve3,
-    gauss_linking,
-    hopf_fiber,
-    hopf_invariant_of_h,
-    stereographic,
-)
+# The names the demos, the tests and the README quick start import from the
+# package itself; everything else is imported from its module.
+from .algebra import eval_a, eval_b, identity_residuals, inverse_identity_sweep, phi
 from .generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
-from .report import RunConfig, run_all, run_certify, run_identities, run_spectrum
-from .sphere import SphereMesh4, SpherePoint3, SpherePoint4, equator_mesh, hemisphere_sign, mesh_s4
-from .spectrum import (
-    CIRCLE_C,
-    DISK_D,
-    UNIT_CIRCLE_T,
-    cloud_hausdorff,
-    commutativity_check,
-    hausdorff_to_target,
-    sample_spectrum,
-)
+from .homotopy import build_certificates
+from .linking import hopf_fiber, hopf_invariant_of_h, stereographic
+from .sphere import mesh_s4
+from .spectrum import CIRCLE_C, UNIT_CIRCLE_T, cloud_hausdorff, hausdorff_to_target, sample_spectrum
 
 __all__ = [
     "__version__",
-    "ELEMENTS",
-    "check_inverse_identity",
     "eval_a",
     "eval_b",
-    "eval_c",
-    "eval_one_minus_2ab",
-    "eval_one_minus_2ba",
     "identity_residuals",
     "inverse_identity_sweep",
     "phi",
-    "product_eigenvalue",
-    "HomotopyCertificate",
-    "antipodal_gap",
-    "build_certificates",
-    "equator_deviation",
-    "f_map",
-    "hemisphere_preservation",
-    "hopf",
-    "null_homotopy_ba",
-    "path_invertibility",
-    "straightline_homotopy",
-    "suspension_eh",
-    "SingularMatrix",
-    "eig2",
-    "mat_inv",
-    "mat_mul",
-    "op_norm",
-    "PolylineCurve3",
-    "gauss_linking",
-    "hopf_fiber",
-    "hopf_invariant_of_h",
-    "stereographic",
     "eval_a_n",
     "eval_b_n",
     "family_identity_check",
     "mesh_s2n",
-    "RunConfig",
-    "run_all",
-    "run_certify",
-    "run_identities",
-    "run_spectrum",
-    "SphereMesh4",
-    "SpherePoint3",
-    "SpherePoint4",
-    "equator_mesh",
-    "hemisphere_sign",
+    "build_certificates",
+    "hopf_fiber",
+    "hopf_invariant_of_h",
+    "stereographic",
     "mesh_s4",
     "CIRCLE_C",
-    "DISK_D",
     "UNIT_CIRCLE_T",
     "cloud_hausdorff",
-    "commutativity_check",
     "hausdorff_to_target",
     "sample_spectrum",
 ]

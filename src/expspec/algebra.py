@@ -28,8 +28,7 @@ then 1 + b u a inverts 1 - ba -- is exposed with a scalar probe mu
 can be exercised. All evaluators broadcast over arrays of coordinates.
 """
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -46,12 +45,9 @@ __all__ = [
     "field_ba",
     "field_one_minus_2ab",
     "field_one_minus_2ba",
-    "eval_one",
     "eval_a",
     "eval_b",
     "eval_c",
-    "eval_ab",
-    "eval_ba",
     "eval_one_minus_2ab",
     "eval_one_minus_2ba",
     "product_eigenvalue",
@@ -59,7 +55,6 @@ __all__ = [
     "inverse_identity_sweep",
     "identity_residuals",
     "IdentityResiduals",
-    "Element",
     "ELEMENTS",
     "MU_PROBES",
     "CHUNK",
@@ -168,10 +163,6 @@ def field_one_minus_2ba(z0, z1, z2):
     return eye_like(ba) - 2.0 * ba
 
 
-def eval_one(z0, z1, z2):
-    return mat2(*field_one(z0, z1, z2))
-
-
 def eval_a(z0, z1, z2):
     return mat2(*field_a(z0, z1, z2))
 
@@ -182,14 +173,6 @@ def eval_b(z0, z1, z2):
 
 def eval_c(z0, z1, z2):
     return mat2(*field_c(z0, z1, z2))
-
-
-def eval_ab(z0, z1, z2):
-    return mat2(*field_ab(z0, z1, z2))
-
-
-def eval_ba(z0, z1, z2):
-    return mat2(*field_ba(z0, z1, z2))
 
 
 def eval_one_minus_2ab(z0, z1, z2):
@@ -207,25 +190,15 @@ def product_eigenvalue(z2):
     return (1.0 - z2 * z2) * w * w
 
 
-@dataclass(frozen=True)
-class Element:
-    """A named built-in element of C(S^4, M2) with its planar evaluator."""
-
-    name: str
-    field: Callable
-
-
+# the built-in elements of C(S^4, M2), by name, with their planar evaluators
 ELEMENTS = {
-    e.name: e
-    for e in (
-        Element("one", field_one),
-        Element("a", field_a),
-        Element("b", field_b),
-        Element("ab", field_ab),
-        Element("ba", field_ba),
-        Element("one-minus-2ab", field_one_minus_2ab),
-        Element("one-minus-2ba", field_one_minus_2ba),
-    )
+    "one": field_one,
+    "a": field_a,
+    "b": field_b,
+    "ab": field_ab,
+    "ba": field_ba,
+    "one-minus-2ab": field_one_minus_2ab,
+    "one-minus-2ba": field_one_minus_2ba,
 }
 
 
@@ -300,14 +273,8 @@ class IdentityResiduals:
     ab_eigenvalues: float
 
     def worst(self):
-        return max(
-            self.ab_vs_c,
-            self.ba_vs_diag,
-            self.phi_unit_modulus,
-            self.a_rank_one,
-            self.b_rank_one,
-            self.ab_eigenvalues,
-        )
+        # np.maximum, unlike max(), keeps a nan from any field
+        return float(np.maximum.reduce(astuple(self)))
 
 
 def _identity_chunk(x0, x1, x2):

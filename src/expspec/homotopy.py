@@ -62,7 +62,6 @@ __all__ = [
     "FREUDENTHAL_SUSPENSION",
     "hopf",
     "suspension_eh",
-    "pc",
     "f_map",
     "equator_deviation",
     "hemisphere_preservation",
@@ -205,25 +204,21 @@ def suspension_eh(z0, z1, z2):
     return e0, e1
 
 
-def pc(z0, z1, z2):
-    """Second column of c: (-2 z0 conj(z1)/(1+i z2)^2, 1 - 2|z1|^2/(1+i z2)^2)."""
+def f_map(z0, z1, z2):
+    """The second column of c, normalized to unit Euclidean norm (a map S^4 -> S^3).
+
+    The column is pc = (-2 z0 conj(z1)/(1+i z2)^2, 1 - 2|z1|^2/(1+i z2)^2),
+    computed in field_c's operation order, so it is bitwise the second column
+    of eval_c. c is unitary, so the norm is 1 up to rounding; if it ever drops
+    below 1e-13 this raises DegenerateProjection, and any such firing is a
+    verification failure upstream.
+    """
     z0 = np.asarray(z0, dtype=np.complex128)
     z1 = np.asarray(z1, dtype=np.complex128)
     z2 = np.asarray(z2, dtype=np.float64)
     w = 1.0 / (1.0 + 1j * z2)
     beta = w * w
-    # same operation order as eval_c, so this is bitwise its second column
-    return -2.0 * beta * z0 * np.conj(z1), 1.0 - 2.0 * beta * z1 * np.conj(z1)
-
-
-def f_map(z0, z1, z2):
-    """pc normalized to unit Euclidean norm (a map S^4 -> S^3).
-
-    c is unitary, so the norm is 1 up to rounding; if it ever drops below
-    1e-13 this raises DegenerateProjection, and any such firing is a
-    verification failure upstream.
-    """
-    p0, p1 = pc(z0, z1, z2)
+    p0, p1 = -2.0 * beta * z0 * np.conj(z1), 1.0 - 2.0 * beta * z1 * np.conj(z1)
     n = np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
     if not np.all(n > 1e-13):  # a nan norm fails too
         raise DegenerateProjection("projected column norm below 1e-13")

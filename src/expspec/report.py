@@ -234,23 +234,23 @@ def run_spectrum(cfg, element, mesh=None):
     if element not in SPECTRUM_ELEMENTS:
         raise UsageError(f"unknown element {element!r}; choose from {', '.join(SPECTRUM_ELEMENTS)}")
     mesh = mesh if mesh is not None else _mesh_from(cfg, spectrum=True)
-    est = sample_spectrum(element, mesh)
+    cloud = sample_spectrum(element, mesh)
     rep = Report("spectrum", {**cfg.to_dict(), "element": element})
     if element == "one":
         rep.add(
             "cloud_is_one",
             "the spectrum of the identity element is {1}",
-            float(np.abs(est.cloud - 1.0).max()),
+            float(np.abs(cloud - 1.0).max()),
             1e-12,
             "<=",
         )
     else:
         target, target_desc = _spectrum_target(element)
-        cloud = drop_zeros(est.cloud) if element in ("ab", "ba") else est.cloud
+        compared = drop_zeros(cloud) if element in ("ab", "ba") else cloud
         rep.add(
             "hausdorff_to_target",
             f"sampled spectrum of {element} approximates {target_desc}",
-            hausdorff_to_target(cloud, target),
+            hausdorff_to_target(compared, target),
             cfg.tol_hausdorff,
             "<=",
         )
@@ -258,16 +258,16 @@ def run_spectrum(cfg, element, mesh=None):
             rep.add(
                 "unit_modulus",
                 f"every spectral sample of {element} has modulus 1",
-                float(np.abs(np.abs(est.cloud) - 1.0).max()),
+                float(np.abs(np.abs(cloud) - 1.0).max()),
                 1e-12,
                 "<=",
             )
-    rep.notes.append(f"cloud size {len(est)} at lat {mesh.lat_count} x shell {mesh.shell_count}")
+    rep.notes.append(f"cloud size {len(cloud)} at lat {mesh.lat_count} x shell {mesh.shell_count}")
     if cfg.out:
         base = cfg.out[: -len(".json")] if cfg.out.endswith(".json") else cfg.out
         csv_path, svg_path = base + ".cloud.csv", base + ".cloud.svg"
-        cloud_to_csv(est, csv_path)
-        cloud_to_svg(est, svg_path)
+        cloud_to_csv(cloud, csv_path)
+        cloud_to_svg(cloud, svg_path)
         rep.notes.append(f"cloud exported to {csv_path} and {svg_path}")
     return rep
 
@@ -363,9 +363,9 @@ def run_all(cfg):
         sub = run_spectrum(cfg.without_out(), element, mesh=spec_mesh)
         rep.merge(sub, f"spectrum.{element}")
 
-    est_ab = sample_spectrum("ab", spec_mesh)
-    est_ba = sample_spectrum("ba", spec_mesh)
-    dist = cloud_hausdorff(drop_zeros(est_ab.cloud), drop_zeros(est_ba.cloud))
+    ab = drop_zeros(sample_spectrum("ab", spec_mesh))
+    ba = drop_zeros(sample_spectrum("ba", spec_mesh))
+    dist = cloud_hausdorff(ab, ba)
     lip = eigenvalue_lipschitz(spec_mesh, "ab")
     rep.add(
         "commutativity.nonzero_spectra_match",

@@ -89,17 +89,17 @@ def test_criterion_02_diagonalization(residuals):
 
 
 def test_criterion_03_spectrum_unit_circle(spectrum_mesh):
-    est = sample_spectrum("one-minus-2ba", spectrum_mesh)
-    mod_dev = float(np.abs(np.abs(est.cloud) - 1.0).max())
-    dist = hausdorff_to_target(est.cloud, UNIT_CIRCLE_T)
+    cloud = sample_spectrum("one-minus-2ba", spectrum_mesh)
+    mod_dev = float(np.abs(np.abs(cloud) - 1.0).max())
+    dist = hausdorff_to_target(cloud, UNIT_CIRCLE_T)
     ok = mod_dev <= 1e-12 and dist <= 0.05
     report(3, ok, "spectrum of 1-2ba is the unit circle",
            f"modulus deviation {mod_dev:.3e} <= 1e-12, Hausdorff {dist:.4f} <= 0.05")
 
 
 def test_criterion_04_product_spectra_match_circle(spectrum_mesh):
-    ab = drop_zeros(sample_spectrum("ab", spectrum_mesh).cloud)
-    ba = drop_zeros(sample_spectrum("ba", spectrum_mesh).cloud)
+    ab = drop_zeros(sample_spectrum("ab", spectrum_mesh))
+    ba = drop_zeros(sample_spectrum("ba", spectrum_mesh))
     d_ab = hausdorff_to_target(ab, CIRCLE_C)
     d_ba = hausdorff_to_target(ba, CIRCLE_C)
     d_sym = cloud_hausdorff(ab, ba)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from expspec.algebra import (
     DomainError,
+    IdentityResiduals,
     MU_PROBES,
     check_inverse_identity,
     eval_a,
@@ -76,6 +77,15 @@ def test_identity_residuals_on_mesh(mesh9):
     assert r.ab_eigenvalues <= 1e-12
 
 
+def test_identity_residuals_worst_keeps_nan():
+    # a nan in any field, not only the first, must reach the worst value
+    for i in range(6):
+        fields = [0.0] * 6
+        fields[i] = np.nan
+        assert np.isnan(IdentityResiduals(*fields).worst())
+    assert IdentityResiduals(1e-16, 3e-15, 0.0, 2e-16, 0.0, 1e-15).worst() == 3e-15
+
+
 def test_product_eigenvalue_closed_form(mesh9):
     z0, z1, z2 = mesh9.arrays()
     lam = product_eigenvalue(z2)
@@ -140,7 +150,7 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
                 homotopy.hemisphere_preservation(mesh9),
                 homotopy.antipodal_gap(mesh9),
                 homotopy.path_invertibility(mesh9),
-                [spectrum.sample_spectrum(name, mesh9).cloud.tolist() for name in algebra.ELEMENTS],
+                [spectrum.sample_spectrum(name, mesh9).tolist() for name in algebra.ELEMENTS],
             )
         )
 
