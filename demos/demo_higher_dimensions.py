@@ -13,19 +13,20 @@ is not re-certified here.
 
 import numpy as np
 
-from expspec import eval_a, eval_a_n, eval_b, eval_b_n, family_identity_check, mesh_s2n, mesh_s4
+from expspec import eval_a_n, eval_b_n, family_identity_check, field_a, field_b, mesh_s2n, mesh_s4
 
 for n, params in ((2, (9, 4, 8)), (3, (9, 3, 6))):
     mesh = mesh_s2n(n, *params)
     residual = family_identity_check(n, mesh)
     print(f"n = {n}: {len(mesh):6d} mesh points on S^{2 * n}, identity residual {residual:.3e}")
 
-# bit-identity of the n = 2 family with the 2x2 evaluators
+# bit-identity of the n = 2 family with the 2x2 evaluators; an (N, 2, 2)
+# stack flattens row-major to the Field planes m00, m01, m10, m11
 m4 = mesh_s4(9, 8)
 z0, z1, z2 = m4.arrays()
 z = np.stack([z0, z1], axis=-1)
-same_a = np.array_equal(eval_a_n(z, z2), eval_a(z0, z1, z2))
-same_b = np.array_equal(eval_b_n(z, z2), eval_b(z0, z1, z2))
+same_a = np.array_equal(eval_a_n(z, z2).reshape(-1, 4).T, field_a(z0, z1, z2))
+same_b = np.array_equal(eval_b_n(z, z2).reshape(-1, 4).T, field_b(z0, z1, z2))
 print(f"n = 2 evaluators bit-identical to the 2x2 construction: a={same_a}, b={same_b}")
 
 # negative control: dropping the conjugation in b must wreck the identities

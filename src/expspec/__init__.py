@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # The names the demos, the tests and the README quick start import from the
 # package itself; everything else is imported from its module.
-from .algebra import eval_a, eval_b, identity_residuals, inverse_identity_sweep, phi
+from .algebra import field_a, field_b, identity_residuals, inverse_identity_sweep, phi
 from .generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
 from .homotopy import build_certificates
 from .linking import hopf_fiber, hopf_invariant_of_h, stereographic
@@ -27,8 +27,8 @@ from .spectrum import CIRCLE_C, UNIT_CIRCLE_T, cloud_hausdorff, hausdorff_to_tar
 
 __all__ = [
     "__version__",
-    "eval_a",
-    "eval_b",
+    "field_a",
+    "field_b",
     "identity_residuals",
     "inverse_identity_sweep",
     "phi",

@@ -25,14 +25,15 @@ the circle of radius 1/2 centred at 1/2.
 The classical inverse identity -- if 1 - ab is invertible with inverse u
 then 1 + b u a inverts 1 - ba -- is exposed with a scalar probe mu
 (replace a by mu*a) so that spectral points lambda = 1/mu other than 1
-can be exercised. All evaluators broadcast over arrays of coordinates.
+can be exercised. All evaluators broadcast over arrays of coordinates and
+return linalg2 Fields.
 """
 
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .linalg2 import cond2, eig2, eye_like, mat2, mat_inv, mat_mul, op_norm, planar, sort_pair
+from .linalg2 import cond2, eig2, eye_like, mat_inv, mat_mul, op_norm, planar, sort_pair
 
 __all__ = [
     "DomainError",
@@ -45,11 +46,6 @@ __all__ = [
     "field_ba",
     "field_one_minus_2ab",
     "field_one_minus_2ba",
-    "eval_a",
-    "eval_b",
-    "eval_c",
-    "eval_one_minus_2ab",
-    "eval_one_minus_2ba",
     "product_eigenvalue",
     "check_inverse_identity",
     "inverse_identity_sweep",
@@ -107,10 +103,6 @@ def phi(z2):
     return -(w * w)
 
 
-# The field_* evaluators return planar Fields (the sweeps' representation);
-# the eval_* evaluators return the same values as (..., 2, 2) stacks.
-
-
 def field_one(z0, z1, z2):
     z0, z1, z2 = _coords(z0, z1, z2)
     return planar(np.ones(np.broadcast(z0, z1, z2).shape), 0.0, 0.0, 1.0)
@@ -163,26 +155,6 @@ def field_one_minus_2ba(z0, z1, z2):
     return eye_like(ba) - 2.0 * ba
 
 
-def eval_a(z0, z1, z2):
-    return mat2(*field_a(z0, z1, z2))
-
-
-def eval_b(z0, z1, z2):
-    return mat2(*field_b(z0, z1, z2))
-
-
-def eval_c(z0, z1, z2):
-    return mat2(*field_c(z0, z1, z2))
-
-
-def eval_one_minus_2ab(z0, z1, z2):
-    return mat2(*field_one_minus_2ab(z0, z1, z2))
-
-
-def eval_one_minus_2ba(z0, z1, z2):
-    return mat2(*field_one_minus_2ba(z0, z1, z2))
-
-
 def product_eigenvalue(z2):
     """The shared nonzero eigenvalue (1 - z2^2)/(1 + i z2)^2 of ab and ba."""
     z2 = np.asarray(z2, dtype=np.float64)
@@ -224,8 +196,7 @@ def check_inverse_identity(z0, z1, z2, mu):
     a = field_a(z0, z1, z2)
     b = field_b(z0, z1, z2)
     ab = mat_mul(a, b)
-    res = _inverse_identity_residual(a, b, mat_mul(b, a), eye_like(ab) - mu * ab, mu)
-    return float(res) if res.ndim == 0 else res
+    return _inverse_identity_residual(a, b, mat_mul(b, a), eye_like(ab) - mu * ab, mu)
 
 
 def _inverse_identity_chunk(z0, z1, z2, mus, cond_limit):

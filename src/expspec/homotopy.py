@@ -49,7 +49,7 @@ import numpy as np
 
 from . import linking
 from .algebra import field_one_minus_2ba, phi, sweep
-from .linalg2 import mat2, op_norm, planar
+from .linalg2 import eye_like, op_norm, planar
 from .sphere import equator_mesh
 
 __all__ = [
@@ -199,8 +199,6 @@ def suspension_eh(z0, z1, z2):
     root = np.sqrt(np.where(pole, 1.0, rr))
     e0 = np.where(pole, 0.0, h0 / root)
     e1 = np.where(pole, 1j * np.sign(z2), h1 / root + 1j * z2)
-    if e0.ndim == 0:
-        return complex(e0), complex(e1)
     return e0, e1
 
 
@@ -209,7 +207,7 @@ def f_map(z0, z1, z2):
 
     The column is pc = (-2 z0 conj(z1)/(1+i z2)^2, 1 - 2|z1|^2/(1+i z2)^2),
     computed in field_c's operation order, so it is bitwise the second column
-    of eval_c. c is unitary, so the norm is 1 up to rounding; if it ever drops
+    of field_c. c is unitary, so the norm is 1 up to rounding; if it ever drops
     below 1e-13 this raises DegenerateProjection, and any such firing is a
     verification failure upstream.
     """
@@ -222,10 +220,7 @@ def f_map(z0, z1, z2):
     n = np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
     if not np.all(n > 1e-13):  # a nan norm fails too
         raise DegenerateProjection("projected column norm below 1e-13")
-    f0, f1 = p0 / n, p1 / n
-    if f0.ndim == 0:
-        return complex(f0), complex(f1)
-    return f0, f1
+    return p0 / n, p1 / n
 
 
 def equator_deviation(shell_count, f=f_map):
@@ -408,22 +403,14 @@ def straightline_homotopy(z0, z1, z2, t):
     n = np.sqrt(np.abs(s0) ** 2 + np.abs(s1) ** 2)
     if not np.all(n > 1e-13):  # a nan norm fails too
         raise DegenerateNormalization("straight-line interpolant vanished")
-    out0, out1 = s0 / n, s1 / n
-    if np.ndim(out0) == 0:
-        return complex(out0), complex(out1)
-    return out0, out1
-
-
-def _null_homotopy_field(z2, t):
-    ph = phi((1.0 - t) * np.asarray(z2, dtype=np.float64) + t)
-    return planar(ph, 0.0, 0.0, 1.0)
+    return s0 / n, s1 / n
 
 
 def null_homotopy_ba(z0, z1, z2, t):
-    """Explicit null homotopy of 1 - 2ba: H(x, t) = diag(phi((1-t) z2 + t), 1)."""
+    """Explicit null homotopy of 1 - 2ba, as a Field: H(x, t) = diag(phi((1-t) z2 + t), 1)."""
     if np.any((np.asarray(t) < 0) | (np.asarray(t) > 1)):
         raise ValueError("t must lie in [0, 1]")
-    return mat2(*_null_homotopy_field(z2, t))
+    return planar(phi((1.0 - t) * np.asarray(z2, dtype=np.float64) + t), 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -443,19 +430,19 @@ def path_invertibility(mesh, t_count=33):
     the endpoint residual at t = 0 is a genuine full-mesh product sweep.
     """
     ts = np.linspace(0.0, 1.0, t_count)
-    z2s = np.unique(mesh.z2)
+    z2s = np.unique(mesh.z2_values)
     dets = phi((1.0 - ts[:, None]) * z2s[None, :] + ts[:, None])
     max_det_dev = float(np.abs(np.abs(dets) - 1.0).max())
 
     def start_residual(x0, x1, x2):
         # in place, so at most two chunk Fields are alive on top of the mesh
         d = field_one_minus_2ba(x0, x1, x2)
-        d -= _null_homotopy_field(x2, 0.0)
+        d -= null_homotopy_ba(x0, x1, x2, 0.0)
         return float(op_norm(d).max())
 
     start_res = float(np.maximum.reduce(sweep(start_residual, *mesh.arrays())))
-    h1 = null_homotopy_ba(0.0, 0.0, np.unique(mesh.z2), 1.0)
-    end_res = float(op_norm(h1 - np.eye(2)).max())
+    h1 = null_homotopy_ba(0.0, 0.0, z2s, 1.0)
+    end_res = float(op_norm(h1 - eye_like(h1)).max())
     return PathInvertibility(max_det_dev, start_res, end_res)
 
 

@@ -9,9 +9,9 @@ exact formulas, so no LAPACK is needed and the results are bit-for-bit
 reproducible. Entrywise arithmetic on Fields (sums, differences, scalar or
 per-point multiples) is ordinary ndarray arithmetic on the planes.
 
-Every kernel also accepts a single (2, 2) matrix or a (..., 2, 2) stack:
-it unpacks the entries with _entries, runs the same planar code and packs
-a matrix result back with mat2. Fields in, Field out.
+Fields in, Field out: every kernel takes only Fields and raises TypeError
+on any other array, so a (4, 2, 2) stack of four matrices is never misread
+as four entry planes.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "Field",
     "planar",
     "eye_like",
-    "mat2",
     "mat_mul",
     "eig2",
     "sort_pair",
@@ -37,14 +36,14 @@ SINGULARITY_RTOL = 1e-14
 
 
 class SingularMatrix(ArithmeticError):
-    """Raised when a matrix (or any matrix in a stack) fails the invertibility threshold."""
+    """Raised when any matrix of a Field fails the invertibility threshold."""
 
 
 class Field(np.ndarray):
     """A field of complex 2x2 matrices: shape (4, ...), rows m00, m01, m10, m11.
 
-    The type only marks the planar layout, so the kernels can tell a
-    Field from a (..., 2, 2) stack; build one with planar().
+    The type only marks the planar layout, so the kernels can reject any
+    other array; build one with planar().
     """
 
 
@@ -62,47 +61,26 @@ def eye_like(m):
     return _EYE.reshape((4,) + (1,) * (m.ndim - 1)).view(Field)
 
 
-def mat2(m00, m01, m10, m11):
-    """Assemble a (..., 2, 2) complex stack from four broadcastable entry arrays."""
-    m00, m01, m10, m11 = np.broadcast_arrays(m00, m01, m10, m11)
-    out = np.empty(np.shape(m00) + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = m00
-    out[..., 0, 1] = m01
-    out[..., 1, 0] = m10
-    out[..., 1, 1] = m11
-    return out
-
-
-def _planes(f):
-    # f[i, ...] keeps a 0-d plane an array (f[i] would be a scalar), so it can take out=
-    p = f.view(np.ndarray)
+def _entries(m):
+    """The four entry planes of the Field m; TypeError for any other argument."""
+    if not isinstance(m, Field):
+        raise TypeError(f"expected a linalg2.Field, got {type(m).__name__}")
+    # m[i, ...] keeps a 0-d plane an array (m[i] would be a scalar), so it can take out=
+    p = m.view(np.ndarray)
     return p[0, ...], p[1, ...], p[2, ...], p[3, ...]
 
 
-def _entries(m):
-    """The four entry planes of a Field or of a (..., 2, 2) stack."""
-    if isinstance(m, Field):
-        return _planes(m)
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape[-2:] != (2, 2):
-        raise ValueError(f"expected trailing shape (2, 2), got {m.shape}")
-    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-
-
-def _empty_like(m, shape):
-    """An uninitialized matrix result in the layout of m, and its four entry planes."""
-    if isinstance(m, Field):
-        out = np.empty((4,) + shape, dtype=np.complex128).view(Field)
-        return out, _planes(out)
-    out = np.empty(shape + (2, 2), dtype=np.complex128)
-    return out, (out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1])
+def _empty(shape):
+    """An uninitialized Field over shape, and its four entry planes."""
+    out = np.empty((4,) + shape, dtype=np.complex128).view(Field)
+    return out, _entries(out)
 
 
 def mat_mul(x, y):
-    """Matrix product of two fields or stacks (literal multiplication, no shortcuts)."""
+    """Matrix product of two Fields (literal multiplication, no shortcuts)."""
     x00, x01, x10, x11 = _entries(x)
     y00, y01, y10, y11 = _entries(y)
-    out, (o00, o01, o10, o11) = _empty_like(x, np.broadcast_shapes(x00.shape, y00.shape))
+    out, (o00, o01, o10, o11) = _empty(np.broadcast_shapes(x00.shape, y00.shape))
     np.multiply(x00, y00, out=o00)
     o00 += x01 * y10
     np.multiply(x00, y01, out=o01)
@@ -121,7 +99,7 @@ def sort_pair(r1, r2):
 
 
 def eig2(m):
-    """Both eigenvalues of each 2x2 matrix: shape (2, ...) for a Field, (..., 2) for a stack.
+    """Both eigenvalues of each 2x2 matrix of the Field m, as an array of shape (2, ...).
 
     Roots of lambda^2 - tr*lambda + det via the stable quadratic formula:
     the half-discriminant is added to the mean with the sign that avoids
@@ -139,8 +117,7 @@ def eig2(m):
     det = a * d - b * c
     safe = np.where(r1 == 0, 1.0, r1)
     r2 = np.where(r1 == 0, 0.0 + 0.0j, det / safe)
-    pair = sort_pair(r1, r2)
-    return np.stack(pair) if isinstance(m, Field) else np.stack(pair, axis=-1)
+    return np.stack(sort_pair(r1, r2))
 
 
 def op_norm(m):
@@ -165,7 +142,7 @@ def cond2(m):
 
 
 def mat_inv(m, where=True):
-    """Adjugate inverse of each matrix in the field or stack.
+    """Adjugate inverse of each matrix in the Field m.
 
     Raises SingularMatrix if |det| <= SINGULARITY_RTOL * op_norm^2 for any
     matrix selected by the boolean mask `where` (default: every matrix).
@@ -178,7 +155,7 @@ def mat_inv(m, where=True):
     det = a * d - b * c
     if np.any(where & (np.abs(det) <= SINGULARITY_RTOL * op_norm(m) ** 2)):
         raise SingularMatrix("matrix below invertibility threshold")
-    out, (o00, o01, o10, o11) = _empty_like(m, det.shape)
+    out, (o00, o01, o10, o11) = _empty(det.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(d, det, out=o00)
         np.divide(-b, det, out=o01)

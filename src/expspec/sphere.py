@@ -219,10 +219,7 @@ def equator_mesh(shell_count):
 
 def hemisphere_sign(z2):
     """Sign of the latitude coordinate: -1, 0 (exact equator), or +1."""
-    s = np.sign(z2)
-    if np.isscalar(z2) or np.ndim(z2) == 0:
-        return int(s)
-    return s
+    return np.sign(z2)
 
 
 def mesh_to_csv(mesh, path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from expspec.algebra import eval_c, eval_one_minus_2ba
+from expspec.algebra import field_c, field_one_minus_2ba
 from expspec.homotopy import (
     CertificateFailure,
     FREUDENTHAL_SUSPENSION,
@@ -21,6 +21,8 @@ from expspec.homotopy import (
     suspension_eh,
 )
 from expspec.sphere import equator_mesh
+
+from conftest import as_stack
 
 S = 1 / np.sqrt(2)
 
@@ -86,8 +88,8 @@ def test_f_map_points():
 
 def _second_column_of_c(mesh):
     z = mesh.arrays()
-    c = eval_c(*z)
-    return z, c[:, 0, 1], c[:, 1, 1]
+    c = field_c(*z)
+    return z, c[1], c[3]
 
 
 def test_pc_is_second_column_of_c(mesh9):
@@ -110,8 +112,8 @@ def test_det_c_is_phi(mesh9):
     from expspec.algebra import phi
 
     z0, z1, z2 = mesh9.arrays()
-    c = eval_c(z0, z1, z2)
-    det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
+    c00, c01, c10, c11 = field_c(z0, z1, z2)
+    det = c00 * c11 - c01 * c10
     assert np.abs(np.abs(det) - 1.0).max() <= 1e-12
     assert np.abs(det - phi(z2)).max() <= 1e-12
 
@@ -207,17 +209,17 @@ def test_straightline_rejects_bad_t(mesh9):
 def test_null_homotopy_endpoints(mesh9):
     z0, z1, z2 = mesh9.arrays()
     h0 = null_homotopy_ba(z0, z1, z2, 0.0)
-    assert np.abs(h0 - eval_one_minus_2ba(z0, z1, z2)).max() <= 1e-13
-    h1 = null_homotopy_ba(z0, z1, z2, 1.0)
+    assert np.abs(h0 - field_one_minus_2ba(z0, z1, z2)).max() <= 1e-13
+    h1 = as_stack(null_homotopy_ba(z0, z1, z2, 1.0))
     assert np.array_equal(h1, np.broadcast_to(np.eye(2), h1.shape))
-    assert_allclose(null_homotopy_ba(1, 0, 0, 0.0), np.diag([-1.0, 1.0]), atol=1e-15)
+    assert_allclose(as_stack(null_homotopy_ba(1, 0, 0, 0.0)), np.diag([-1.0, 1.0]), atol=1e-15)
 
 
 def test_null_homotopy_det_has_unit_modulus(mesh9):
     z0, z1, z2 = mesh9.arrays()
     for t in np.linspace(0, 1, 9):
-        h = null_homotopy_ba(z0, z1, z2, t)
-        det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+        h00, h01, h10, h11 = null_homotopy_ba(z0, z1, z2, t)
+        det = h00 * h11 - h01 * h10
         assert np.abs(np.abs(det) - 1.0).max() <= 1e-13
 
 
