@@ -406,8 +406,11 @@ def straightline_homotopy(z0, z1, z2, t):
     return s0 / n, s1 / n
 
 
-def null_homotopy_ba(z0, z1, z2, t):
-    """Explicit null homotopy of 1 - 2ba, as a Field: H(x, t) = diag(phi((1-t) z2 + t), 1)."""
+def null_homotopy_ba(z2, t):
+    """Explicit null homotopy of 1 - 2ba, as a Field: H(x, t) = diag(phi((1-t) z2 + t), 1).
+
+    H depends on the point x = (z0, z1, z2) only through z2.
+    """
     if np.any((np.asarray(t) < 0) | (np.asarray(t) > 1)):
         raise ValueError("t must lie in [0, 1]")
     return planar(phi((1.0 - t) * np.asarray(z2, dtype=np.float64) + t), 0.0, 0.0, 1.0)
@@ -437,11 +440,11 @@ def path_invertibility(mesh, t_count=33):
     def start_residual(x0, x1, x2):
         # in place, so at most two chunk Fields are alive on top of the mesh
         d = field_one_minus_2ba(x0, x1, x2)
-        d -= null_homotopy_ba(x0, x1, x2, 0.0)
+        d -= null_homotopy_ba(x2, 0.0)
         return float(op_norm(d).max())
 
     start_res = float(np.maximum.reduce(sweep(start_residual, *mesh.arrays())))
-    h1 = null_homotopy_ba(0.0, 0.0, z2s, 1.0)
+    h1 = null_homotopy_ba(z2s, 1.0)
     end_res = float(op_norm(h1 - eye_like(h1)).max())
     return PathInvertibility(max_det_dev, start_res, end_res)
 

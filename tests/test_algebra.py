@@ -157,10 +157,12 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
             )
         )
 
-    assert len(mesh9) <= algebra.CHUNK
+    default_chunk = algebra.CHUNK
+    monkeypatch.setattr(algebra, "CHUNK", len(mesh9))
     one_chunk = run_all_sweeps()
-    monkeypatch.setattr(algebra, "CHUNK", 7)
     assert len(mesh9) % 7 != 0
     idx = np.arange(len(mesh9))
-    assert np.array_equal(np.concatenate(algebra.sweep(lambda j: j, idx)), idx)
-    assert run_all_sweeps() == one_chunk
+    for chunk in (default_chunk, 7):
+        monkeypatch.setattr(algebra, "CHUNK", chunk)
+        assert np.array_equal(np.concatenate(algebra.sweep(lambda j: j, idx)), idx)
+        assert run_all_sweeps() == one_chunk

@@ -208,17 +208,16 @@ def test_straightline_rejects_bad_t(mesh9):
 
 def test_null_homotopy_endpoints(mesh9):
     z0, z1, z2 = mesh9.arrays()
-    h0 = null_homotopy_ba(z0, z1, z2, 0.0)
+    h0 = null_homotopy_ba(z2, 0.0)
     assert np.abs(h0 - field_one_minus_2ba(z0, z1, z2)).max() <= 1e-13
-    h1 = as_stack(null_homotopy_ba(z0, z1, z2, 1.0))
+    h1 = as_stack(null_homotopy_ba(z2, 1.0))
     assert np.array_equal(h1, np.broadcast_to(np.eye(2), h1.shape))
-    assert_allclose(as_stack(null_homotopy_ba(1, 0, 0, 0.0)), np.diag([-1.0, 1.0]), atol=1e-15)
+    assert_allclose(as_stack(null_homotopy_ba(0, 0.0)), np.diag([-1.0, 1.0]), atol=1e-15)
 
 
 def test_null_homotopy_det_has_unit_modulus(mesh9):
-    z0, z1, z2 = mesh9.arrays()
     for t in np.linspace(0, 1, 9):
-        h00, h01, h10, h11 = null_homotopy_ba(z0, z1, z2, t)
+        h00, h01, h10, h11 = null_homotopy_ba(mesh9.z2, t)
         det = h00 * h11 - h01 * h10
         assert np.abs(np.abs(det) - 1.0).max() <= 1e-13
 
@@ -329,9 +328,10 @@ def test_one_pass_matches_two_pass_reference(mesh_name, request, monkeypatch):
     from expspec import algebra
 
     mesh = request.getfixturevalue(mesh_name)
-    assert len(mesh) <= algebra.CHUNK
+    default_chunk = algebra.CHUNK
+    monkeypatch.setattr(algebra, "CHUNK", len(mesh))
     expected = _reference_antipodal_gap(mesh)
-    for chunk in (algebra.CHUNK, 7):
+    for chunk in (default_chunk, 7):
         monkeypatch.setattr(algebra, "CHUNK", chunk)
         assert asdict(antipodal_gap(mesh)) == expected
         assert hemisphere_preservation(mesh) == expected["hemisphere_worst_violation"]
