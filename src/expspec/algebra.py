@@ -33,7 +33,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .linalg2 import cond2, det2, eig2, eye_like, mat_inv, mat_mul, op_norm, planar, sort_pair
+from .linalg2 import cond2, eig2, eye_like, mat_inv, mat_mul, op_norm, planar, sort_pair
 
 __all__ = [
     "DomainError",
@@ -61,13 +61,10 @@ __all__ = [
 # spectral point lambda = 1/mu (mu = 1 is singular exactly on the equator)
 MU_PROBES = (0.0, 0.5, 1.0, 2.0, -1.0, 1j, -2j, 1 + 1j)
 
-# sweep granularity, chosen by measurement: a chunk Field of 2^13 points is
-# 512 KiB, so the planes that a kernel hands from one ufunc step to the next
-# stay in a 2 MiB L2 cache. Chunks of 2^19 points (32 MiB Fields) stream every
-# step through memory: report-all at 97x32 ran about 1.6x slower and peaked at
-# 399 MiB RSS instead of 85. Chunks of 2^14 to 2^16 points took 7-8x the minor
-# page faults of 2^13 on certify --sabotage fiber and ran it slower. Results
-# do not depend on CHUNK.
+# sweep granularity: a chunk Field of 2^13 points is 512 KiB, so the planes a
+# kernel hands from one ufunc step to the next stay in a 2 MiB L2 cache. The
+# value came from a scan of 2^11 to 2^19 (CHANGES.md); results do not depend
+# on CHUNK.
 CHUNK = 1 << 13
 
 
@@ -179,15 +176,14 @@ ELEMENTS = {
 }
 
 
-def _inverse_identity_residual(a, b, ba, m, mu, where=True, det=None, smax=None):
+def _inverse_identity_residual(a, b, ba, m, mu, where=True):
     """Pointwise ||(I - mu ba)(I + mu b u a) - I|| with u = m^{-1}, m = I - mu ab.
 
     Only the lanes selected by `where` are guarded by mat_inv's
-    singularity threshold; the others may come out inf or nan. det and
-    smax, when given, are det2(m) and op_norm(m) for mat_inv's guard.
+    singularity threshold; the others may come out inf or nan.
     """
     eye = eye_like(m)
-    u = mat_inv(m, where=where, det=det, smax=smax)
+    u = mat_inv(m, where=where)
     lhs = mat_mul(eye - mu * ba, eye + mu * mat_mul(b, mat_mul(u, a)))
     return op_norm(lhs - eye)
 
@@ -215,15 +211,13 @@ def _inverse_identity_chunk(z0, z1, z2, mus, cond_limit):
     skipped = 0
     for mu in mus:
         m = eye - mu * ab
-        # one det and one norm per probe, shared by cond2 and mat_inv's guard
-        det, smax = det2(m), op_norm(m)
-        ok = cond2(m, det, smax) <= cond_limit
+        ok = cond2(m) <= cond_limit
         skipped += int(np.count_nonzero(~ok))
         if not np.any(ok):
             continue
         # unconditioned lanes may overflow to inf or nan; the mask drops them
         with np.errstate(over="ignore", invalid="ignore"):
-            res = _inverse_identity_residual(a, b, ba, m, mu, where=ok, det=det, smax=smax)
+            res = _inverse_identity_residual(a, b, ba, m, mu, where=ok)
             # np.maximum, unlike max(), keeps a nan from a conditioned lane
             worst = np.maximum(worst, np.where(ok, res, 0.0).max())
     return float(worst), skipped

@@ -23,7 +23,6 @@ __all__ = [
     "planar",
     "eye_like",
     "mat_mul",
-    "det2",
     "eig2",
     "sort_pair",
     "mat_inv",
@@ -93,12 +92,6 @@ def mat_mul(x, y):
     return out
 
 
-def det2(m):
-    """Determinant of each 2x2 matrix of the Field m."""
-    a, b, c, d = _entries(m)
-    return a * d - b * c
-
-
 def sort_pair(r1, r2):
     """(lo, hi): the two values ordered lexicographically by (re, im)."""
     swap = (r1.real > r2.real) | ((r1.real == r2.real) & (r1.imag > r2.imag))
@@ -121,7 +114,7 @@ def eig2(m):
     # pick the sign of the discriminant that grows |mid + disc|
     disc = np.where(np.real(np.conj(disc) * mid) < 0.0, -disc, disc)
     r1 = mid + disc
-    det = det2(m)
+    det = a * d - b * c
     safe = np.where(r1 == 0, 1.0, r1)
     r2 = np.where(r1 == 0, 0.0 + 0.0j, det / safe)
     return np.stack(sort_pair(r1, r2))
@@ -138,25 +131,17 @@ def op_norm(m):
     return np.sqrt(np.maximum(mid + rad, 0.0))
 
 
-def _det_and_norm(m, det, smax):
-    """(det2(m), op_norm(m)), computing only what the caller did not pass in."""
-    _entries(m)  # TypeError for a non-Field even when both are passed
-    return (det2(m) if det is None else det), (op_norm(m) if smax is None else smax)
-
-
-def cond2(m, det=None, smax=None):
-    """2-norm condition number sigma_max/sigma_min = sigma_max^2/|det| (inf when singular).
-
-    A caller that already has det2(m) or op_norm(m) passes it as det or
-    smax, so it is not computed again.
-    """
-    det, smax = _det_and_norm(m, det, smax)
+def cond2(m):
+    """2-norm condition number sigma_max/sigma_min = sigma_max^2/|det| (inf when singular)."""
+    a, b, c, d = _entries(m)
+    det = a * d - b * c
+    smax = op_norm(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(det == 0, np.inf, smax**2 / np.abs(np.where(det == 0, 1.0, det)))
     return out
 
 
-def mat_inv(m, where=True, det=None, smax=None):
+def mat_inv(m, where=True):
     """Adjugate inverse of each matrix in the Field m.
 
     Raises SingularMatrix if |det| <= SINGULARITY_RTOL * op_norm^2 for any
@@ -164,12 +149,11 @@ def mat_inv(m, where=True, det=None, smax=None):
     Unselected matrices are inverted without the guard and may come out
     inf or nan; callers that pass a mask discard them. For condition
     numbers below 1e6 the residual ||m @ mat_inv(m) - I|| stays within a
-    small multiple of machine epsilon times the condition number. det and
-    smax, as for cond2, are det2(m) and op_norm(m) when the caller has them.
+    small multiple of machine epsilon times the condition number.
     """
     a, b, c, d = _entries(m)
-    det, smax = _det_and_norm(m, det, smax)
-    if np.any(where & (np.abs(det) <= SINGULARITY_RTOL * smax**2)):
+    det = a * d - b * c
+    if np.any(where & (np.abs(det) <= SINGULARITY_RTOL * op_norm(m) ** 2)):
         raise SingularMatrix("matrix below invertibility threshold")
     out, (o00, o01, o10, o11) = _empty(det.shape)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -73,7 +73,9 @@ UNIT_CIRCLE_T = TargetSet(0.0 + 0.0j, 1.0)
 
 def _dedup(values):
     q = np.round(values.real, DEDUP_DECIMALS) + 1j * np.round(values.imag, DEDUP_DECIMALS)
-    return np.unique(q)  # sorts by (re, im)
+    # + 0.0 turns a part rounded to -0.0 into 0.0: np.unique keeps either of
+    # two equal zeros, so a signed one would make the cloud depend on chunking
+    return np.unique(q + 0.0)  # sorts by (re, im)
 
 
 def sample_spectrum(element, mesh):

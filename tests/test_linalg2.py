@@ -7,7 +7,6 @@ from expspec.linalg2 import (
     Field,
     SingularMatrix,
     cond2,
-    det2,
     eig2,
     mat_inv,
     mat_mul,
@@ -168,7 +167,6 @@ def test_planar_kernels_match_numpy():
     inv = mat_inv(fx)
     assert isinstance(inv, Field)
     assert rel_err(as_stack(inv), np.linalg.inv(x), (1, 2)) <= 1e-13
-    assert np.abs(det2(fx) / np.linalg.det(x) - 1.0).max() <= 1e-13
 
     smax = np.linalg.svd(x, compute_uv=False)[:, 0]
     assert np.abs(op_norm(fx) / smax - 1.0).max() <= 1e-13
@@ -184,21 +182,9 @@ def test_planar_kernels_match_numpy():
 def test_kernels_reject_stacks():
     # a (4, 2, 2) stack would otherwise read as four entry planes
     stack = np.eye(2, dtype=complex)
-    for kernel in (lambda m: mat_mul(m, m), lambda m: mat_mul(I2, m), mat_inv, op_norm, cond2, eig2, det2,
-                   lambda m: cond2(m, 1.0, 1.0), lambda m: mat_inv(m, det=1.0, smax=1.0)):
+    for kernel in (lambda m: mat_mul(m, m), lambda m: mat_mul(I2, m), mat_inv, op_norm, cond2, eig2):
         with pytest.raises(TypeError):
             kernel(stack)
-
-
-def test_cond2_and_mat_inv_with_a_shared_det_and_norm():
-    # the inverse sweep hands one det2 and one op_norm per probe to both kernels
-    m = as_field(rand_mat2(np.random.RandomState(17), 1000))
-    det, smax = det2(m), op_norm(m)
-    assert np.array_equal(cond2(m, det, smax), cond2(m))
-    assert np.array_equal(mat_inv(m, det=det, smax=smax), mat_inv(m))
-    singular = planar(1, 1, 1, 1)
-    with pytest.raises(SingularMatrix):
-        mat_inv(singular, det=det2(singular), smax=op_norm(singular))
 
 
 def test_mat_inv_guards_only_selected_lanes():

@@ -5,6 +5,7 @@ from expspec.spectrum import (
     CIRCLE_C,
     UNIT_CIRCLE_T,
     TargetSet,
+    _dedup,
     cloud_hausdorff,
     cloud_to_csv,
     cloud_to_svg,
@@ -38,6 +39,13 @@ def test_cloud_is_deterministic_and_sorted(mesh9):
     assert np.array_equal(a, b)
     order = np.lexsort((a.imag, a.real))
     assert np.array_equal(order, np.arange(len(a)))
+
+
+def test_dedup_drops_the_sign_of_zero():
+    # np.unique keeps either of two equal zeros, so a -0.0 from rounding
+    # would make the cloud depend on the chunk boundaries
+    q = _dedup(np.array([complex(-1e-15, -1e-15), complex(1e-15, 1e-15)]))
+    assert q.size == 1 and not np.signbit(q.real).any() and not np.signbit(q.imag).any()
 
 
 def test_hausdorff_two_point_cloud_vs_circle():
