@@ -9,12 +9,14 @@ configuration error. Reports go to stdout or, with --out, to a file;
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from .algebra import DomainError
 from .homotopy import DegenerateNormalization, DegenerateProjection
 from .linalg2 import SingularMatrix
 from .linking import CurvesTooClose, NearPole
 from .report import (
+    IDENTITY_CHECKS,
     RunConfig,
     SPECTRUM_ELEMENTS,
     UsageError,
@@ -38,21 +40,49 @@ DOMAIN_ERRORS = (
 )
 
 
-def _add_common(p, spectrum_defaults=False):
-    p.add_argument("--lat", type=int, default=None,
-                   help="latitude count of the verification mesh (odd, default 65)")
-    p.add_argument("--shell", type=int, default=None,
-                   help="S3-shell resolution of the verification mesh (default 64)")
-    p.add_argument("--segments", type=int, default=256,
-                   help="fiber segments for the Gauss linking sum (default 256)")
-    p.add_argument("--tol-identity", type=float, default=1e-13,
-                   help="tolerance for the exact-identity checks (default 1e-13)")
-    p.add_argument("--tol-hausdorff", type=float, default=0.05,
-                   help="tolerance for spectrum-to-target Hausdorff distances (default 0.05)")
-    p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv-summary"), default="json",
-                   help="report format (default json)")
-    p.set_defaults(spectrum_defaults=spectrum_defaults)
+_DEFAULT = RunConfig()
+
+# RunConfig field -> (flag, add_argument options); defaults come from RunConfig
+_FLAGS = {
+    "lat": ("--lat", dict(
+        type=int, help=f"latitude count of the verification mesh (odd, default {_DEFAULT.lat})")),
+    "shell": ("--shell", dict(
+        type=int, help=f"S3-shell resolution of the verification mesh (default {_DEFAULT.shell})")),
+    "spectrum_lat": ("--lat", dict(
+        type=int, metavar="LAT",
+        help=f"latitude count of the spectrum mesh (odd, default {_DEFAULT.spectrum_lat})")),
+    "spectrum_shell": ("--shell", dict(
+        type=int, metavar="SHELL",
+        help=f"S3-shell resolution of the spectrum mesh (default {_DEFAULT.spectrum_shell})")),
+    "segments": ("--segments", dict(
+        type=int, help=f"fiber segments for the Gauss linking sum (default {_DEFAULT.segments})")),
+    "tol_identity": ("--tol-identity", dict(
+        type=float, help="threshold of identity_ab_vs_c and identity_ba_vs_diag "
+        f"(default {_DEFAULT.tol_identity:g}); the other identity checks have fixed thresholds: "
+        + ", ".join(f"{c.name} {c.threshold:g}"
+                    for c in IDENTITY_CHECKS if not callable(c.threshold)))),
+    "tol_hausdorff": ("--tol-hausdorff", dict(
+        type=float, help="threshold of the Hausdorff distances of the spectra to their targets "
+        f"and to each other (default {_DEFAULT.tol_hausdorff:g})")),
+    "out": ("--out", dict(help="write the report to this path instead of stdout")),
+    "fmt": ("--format", dict(
+        choices=("json", "csv-summary"), help=f"report format (default {_DEFAULT.fmt})")),
+    # negative-control hook for tests
+    "sabotage": ("--sabotage", dict(choices=("flip-f", "fiber"), help=argparse.SUPPRESS)),
+}
+
+# subcommand -> (help, the RunConfig fields it reads besides out and fmt)
+_SUBCOMMANDS = {
+    "verify-identities": ("check the closed-form algebra identities",
+                          ("lat", "shell", "tol_identity")),
+    "spectrum": ("sample one element's spectrum and compare to its target",
+                 ("spectrum_lat", "spectrum_shell", "tol_hausdorff")),
+    "certify": ("build the homotopy certificates for both products",
+                ("lat", "shell", "segments", "sabotage")),
+    "generalize": ("verify the n = 2, 3 higher-dimensional families", ()),
+    "report-all": ("run every suite into one report",
+                   ("lat", "shell", "segments", "tol_identity", "tol_hausdorff")),
+}
 
 
 def build_parser():
@@ -63,47 +93,25 @@ def build_parser():
         "the Hopf linking number for an explicit pair of matrix-valued maps on the 4-sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-identities", help="check the closed-form algebra identities")
-    _add_common(p)
-
-    p = sub.add_parser("spectrum", help="sample one element's spectrum and compare to its target")
-    p.add_argument("element", metavar="ELEMENT", choices=SPECTRUM_ELEMENTS,
-                   help="one of: ab, ba, one-minus-2ab, one-minus-2ba")
-    _add_common(p, spectrum_defaults=True)
-
-    p = sub.add_parser("certify", help="build the homotopy certificates for both products")
-    _add_common(p)
-    p.add_argument("--sabotage", choices=("flip-f", "fiber"), default=None,
-                   help=argparse.SUPPRESS)  # negative-control hook for tests
-
-    p = sub.add_parser("generalize", help="verify the n = 2, 3 higher-dimensional families")
-    _add_common(p)
-
-    p = sub.add_parser("report-all", help="run every suite into one report")
-    _add_common(p)
+    for command, (help_, names) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        if command == "spectrum":
+            p.add_argument("element", metavar="ELEMENT", choices=SPECTRUM_ELEMENTS,
+                           help="one of: ab, ba, one-minus-2ab, one-minus-2ba")
+        for name in (*names, "out", "fmt"):
+            flag, options = _FLAGS[name]
+            # an absent flag leaves no attribute, so RunConfig supplies its default
+            p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **options)
     return parser
 
 
 def _config_from(args):
-    kwargs = {
-        "segments": args.segments,
-        "tol_identity": args.tol_identity,
-        "tol_hausdorff": args.tol_hausdorff,
-        "out": args.out,
-        "fmt": args.fmt,
-        "sabotage": getattr(args, "sabotage", None),
-    }
-    if args.lat is not None:
-        kwargs["lat"] = args.lat
-    if args.shell is not None:
-        kwargs["shell"] = args.shell
-    # the spectrum subcommand reads resolution flags as its own mesh
-    if getattr(args, "spectrum_defaults", False):
-        if args.lat is not None:
-            kwargs["spectrum_lat"] = args.lat
-        if args.shell is not None:
-            kwargs["spectrum_shell"] = args.shell
+    config_fields = asdict(_DEFAULT)
+    kwargs = {k: v for k, v in vars(args).items() if k in config_fields}
+    # the spectrum subcommand's mesh flags are echoed as the verification mesh too
+    for name in ("lat", "shell"):
+        if f"spectrum_{name}" in kwargs:
+            kwargs[name] = kwargs[f"spectrum_{name}"]
     return RunConfig(**kwargs).validate()
 
 

@@ -57,8 +57,9 @@ __all__ = [
     "DegenerateNormalization",
     "CertificateFailure",
     "CheckRecord",
+    "Check",
+    "check_records",
     "CERTIFICATE_CHECKS",
-    "certificate_records",
     "FREUDENTHAL_SUSPENSION",
     "hopf",
     "suspension_eh",
@@ -116,62 +117,67 @@ class CheckRecord:
     comparison: str  # "<=", ">=", ">"
     passed: bool
 
-    @classmethod
-    def of(cls, name, claim, value, threshold, comparison):
-        value, threshold = float(value), float(threshold)
-        passed = bool(_COMPARE[comparison](value, threshold))
-        return cls(name, claim, value, threshold, comparison, passed)
-
 
 @dataclass(frozen=True)
-class CertificateCheck:
-    """One evidence bound of the certificates and the report record it becomes."""
+class Check:
+    """One row of a check table: the bound a piece of evidence must meet.
+
+    The claim and the threshold are each a constant or a function of the
+    evidence mapping, for a claim that names the element or a threshold
+    read from the configuration, say.
+    """
 
     name: str
     key: str             # the evidence the bound reads
-    claim: str
-    threshold: object    # a float, or a function of the linking segment count
+    claim: object
+    threshold: object
     comparison: str
     measure: object = float  # evidence value -> the value compared
 
 
-# Every bound of the two certificates, defined once: build_certificates and the
-# certify report both evaluate this table.
+def check_records(checks, evidence):
+    """One CheckRecord per row of a check table, measured on the evidence mapping.
+
+    The mapping holds the measurements and whatever configuration the rows'
+    thresholds read. This is the only place a CheckRecord is made.
+    """
+    records = []
+    for c in checks:
+        value = float(c.measure(evidence[c.key]))
+        threshold = float(c.threshold(evidence) if callable(c.threshold) else c.threshold)
+        claim = c.claim(evidence) if callable(c.claim) else c.claim
+        passed = bool(_COMPARE[c.comparison](value, threshold))
+        records.append(CheckRecord(c.name, claim, value, threshold, c.comparison, passed))
+    return records
+
+
+# Every bound of the two certificates: build_certificates and the certify report
+# both evaluate this table, on the evidence plus the linking segment count.
 CERTIFICATE_CHECKS = (
-    CertificateCheck("ba_path_invertibility", "path_max_abs_det_deviation",
-                     "|det| = 1 along the explicit null homotopy of 1 - 2ba "
-                     "(latitudes x 33 t-values)", 1e-13, "<="),
-    CertificateCheck("ba_endpoint_start", "endpoint_residual_start",
-                     "the path starts at 1 - 2ba", 1e-13, "<="),
-    CertificateCheck("ba_endpoint_end", "endpoint_residual_end",
-                     "the path ends at the identity", 1e-13, "<="),
-    CertificateCheck("ab_equator_coincidence", "equator_max_deviation",
-                     "f agrees with the suspended Hopf map on the equator", 1e-12, "<="),
-    CertificateCheck("ab_hemisphere_preservation", "hemisphere_worst_violation",
-                     "f and Eh preserve hemispheres (signed imaginary part of the second "
-                     "coordinate)", -1e-13, ">="),
-    CertificateCheck("ab_antipodal_min_gap", "antipodal_min_gap",
-                     "f(x) and Eh(x) are never antipodal: measured min |f + Eh|", 0.1, ">"),
-    CertificateCheck("ab_antipodal_certified", "antipodal_certified_lower_bound",
-                     "certified lower bound for min |f + Eh| (band minus slack, analytic caps)",
-                     0.0, ">"),
+    Check("ba_path_invertibility", "path_max_abs_det_deviation",
+          "|det| = 1 along the explicit null homotopy of 1 - 2ba (latitudes x 33 t-values)",
+          1e-13, "<="),
+    Check("ba_endpoint_start", "endpoint_residual_start",
+          "the path starts at 1 - 2ba", 1e-13, "<="),
+    Check("ba_endpoint_end", "endpoint_residual_end",
+          "the path ends at the identity", 1e-13, "<="),
+    Check("ab_equator_coincidence", "equator_max_deviation",
+          "f agrees with the suspended Hopf map on the equator", 1e-12, "<="),
+    Check("ab_hemisphere_preservation", "hemisphere_worst_violation",
+          "f and Eh preserve hemispheres (signed imaginary part of the second coordinate)",
+          -1e-13, ">="),
+    Check("ab_antipodal_min_gap", "antipodal_min_gap",
+          "f(x) and Eh(x) are never antipodal: measured min |f + Eh|", 0.1, ">"),
+    Check("ab_antipodal_certified", "antipodal_certified_lower_bound",
+          "certified lower bound for min |f + Eh| (band minus slack, analytic caps)", 0.0, ">"),
     # measures 1.0 exactly when |lk| = 1 and less otherwise, so lk = +-2 fails too
-    CertificateCheck("ab_hopf_linking_magnitude", "hopf_linking_rounded",
-                     "the Hopf invariant of h (fiber linking number) has magnitude 1",
-                     1.0, ">=", lambda lk: 1.0 - abs(abs(lk) - 1)),
-    CertificateCheck("ab_hopf_linking_residual", "hopf_linking_residual",
-                     "the Gauss sum is close to its integer", linking.residual_tolerance, "<="),
+    Check("ab_hopf_linking_magnitude", "hopf_linking_rounded",
+          "the Hopf invariant of h (fiber linking number) has magnitude 1",
+          1.0, ">=", lambda lk: 1.0 - abs(abs(lk) - 1)),
+    Check("ab_hopf_linking_residual", "hopf_linking_residual",
+          "the Gauss sum is close to its integer",
+          lambda e: linking.residual_tolerance(e["segments"]), "<="),
 )
-
-
-def certificate_records(evidence, segments):
-    """One CheckRecord per row of CERTIFICATE_CHECKS, measured on the evidence dict."""
-    return [
-        CheckRecord.of(c.name, c.claim, c.measure(evidence[c.key]),
-                       c.threshold(segments) if callable(c.threshold) else c.threshold,
-                       c.comparison)
-        for c in CERTIFICATE_CHECKS
-    ]
 
 
 def hopf(w0, w1):
@@ -358,10 +364,10 @@ def _band_lipschitz_estimate(mesh, gaps, z_cap):
     return best
 
 
-def antipodal_gap(mesh, z_cap=Z_CAP, safety=LIPSCHITZ_SAFETY):
+def antipodal_gap(mesh):
     """Measured minimum of |f + Eh| over the mesh plus a certified positive lower bound.
 
-    Certification splits the sphere: on the polar caps |z2| >= z_cap the
+    Certification splits the sphere: on the polar caps |z2| >= Z_CAP the
     closed-form bound of _cap_lower_bound holds everywhere; on the band
     the mesh minimum is discounted by covering_radius times a widened
     empirical modulus of continuity. The certified bound is the smaller
@@ -371,13 +377,13 @@ def antipodal_gap(mesh, z_cap=Z_CAP, safety=LIPSCHITZ_SAFETY):
     also yields the hemisphere evidence (hemisphere_worst_violation).
     """
     gaps, hemisphere = _f_eh_pass(mesh)
-    band = np.abs(mesh.z2) <= z_cap
+    band = np.abs(mesh.z2) <= Z_CAP
     band_min = float(gaps[band].min()) if np.any(band) else np.inf
     cap_min = float(gaps[~band].min()) if np.any(~band) else np.inf
-    lip = _band_lipschitz_estimate(mesh, gaps, z_cap)
-    factor = safety * lip
+    lip = _band_lipschitz_estimate(mesh, gaps, Z_CAP)
+    factor = LIPSCHITZ_SAFETY * lip
     band_certified = band_min - mesh.covering_radius * factor
-    cap_bound = _cap_lower_bound(z_cap)
+    cap_bound = _cap_lower_bound(Z_CAP)
     return AntipodalGap(
         min_gap=float(gaps.min()),
         band_min=band_min,
@@ -526,9 +532,10 @@ def build_certificates(mesh, segments=256, sabotage=None):
     }
 
     evidence = {**ba_evidence, **ab_evidence}
+    records = check_records(CERTIFICATE_CHECKS, {**evidence, "segments": segments})
     failed = [
         f"{c.key}: {r.name} measured {r.value!r}, needs {r.comparison} {r.threshold!r}"
-        for c, r in zip(CERTIFICATE_CHECKS, certificate_records(evidence, segments))
+        for c, r in zip(CERTIFICATE_CHECKS, records)
         if not r.passed
     ]
     if failed:

@@ -10,13 +10,20 @@ configuration.
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
 from .algebra import field_a, field_b, identity_residuals, inverse_identity_sweep
 from .generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
-from .homotopy import CertificateFailure, CheckRecord, build_certificates, certificate_records
+from .homotopy import (
+    CERTIFICATE_CHECKS,
+    CertificateFailure,
+    Check,
+    build_certificates,
+    check_records,
+)
 from .sphere import InvalidResolution, mesh_s4
 from .spectrum import (
     CIRCLE_C,
@@ -44,9 +51,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-SPECTRUM_ELEMENTS = ("ab", "ba", "one-minus-2ab", "one-minus-2ba", "one")
 
-# fixed generalize-mesh resolutions: n -> (lat, moduli, phases); sizes 514 / 13610
+# fixed generalize-mesh resolutions: n -> (lat, moduli, phases); sizes 1794 / 13610
 GEN_MESH_PARAMS = {2: (9, 4, 8), 3: (9, 3, 6)}
 
 MAX_LAT = 2049
@@ -94,12 +100,6 @@ class RunConfig:
             raise UsageError("--sabotage must be flip-f or fiber")
         return self
 
-    def to_dict(self):
-        return asdict(self)
-
-    def without_out(self):
-        return RunConfig(**{**self.to_dict(), "out": None})
-
 
 def _plain(obj):
     """Recursively convert numpy scalars/arrays so json can serialize the tree."""
@@ -125,9 +125,6 @@ class Report:
     @property
     def overall_pass(self):
         return all(c.passed for c in self.checks)
-
-    def add(self, *args, **kwargs):
-        self.checks.append(CheckRecord.of(*args, **kwargs))
 
     def to_json_dict(self):
         return _plain(
@@ -162,6 +159,86 @@ class Report:
             self.artifacts[prefix] = other.artifacts
 
 
+# The check tables. Each suite gathers an evidence mapping (its measurements
+# plus the configuration its thresholds read) and check_records turns the rows
+# into report records.
+
+IDENTITY_CHECKS = (
+    Check("identity_ab_vs_c", "ab_vs_c",
+          "1 - 2ab equals the closed-form unitary map c at every mesh point",
+          itemgetter("tol_identity"), "<="),
+    Check("identity_ba_vs_diag", "ba_vs_diag",
+          "1 - 2ba equals diag(phi(z2), 1) at every mesh point",
+          itemgetter("tol_identity"), "<="),
+    Check("phi_unit_modulus", "phi_unit_modulus", "|phi(z2)| = 1 on [-1, 1]", 1e-14, "<="),
+    Check("a_rank_one", "a_rank_one",
+          "a(x)^2 = (z0/(1+i z2)) a(x): a is pointwise rank one", 1e-13, "<="),
+    Check("b_rank_one", "b_rank_one",
+          "b(x)^2 = (conj(z0)/(1+i z2)) b(x): b is pointwise rank one", 1e-13, "<="),
+    Check("ab_eigenvalues_closed_form", "ab_eigenvalues",
+          "eigenvalues of ab(x) are {(1 - z2^2)/(1 + i z2)^2, 0}", 1e-12, "<="),
+)
+
+_NEAR_CIRCLE_C = Check(
+    "hausdorff_to_target", "cloud",
+    lambda e: f"sampled spectrum of {e['element']} approximates the circle of radius 1/2 "
+              "centred at 1/2",
+    itemgetter("tol_hausdorff"), "<=",
+    lambda cloud: hausdorff_to_target(drop_zeros(cloud), CIRCLE_C),
+)
+_NEAR_UNIT_CIRCLE = Check(
+    "hausdorff_to_target", "cloud",
+    lambda e: f"sampled spectrum of {e['element']} approximates the unit circle",
+    itemgetter("tol_hausdorff"), "<=", lambda cloud: hausdorff_to_target(cloud, UNIT_CIRCLE_T),
+)
+_UNIT_MODULUS = Check(
+    "unit_modulus", "cloud", lambda e: f"every spectral sample of {e['element']} has modulus 1",
+    1e-12, "<=", lambda cloud: np.abs(np.abs(cloud) - 1.0).max(),
+)
+# the rows of each element's spectrum report; "one" is a debugging aid
+SPECTRUM_CHECKS = {
+    "ab": (_NEAR_CIRCLE_C,),
+    "ba": (_NEAR_CIRCLE_C,),
+    "one-minus-2ab": (_NEAR_UNIT_CIRCLE, _UNIT_MODULUS),
+    "one-minus-2ba": (_NEAR_UNIT_CIRCLE, _UNIT_MODULUS),
+    "one": (Check("cloud_is_one", "cloud", "the spectrum of the identity element is {1}",
+                  1e-12, "<=", lambda cloud: np.abs(cloud - 1.0).max()),),
+}
+SPECTRUM_ELEMENTS = tuple(SPECTRUM_CHECKS)
+
+COMMUTATIVITY_CHECKS = (
+    Check("commutativity.nonzero_spectra_match", "nonzero_distance",
+          "the nonzero sampled spectra of ab and ba coincide (Hausdorff)",
+          itemgetter("tol_hausdorff"), "<="),
+    Check("commutativity.discretization_contract", "nonzero_distance",
+          "cloud distance is within twice the covering radius times the eigenvalue "
+          "continuity factor",
+          lambda e: 2.0 * e["covering_radius"] * e["lipschitz"], "<="),
+    Check("commutativity.inverse_identity", "inverse_identity",
+          "(1 - mu ba)^{-1} = 1 + mu b (1 - mu ab)^{-1} a at every conditioned mesh point "
+          "and probe", 1e-10, "<="),
+)
+
+# derived from the certificate records, so evaluated after them
+CERTIFY_HEADLINE = (
+    Check("headline", "records",
+          "1/2 lies in the exponential spectrum of ab [modulo the Freudenthal suspension "
+          "assumption] and not in the exponential spectrum of ba [unconditional]",
+          1.0, ">=", lambda records: all(r.passed for r in records)),
+)
+
+GENERALIZE_CHECKS = (
+    Check("family_identities_n2", "family_n2",
+          lambda e: "1-2ba, 1-2ab and the ab eigenvalues match their closed forms for n=2 "
+                    f"({e['points_n2']} mesh points)", 1e-13, "<="),
+    Check("family_identities_n3", "family_n3",
+          lambda e: "1-2ba, 1-2ab and the ab eigenvalues match their closed forms for n=3 "
+                    f"({e['points_n3']} mesh points)", 1e-12, "<="),
+    Check("n2_bit_identity", "n2_bit_difference",
+          "the n=2 family evaluates bit-identically to the 2x2 construction", 0.0, "<="),
+)
+
+
 def _mesh_from(cfg, spectrum=False):
     try:
         if spectrum:
@@ -174,94 +251,19 @@ def _mesh_from(cfg, spectrum=False):
 def run_identities(cfg, mesh=None):
     """Algebra-module invariants on the configured mesh."""
     mesh = mesh if mesh is not None else _mesh_from(cfg)
-    r = identity_residuals(mesh)
-    rep = Report("verify-identities", cfg.to_dict())
-    rep.add(
-        "identity_ab_vs_c",
-        "1 - 2ab equals the closed-form unitary map c at every mesh point",
-        r.ab_vs_c,
-        cfg.tol_identity,
-        "<=",
-    )
-    rep.add(
-        "identity_ba_vs_diag",
-        "1 - 2ba equals diag(phi(z2), 1) at every mesh point",
-        r.ba_vs_diag,
-        cfg.tol_identity,
-        "<=",
-    )
-    rep.add(
-        "phi_unit_modulus",
-        "|phi(z2)| = 1 on [-1, 1]",
-        r.phi_unit_modulus,
-        1e-14,
-        "<=",
-    )
-    rep.add(
-        "a_rank_one",
-        "a(x)^2 = (z0/(1+i z2)) a(x): a is pointwise rank one",
-        r.a_rank_one,
-        1e-13,
-        "<=",
-    )
-    rep.add(
-        "b_rank_one",
-        "b(x)^2 = (conj(z0)/(1+i z2)) b(x): b is pointwise rank one",
-        r.b_rank_one,
-        1e-13,
-        "<=",
-    )
-    rep.add(
-        "ab_eigenvalues_closed_form",
-        "eigenvalues of ab(x) are {(1 - z2^2)/(1 + i z2)^2, 0}",
-        r.ab_eigenvalues,
-        1e-12,
-        "<=",
-    )
-    return rep
-
-
-def _spectrum_target(element):
-    if element in ("ab", "ba"):
-        return CIRCLE_C, "the circle of radius 1/2 centred at 1/2"
-    if element in ("one-minus-2ab", "one-minus-2ba"):
-        return UNIT_CIRCLE_T, "the unit circle"
-    return None, None
+    evidence = {**asdict(identity_residuals(mesh)), "tol_identity": cfg.tol_identity}
+    return Report("verify-identities", asdict(cfg), check_records(IDENTITY_CHECKS, evidence))
 
 
 def run_spectrum(cfg, element, mesh=None):
     """Sample one element's spectrum, compare to its analytic target, export the cloud."""
-    if element not in SPECTRUM_ELEMENTS:
+    if element not in SPECTRUM_CHECKS:
         raise UsageError(f"unknown element {element!r}; choose from {', '.join(SPECTRUM_ELEMENTS)}")
     mesh = mesh if mesh is not None else _mesh_from(cfg, spectrum=True)
     cloud = sample_spectrum(element, mesh)
-    rep = Report("spectrum", {**cfg.to_dict(), "element": element})
-    if element == "one":
-        rep.add(
-            "cloud_is_one",
-            "the spectrum of the identity element is {1}",
-            float(np.abs(cloud - 1.0).max()),
-            1e-12,
-            "<=",
-        )
-    else:
-        target, target_desc = _spectrum_target(element)
-        compared = drop_zeros(cloud) if element in ("ab", "ba") else cloud
-        rep.add(
-            "hausdorff_to_target",
-            f"sampled spectrum of {element} approximates {target_desc}",
-            hausdorff_to_target(compared, target),
-            cfg.tol_hausdorff,
-            "<=",
-        )
-        if element in ("one-minus-2ab", "one-minus-2ba"):
-            rep.add(
-                "unit_modulus",
-                f"every spectral sample of {element} has modulus 1",
-                float(np.abs(np.abs(cloud) - 1.0).max()),
-                1e-12,
-                "<=",
-            )
+    evidence = {"element": element, "cloud": cloud, "tol_hausdorff": cfg.tol_hausdorff}
+    rep = Report("spectrum", {**asdict(cfg), "element": element},
+                 check_records(SPECTRUM_CHECKS[element], evidence))
     rep.notes.append(f"cloud size {len(cloud)} at lat {mesh.lat_count} x shell {mesh.shell_count}")
     if cfg.out:
         base = cfg.out[: -len(".json")] if cfg.out.endswith(".json") else cfg.out
@@ -279,21 +281,14 @@ def run_certify(cfg, mesh=None):
     fails; the notes and the certificates are written only when all hold.
     """
     mesh = mesh if mesh is not None else _mesh_from(cfg)
-    rep = Report("certify", cfg.to_dict())
     try:
         certs = build_certificates(mesh, segments=cfg.segments, sabotage=cfg.sabotage)
         evidence = {**certs[0].evidence, **certs[1].evidence}
     except CertificateFailure as exc:
         certs, evidence = None, exc.evidence
-    rep.checks.extend(certificate_records(evidence, cfg.segments))
-    rep.add(
-        "headline",
-        "1/2 lies in the exponential spectrum of ab [modulo the Freudenthal suspension "
-        "assumption] and not in the exponential spectrum of ba [unconditional]",
-        float(rep.overall_pass),
-        1.0,
-        ">=",
-    )
+    records = check_records(CERTIFICATE_CHECKS, {**evidence, "segments": cfg.segments})
+    records += check_records(CERTIFY_HEADLINE, {"records": records})
+    rep = Report("certify", asdict(cfg), records)
     if certs is None:
         return rep
     ba_cert, ab_cert = certs
@@ -318,31 +313,23 @@ def run_certify(cfg, mesh=None):
 
 def run_generalize(cfg):
     """Algebraic identity checks for the n = 2 and n = 3 families."""
-    rep = Report("generalize", cfg.to_dict())
-    for n in (2, 3):
-        mesh = mesh_s2n(n, *GEN_MESH_PARAMS[n])
-        tol = 1e-13 if n == 2 else 1e-12
-        rep.add(
-            f"family_identities_n{n}",
-            f"1-2ba, 1-2ab and the ab eigenvalues match their closed forms for n={n} "
-            f"({len(mesh)} mesh points)",
-            family_identity_check(n, mesh),
-            tol,
-            "<=",
-        )
+    mesh2 = mesh_s2n(2, *GEN_MESH_PARAMS[2])
+    family_n2 = family_identity_check(2, mesh2)
+    mesh3 = mesh_s2n(3, *GEN_MESH_PARAMS[3])
+    family_n3 = family_identity_check(3, mesh3)
     # bit-identity of the n=2 family with the 2x2 evaluators on shared inputs;
     # an (N, 2, 2) stack flattens row-major to the Field planes m00, m01, m10, m11
-    mesh = mesh_s2n(2, *GEN_MESH_PARAMS[2])
-    z0, z1 = mesh.z[:, 0], mesh.z[:, 1]
-    a_diff = np.abs(eval_a_n(mesh.z, mesh.zn).reshape(-1, 4).T - field_a(z0, z1, mesh.zn)).max()
-    b_diff = np.abs(eval_b_n(mesh.z, mesh.zn).reshape(-1, 4).T - field_b(z0, z1, mesh.zn)).max()
-    rep.add(
-        "n2_bit_identity",
-        "the n=2 family evaluates bit-identically to the 2x2 construction",
-        float(max(a_diff, b_diff)),
-        0.0,
-        "<=",
-    )
+    z0, z1 = mesh2.z[:, 0], mesh2.z[:, 1]
+    a_diff = np.abs(eval_a_n(mesh2.z, mesh2.zn).reshape(-1, 4).T - field_a(z0, z1, mesh2.zn)).max()
+    b_diff = np.abs(eval_b_n(mesh2.z, mesh2.zn).reshape(-1, 4).T - field_b(z0, z1, mesh2.zn)).max()
+    evidence = {
+        "family_n2": family_n2,
+        "points_n2": len(mesh2),
+        "family_n3": family_n3,
+        "points_n3": len(mesh3),
+        "n2_bit_difference": max(a_diff, b_diff),
+    }
+    rep = Report("generalize", asdict(cfg), check_records(GENERALIZE_CHECKS, evidence))
     rep.notes.append(
         "the exponential-spectrum separation for n >= 3 is asserted by the underlying "
         "theory but not machine-checked here; only the algebraic layer is verified"
@@ -352,43 +339,28 @@ def run_generalize(cfg):
 
 def run_all(cfg):
     """Every suite in one report: identities, spectra, commutativity, certificates, families."""
-    rep = Report("report-all", cfg.to_dict())
+    rep = Report("report-all", asdict(cfg))
     mesh = _mesh_from(cfg)
     spec_mesh = _mesh_from(cfg, spectrum=True)
 
     rep.merge(run_identities(cfg, mesh=mesh), "identities")
     for element in ("ab", "ba", "one-minus-2ab", "one-minus-2ba"):
-        sub = run_spectrum(cfg.without_out(), element, mesh=spec_mesh)
+        sub = run_spectrum(replace(cfg, out=None), element, mesh=spec_mesh)
         rep.merge(sub, f"spectrum.{element}")
 
     ab = drop_zeros(sample_spectrum("ab", spec_mesh))
     ba = drop_zeros(sample_spectrum("ba", spec_mesh))
     dist = cloud_hausdorff(ab, ba)
     lip = eigenvalue_lipschitz(spec_mesh, "ab")
-    rep.add(
-        "commutativity.nonzero_spectra_match",
-        "the nonzero sampled spectra of ab and ba coincide (Hausdorff)",
-        dist,
-        cfg.tol_hausdorff,
-        "<=",
-    )
-    rep.add(
-        "commutativity.discretization_contract",
-        "cloud distance is within twice the covering radius times the eigenvalue "
-        "continuity factor",
-        dist,
-        2.0 * spec_mesh.covering_radius * lip,
-        "<=",
-    )
     worst, skipped = inverse_identity_sweep(mesh)
-    rep.add(
-        "commutativity.inverse_identity",
-        "(1 - mu ba)^{-1} = 1 + mu b (1 - mu ab)^{-1} a at every conditioned mesh point "
-        "and probe",
-        worst,
-        1e-10,
-        "<=",
-    )
+    evidence = {
+        "nonzero_distance": dist,
+        "covering_radius": spec_mesh.covering_radius,
+        "lipschitz": lip,
+        "inverse_identity": worst,
+        "tol_hausdorff": cfg.tol_hausdorff,
+    }
+    rep.checks += check_records(COMMUTATIVITY_CHECKS, evidence)
     rep.notes.append(f"inverse-identity sweep skipped {skipped} ill-conditioned point/probe pairs")
 
     rep.merge(run_certify(cfg, mesh=mesh), "certify")

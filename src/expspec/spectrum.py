@@ -93,10 +93,10 @@ def sample_spectrum(element, mesh):
     return _dedup(np.concatenate(chunks))
 
 
-def drop_zeros(cloud, tol=ZERO_DROP_TOL):
-    """Remove the spectral point 0 (anything of modulus below tol)."""
+def drop_zeros(cloud):
+    """Remove the spectral point 0 (anything of modulus below ZERO_DROP_TOL)."""
     cloud = np.asarray(cloud)
-    return cloud[np.abs(cloud) >= tol]
+    return cloud[np.abs(cloud) >= ZERO_DROP_TOL]
 
 
 def _farthest_nearest(a, b):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from expspec import cli
+from expspec.report import RunConfig
 
 FAST = ["--lat", "9", "--shell", "8"]
 CERT = ["--lat", "33", "--shell", "32"]
@@ -111,7 +112,7 @@ def test_certify_rejects_linking_number_two(monkeypatch, capsys, mesh33):
 
 
 def test_generalize(capsys):
-    code, out, _ = run(["generalize", *FAST], capsys)
+    code, out, _ = run(["generalize"], capsys)
     assert code == 0
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert names == ["family_identities_n2", "family_identities_n3", "n2_bit_identity"]
@@ -155,7 +156,7 @@ def test_unwritable_out_exits_2(capsys):
 def test_version_recorded(capsys):
     import expspec
 
-    code, out, _ = run(["generalize", *FAST], capsys)
+    code, out, _ = run(["generalize"], capsys)
     assert json.loads(out)["tool"] == {"name": "expspec", "version": expspec.__version__}
 
 
@@ -171,3 +172,127 @@ def test_domain_error_exits_1_without_traceback(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "expspec: SingularMatrix: matrix below invertibility threshold\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", "--segments", "64"],
+    ["verify-identities", "--tol-hausdorff", "0.1"],
+    ["spectrum", "ab", "--segments", "64"],
+    ["spectrum", "ab", "--tol-identity", "1e-13"],
+    ["certify", "--tol-identity", "1e-13"],
+    ["certify", "--tol-hausdorff", "0.1"],
+    ["generalize", "--lat", "9"],
+    ["generalize", "--segments", "64"],
+    ["generalize", "--tol-identity", "1e-13"],
+    ["report-all", "--sabotage", "fiber"],
+])
+def test_flag_a_subcommand_ignores_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identities"], ["spectrum", "ab"], ["certify"], ["generalize"], ["report-all"],
+])
+def test_no_flags_parse_to_the_default_config(argv):
+    assert cli._config_from(cli.build_parser().parse_args(argv)) == RunConfig()
+
+
+def test_spectrum_mesh_flags_echo_as_the_verification_mesh():
+    cfg = cli._config_from(cli.build_parser().parse_args(["spectrum", "ab", "--lat", "9"]))
+    assert (cfg.lat, cfg.shell, cfg.spectrum_lat, cfg.spectrum_shell) == (9, 64, 9, 8)
+
+
+# (name, claim, threshold, comparison) of every record of
+# `report-all --lat 9 --shell 8 --segments 64`: the record definitions,
+# not their values or verdicts
+REPORT_ALL_ROWS = [
+    ("identities.identity_ab_vs_c",
+     "1 - 2ab equals the closed-form unitary map c at every mesh point", 1e-13, "<="),
+    ("identities.identity_ba_vs_diag",
+     "1 - 2ba equals diag(phi(z2), 1) at every mesh point", 1e-13, "<="),
+    ("identities.phi_unit_modulus",
+     "|phi(z2)| = 1 on [-1, 1]", 1e-14, "<="),
+    ("identities.a_rank_one",
+     "a(x)^2 = (z0/(1+i z2)) a(x): a is pointwise rank one", 1e-13, "<="),
+    ("identities.b_rank_one",
+     "b(x)^2 = (conj(z0)/(1+i z2)) b(x): b is pointwise rank one", 1e-13, "<="),
+    ("identities.ab_eigenvalues_closed_form",
+     "eigenvalues of ab(x) are {(1 - z2^2)/(1 + i z2)^2, 0}", 1e-12, "<="),
+    ("spectrum.ab.hausdorff_to_target",
+     "sampled spectrum of ab approximates the circle of radius 1/2 centred at 1/2", 0.05, "<="),
+    ("spectrum.ba.hausdorff_to_target",
+     "sampled spectrum of ba approximates the circle of radius 1/2 centred at 1/2", 0.05, "<="),
+    ("spectrum.one-minus-2ab.hausdorff_to_target",
+     "sampled spectrum of one-minus-2ab approximates the unit circle", 0.05, "<="),
+    ("spectrum.one-minus-2ab.unit_modulus",
+     "every spectral sample of one-minus-2ab has modulus 1", 1e-12, "<="),
+    ("spectrum.one-minus-2ba.hausdorff_to_target",
+     "sampled spectrum of one-minus-2ba approximates the unit circle", 0.05, "<="),
+    ("spectrum.one-minus-2ba.unit_modulus",
+     "every spectral sample of one-minus-2ba has modulus 1", 1e-12, "<="),
+    ("commutativity.nonzero_spectra_match",
+     "the nonzero sampled spectra of ab and ba coincide (Hausdorff)", 0.05, "<="),
+    ("commutativity.discretization_contract",
+     "cloud distance is within twice the covering radius times the eigenvalue "
+     "continuity factor", 2.245590623595802, "<="),
+    ("commutativity.inverse_identity",
+     "(1 - mu ba)^{-1} = 1 + mu b (1 - mu ab)^{-1} a at every conditioned mesh point "
+     "and probe", 1e-10, "<="),
+    ("certify.ba_path_invertibility",
+     "|det| = 1 along the explicit null homotopy of 1 - 2ba (latitudes x 33 t-values)",
+     1e-13, "<="),
+    ("certify.ba_endpoint_start",
+     "the path starts at 1 - 2ba", 1e-13, "<="),
+    ("certify.ba_endpoint_end",
+     "the path ends at the identity", 1e-13, "<="),
+    ("certify.ab_equator_coincidence",
+     "f agrees with the suspended Hopf map on the equator", 1e-12, "<="),
+    ("certify.ab_hemisphere_preservation",
+     "f and Eh preserve hemispheres (signed imaginary part of the second coordinate)",
+     -1e-13, ">="),
+    ("certify.ab_antipodal_min_gap",
+     "f(x) and Eh(x) are never antipodal: measured min |f + Eh|", 0.1, ">"),
+    ("certify.ab_antipodal_certified",
+     "certified lower bound for min |f + Eh| (band minus slack, analytic caps)", 0.0, ">"),
+    ("certify.ab_hopf_linking_magnitude",
+     "the Hopf invariant of h (fiber linking number) has magnitude 1", 1.0, ">="),
+    ("certify.ab_hopf_linking_residual",
+     "the Gauss sum is close to its integer", 0.2, "<="),
+    ("certify.headline",
+     "1/2 lies in the exponential spectrum of ab [modulo the Freudenthal suspension "
+     "assumption] and not in the exponential spectrum of ba [unconditional]", 1.0, ">="),
+    ("generalize.family_identities_n2",
+     "1-2ba, 1-2ab and the ab eigenvalues match their closed forms for n=2 (1794 mesh "
+     "points)", 1e-13, "<="),
+    ("generalize.family_identities_n3",
+     "1-2ba, 1-2ab and the ab eigenvalues match their closed forms for n=3 (13610 mesh"
+     " points)", 1e-12, "<="),
+    ("generalize.n2_bit_identity",
+     "the n=2 family evaluates bit-identically to the 2x2 construction", 0.0, "<="),
+
+]
+
+
+def _rows(doc):
+    return [(c["name"], c["claim"], c["threshold"], c["comparison"]) for c in doc["checks"]]
+
+
+def test_report_all_record_definitions(capsys):
+    _, out, _ = run(["report-all", *FAST, "--segments", "64"], capsys)
+    rows = _rows(json.loads(out))
+    # the discretization contract's threshold is measured on the spectrum mesh
+    i = [r[0] for r in REPORT_ALL_ROWS].index("commutativity.discretization_contract")
+    name, claim, threshold, comparison = rows[i]
+    assert threshold == pytest.approx(REPORT_ALL_ROWS[i][2], rel=1e-12)
+    rows[i] = (name, claim, REPORT_ALL_ROWS[i][2], comparison)
+    assert rows == REPORT_ALL_ROWS
+
+
+def test_spectrum_one_record_definitions(capsys):
+    _, out, _ = run(["spectrum", "one", *FAST], capsys)
+    assert _rows(json.loads(out)) == [
+        ("cloud_is_one", "the spectrum of the identity element is {1}", 1e-12, "<="),
+    ]
