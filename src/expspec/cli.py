@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from .algebra import DomainError
-from .homotopy import DegenerateNormalization, DegenerateProjection
+from .homotopy import DegenerateProjection
 from .linalg2 import SingularMatrix
 from .linking import CurvesTooClose, NearPole
 from .report import (
@@ -33,7 +33,6 @@ __all__ = ["main", "build_parser"]
 DOMAIN_ERRORS = (
     SingularMatrix,
     DegenerateProjection,
-    DegenerateNormalization,
     DomainError,
     NearPole,
     CurvesTooClose,

@@ -35,7 +35,6 @@ __all__ = [
     "eval_a_n",
     "eval_b_n",
     "family_identity_check",
-    "pointwise_product_spectra",
 ]
 
 SUPPORTED_N = (2, 3)
@@ -127,15 +126,6 @@ def eval_b_n(z, zn, _conjugate=True):
 
 def _op_norm_n(m):
     return np.linalg.svd(m, compute_uv=False)[..., 0]
-
-
-def pointwise_product_spectra(mesh):
-    """Sorted eigenvalue multisets of ab and ba at every mesh point, shape (N, n) each."""
-    a = eval_a_n(mesh.z, mesh.zn)
-    b = eval_b_n(mesh.z, mesh.zn)
-    ev_ab = np.sort(np.linalg.eigvals(a @ b))
-    ev_ba = np.sort(np.linalg.eigvals(b @ a))
-    return ev_ab, ev_ba
 
 
 def family_identity_check(n, mesh, _sabotage=None):

@@ -87,9 +87,9 @@ class RunConfig:
         if not (8 <= self.shell <= MAX_SHELL):
             raise UsageError(f"--shell must lie in [8, {MAX_SHELL}]")
         if self.spectrum_lat < 3 or self.spectrum_lat % 2 == 0 or self.spectrum_lat > MAX_LAT:
-            raise UsageError(f"--spectrum-lat must be odd, within [3, {MAX_LAT}]")
+            raise UsageError(f"spectrum --lat must be odd, within [3, {MAX_LAT}]")
         if not (8 <= self.spectrum_shell <= MAX_SHELL):
-            raise UsageError(f"--spectrum-shell must lie in [8, {MAX_SHELL}]")
+            raise UsageError(f"spectrum --shell must lie in [8, {MAX_SHELL}]")
         if not (64 <= self.segments <= MAX_SEGMENTS):
             raise UsageError(f"--segments must lie in [64, {MAX_SEGMENTS}]")
         if not (self.tol_identity > 0 and self.tol_hausdorff > 0):
@@ -255,16 +255,22 @@ def run_identities(cfg, mesh=None):
     return Report("verify-identities", asdict(cfg), check_records(IDENTITY_CHECKS, evidence))
 
 
+def _spectrum_report(cfg, element, mesh, cloud):
+    """The records of one element's cloud, sampled on mesh, against its analytic target."""
+    evidence = {"element": element, "cloud": cloud, "tol_hausdorff": cfg.tol_hausdorff}
+    rep = Report("spectrum", {**asdict(cfg), "element": element},
+                 check_records(SPECTRUM_CHECKS[element], evidence))
+    rep.notes.append(f"cloud size {len(cloud)} at lat {mesh.lat_count} x shell {mesh.shell_count}")
+    return rep
+
+
 def run_spectrum(cfg, element, mesh=None):
     """Sample one element's spectrum, compare to its analytic target, export the cloud."""
     if element not in SPECTRUM_CHECKS:
         raise UsageError(f"unknown element {element!r}; choose from {', '.join(SPECTRUM_ELEMENTS)}")
     mesh = mesh if mesh is not None else _mesh_from(cfg, spectrum=True)
     cloud = sample_spectrum(element, mesh)
-    evidence = {"element": element, "cloud": cloud, "tol_hausdorff": cfg.tol_hausdorff}
-    rep = Report("spectrum", {**asdict(cfg), "element": element},
-                 check_records(SPECTRUM_CHECKS[element], evidence))
-    rep.notes.append(f"cloud size {len(cloud)} at lat {mesh.lat_count} x shell {mesh.shell_count}")
+    rep = _spectrum_report(cfg, element, mesh, cloud)
     if cfg.out:
         base = cfg.out[: -len(".json")] if cfg.out.endswith(".json") else cfg.out
         csv_path, svg_path = base + ".cloud.csv", base + ".cloud.svg"
@@ -344,13 +350,13 @@ def run_all(cfg):
     spec_mesh = _mesh_from(cfg, spectrum=True)
 
     rep.merge(run_identities(cfg, mesh=mesh), "identities")
+    # sampled once each: the ab and ba clouds serve the commutativity records too
+    clouds = {}
     for element in ("ab", "ba", "one-minus-2ab", "one-minus-2ba"):
-        sub = run_spectrum(replace(cfg, out=None), element, mesh=spec_mesh)
-        rep.merge(sub, f"spectrum.{element}")
+        clouds[element] = sample_spectrum(element, spec_mesh)
+        rep.merge(_spectrum_report(cfg, element, spec_mesh, clouds[element]), f"spectrum.{element}")
 
-    ab = drop_zeros(sample_spectrum("ab", spec_mesh))
-    ba = drop_zeros(sample_spectrum("ba", spec_mesh))
-    dist = cloud_hausdorff(ab, ba)
+    dist = cloud_hausdorff(drop_zeros(clouds["ab"]), drop_zeros(clouds["ba"]))
     lip = eigenvalue_lipschitz(spec_mesh, "ab")
     worst, skipped = inverse_identity_sweep(mesh)
     evidence = {

@@ -25,13 +25,30 @@ be odd, so that the equator latitude exists.
 The covering radius of the full mesh (largest geodesic distance from any
 point of the sphere to the mesh) is bounded by
 
-    pi/(2 (lat_count-1)) + 0.5 * sqrt(d_eta^2 + d_xi^2),
+    pi/(2 (lat_count-1)) + 0.5 * hypot(d_eta, d_xi),
 
-latitude half-spacing plus the half-diagonal of a Hopf-grid cell
-(d_eta = pi/(2K), d_xi = 2pi/shell_count; the two phase terms enter the
-S^3 metric weighted by cos^2(eta) and sin^2(eta), which sum to one). The
-bound is stored on the mesh and drives every discretization-slack
-argument downstream.
+with d_eta = pi/(2K) and d_xi = 2pi/shell_count. Proof: write a point x
+of S^4 as (sin(psi) w, cos(psi)) with w = (cos(eta) e^{i xi1},
+sin(eta) e^{i xi2}) in S^3, so the metric is
+
+    |dx|^2 = dpsi^2 + sin^2(psi) (deta^2 + cos^2(eta) dxi1^2
+                                         + sin^2(eta) dxi2^2).
+
+  * The latitude move: hold w and move psi to the nearest psi_j. That
+    meridian arc has length |psi - psi_j| <= pi/(2 (lat_count-1)). If
+    psi_j is a pole, the arc ends on the stored pole.
+  * The move on the latitude sphere, of radius sin(psi_j) <= 1: move
+    (eta, xi1, xi2) along a straight coordinate path to the nearest grid
+    values, with |d eta| <= d_eta/2 and |d xi1|, |d xi2| <= d_xi/2 (the
+    phases wrap around). The speed squared along it is at most
+    (d_eta/2)^2 + (cos^2(eta) + sin^2(eta)) (d_xi/2)^2, so the path is no
+    longer than hypot(d_eta/2, d_xi/2). Where the nearest eta row is 0 or
+    pi/2, the endpoint's unused phase does not change the point, so it is
+    the stored ring point.
+
+The two paths join x to a mesh point, so their total length bounds the
+geodesic distance. The bound is stored on the mesh and drives every
+discretization-slack argument downstream.
 """
 
 import math
@@ -45,16 +62,11 @@ __all__ = [
     "SpherePoint3",
     "SpherePoint4",
     "SphereMesh4",
-    "sphere_point4",
     "s3_shell_grid",
     "shell_point_count",
     "mesh_s4",
     "equator_mesh",
-    "hemisphere_sign",
-    "mesh_to_csv",
 ]
-
-POINT_NORM_TOL = 1e-12
 
 
 class InvalidResolution(ValueError):
@@ -65,25 +77,11 @@ class SpherePoint3(NamedTuple):
     w0: complex
     w1: complex
 
-    def norm_defect(self):
-        return abs(abs(self.w0) ** 2 + abs(self.w1) ** 2 - 1.0)
-
 
 class SpherePoint4(NamedTuple):
     z0: complex
     z1: complex
     z2: float
-
-    def norm_defect(self):
-        return abs(abs(self.z0) ** 2 + abs(self.z1) ** 2 + self.z2**2 - 1.0)
-
-
-def sphere_point4(z0, z1, z2):
-    z2 = float(z2)
-    p = SpherePoint4(complex(z0), complex(z1), z2)
-    if not (p.norm_defect() <= POINT_NORM_TOL) or not (-1.0 <= z2 <= 1.0):
-        raise ValueError(f"not on S4 within {POINT_NORM_TOL}: {p}")
-    return p
 
 
 def s3_shell_grid(shell_count):
@@ -126,7 +124,6 @@ class SphereMesh4:
     z0: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-    eta_steps: int
     covering_radius: float
     lat_slices: tuple = field(repr=False)
     z2_values: np.ndarray = field(repr=False)
@@ -140,11 +137,6 @@ class SphereMesh4:
     @property
     def equator_slice(self):
         return self.lat_slices[(self.lat_count - 1) // 2]
-
-    @property
-    def interior_shape(self):
-        """Shape (eta rows, xi1, xi2) of the non-degenerate block of one shell."""
-        return (self.eta_steps - 1, self.shell_count, self.shell_count)
 
     def arrays(self):
         return self.z0, self.z1, self.z2
@@ -200,7 +192,6 @@ def mesh_s4(lat_count, shell_count):
         z0=np.concatenate(z0_parts),
         z1=np.concatenate(z1_parts),
         z2=np.concatenate(z2_parts),
-        eta_steps=k,
         covering_radius=covering,
         lat_slices=tuple(slices),
         z2_values=np.array([_latitude_cos_sin(j, lat_count)[0] for j in range(lat_count)]),
@@ -215,17 +206,3 @@ def equator_mesh(shell_count):
     """
     w0, w1 = s3_shell_grid(shell_count)
     return w0.copy(), w1.copy(), np.zeros(w0.shape[0])
-
-
-def hemisphere_sign(z2):
-    """Sign of the latitude coordinate: -1, 0 (exact equator), or +1."""
-    return np.sign(z2)
-
-
-def mesh_to_csv(mesh, path):
-    """Write the mesh as CSV, columns re_z0,im_z0,re_z1,im_z1,z2 at 17 significant digits."""
-    cols = np.column_stack(
-        [mesh.z0.real, mesh.z0.imag, mesh.z1.real, mesh.z1.imag, mesh.z2]
-    )
-    np.savetxt(path, cols, fmt="%.17g", delimiter=",",
-               header="re_z0,im_z0,re_z1,im_z1,z2", comments="")

@@ -205,6 +205,16 @@ def test_spectrum_mesh_flags_echo_as_the_verification_mesh():
     assert (cfg.lat, cfg.shell, cfg.spectrum_lat, cfg.spectrum_shell) == (9, 64, 9, 8)
 
 
+@pytest.mark.parametrize("field, flag", [
+    ("spectrum_lat", "spectrum --lat"), ("spectrum_shell", "spectrum --shell"),
+])
+def test_spectrum_mesh_errors_name_the_real_flag(field, flag):
+    from expspec.report import UsageError
+
+    with pytest.raises(UsageError, match=f"^{flag} "):
+        RunConfig(**{field: 4}).validate()
+
+
 # (name, claim, threshold, comparison) of every record of
 # `report-all --lat 9 --shell 8 --segments 64`: the record definitions,
 # not their values or verdicts
@@ -256,7 +266,8 @@ REPORT_ALL_ROWS = [
     ("certify.ab_antipodal_min_gap",
      "f(x) and Eh(x) are never antipodal: measured min |f + Eh|", 0.1, ">"),
     ("certify.ab_antipodal_certified",
-     "certified lower bound for min |f + Eh| (band minus slack, analytic caps)", 0.0, ">"),
+     "certified lower bound for min |f + Eh| on S^4 (mesh minimum minus 2 x covering "
+     "radius minus rounding)", 0.0, ">"),
     ("certify.ab_hopf_linking_magnitude",
      "the Hopf invariant of h (fiber linking number) has magnitude 1", 1.0, ">="),
     ("certify.ab_hopf_linking_residual",

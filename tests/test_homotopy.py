@@ -17,7 +17,6 @@ from expspec.homotopy import (
     hopf,
     null_homotopy_ba,
     path_invertibility,
-    straightline_homotopy,
     suspension_eh,
 )
 from expspec.sphere import equator_mesh
@@ -157,53 +156,76 @@ def test_antipodal_gap_certificate(mesh33):
     gap = antipodal_gap(mesh33)
     assert gap.min_gap > 0.1
     assert gap.min_gap == pytest.approx(1.2346, abs=2e-3)
-    assert gap.cap_bound == pytest.approx(0.995489, abs=1e-6)
-    assert gap.certified_lower_bound > 0
-    assert gap.certified_lower_bound <= gap.min_gap
+    assert gap.covering_radius == mesh33.covering_radius
+    assert gap.certified_lower_bound == (
+        gap.min_gap - 2.0 * mesh33.covering_radius - 1e-13 * mesh33.lat_count
+    )
+    assert gap.certified_lower_bound == pytest.approx(0.8587, abs=1e-3)
 
 
-def test_cap_bound_is_sound():
-    # dense sampling of the polar caps stays above the closed-form bound
-    from expspec.homotopy import _antipodal_distance, _cap_lower_bound
+@pytest.mark.parametrize("lat, shell", [(9, 16), (33, 32)])
+def test_certified_bound_is_below_the_exact_minimum(lat, shell):
+    # the closed form of antipodal_gap's proof puts the exact minimum of
+    # |f + Eh| on S^4 at sin(psi) = sqrt(6) - 2, eta = pi/2
+    from expspec.sphere import mesh_s4
 
-    rng = np.random.RandomState(4)
-    z2 = np.sign(rng.standard_normal(20000)) * rng.uniform(0.95, 1.0, 20000)
-    w = rng.standard_normal((20000, 4))
-    w /= np.linalg.norm(w, axis=1)[:, None]
-    r = np.sqrt(1 - z2**2)
-    x = (r * (w[:, 0] + 1j * w[:, 1]), r * (w[:, 2] + 1j * w[:, 3]), z2)
-    g = _antipodal_distance(f_map(*x), suspension_eh(*x))
-    assert g.min() >= _cap_lower_bound(0.95)
-
-
-def test_straightline_endpoints(mesh9):
-    z0, z1, z2 = mesh9.arrays()
-    f0, f1 = f_map(z0, z1, z2)
-    e0, e1 = suspension_eh(z0, z1, z2)
-    s0, s1 = straightline_homotopy(z0, z1, z2, 0.0)
-    assert np.abs(s0 - f0).max() <= 1e-15 and np.abs(s1 - f1).max() <= 1e-15
-    s0, s1 = straightline_homotopy(z0, z1, z2, 1.0)
-    assert np.abs(s0 - e0).max() <= 1e-15 and np.abs(s1 - e1).max() <= 1e-15
+    psi = np.arcsin(np.sqrt(6.0) - 2.0)
+    chi = psi + 4.0 * np.arctan(np.cos(psi))
+    exact_min = 2.0 * np.sin(chi / 2.0 + np.pi / 4.0)
+    assert exact_min == pytest.approx(1.2339789, abs=1e-7)
+    f0, f1 = f_map(0.0, np.sin(psi), np.cos(psi))
+    e0, e1 = suspension_eh(0.0, np.sin(psi), np.cos(psi))
+    assert np.hypot(abs(f0 + e0), abs(f1 + e1)) == pytest.approx(exact_min, abs=1e-15)
+    gap = antipodal_gap(mesh_s4(lat, shell))
+    assert 0.0 < gap.certified_lower_bound < exact_min <= gap.min_gap
 
 
-def test_straightline_midpoint_on_equator():
-    z0, z1, z2 = equator_mesh(8)
-    s0, s1 = straightline_homotopy(z0, z1, z2, 0.5)
-    f0, f1 = f_map(z0, z1, z2)
-    assert np.abs(s0 - f0).max() <= 1e-12
-    assert np.abs(s1 - f1).max() <= 1e-12
+def _geodesic_pairs(n, seed):
+    """Pairs (x, y) of points of S^4 as coordinate triples, with their geodesic distance.
+
+    A third of the x lie near the poles and a third near the equator; the
+    distances are log-uniform on [1e-3, 1].
+    """
+    rng = np.random.RandomState(seed)
+    x = rng.standard_normal((n, 5))
+    k = n // 3
+    x[:k, :4] *= 1e-2 * rng.uniform(size=(k, 1))  # |z2| near 1
+    x[k : 2 * k, 4] *= 1e-2                         # z2 near 0
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    t = rng.standard_normal((n, 5))
+    t -= (t * x).sum(axis=1)[:, None] * x
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    d = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    y = np.cos(d)[:, None] * x + np.sin(d)[:, None] * t
+
+    def coords(p):
+        return p[:, 0] + 1j * p[:, 1], p[:, 2] + 1j * p[:, 3], p[:, 4]
+
+    return coords(x), coords(y), d
 
 
-def test_straightline_unit_norm_on_grid(mesh9):
-    z0, z1, z2 = mesh9.arrays()
-    for t in np.linspace(0, 1, 33):
-        s0, s1 = straightline_homotopy(z0, z1, z2, t)
-        assert np.abs(np.abs(s0) ** 2 + np.abs(s1) ** 2 - 1.0).max() <= 1e-12
+def test_lipschitz_constants_bound_sampled_slopes():
+    # antipodal_gap proves |f + Eh| 2-Lipschitz in the geodesic metric; f and Eh
+    # alone are 4- and 2-Lipschitz. 1e-13 is the rounding of the evaluations
+    from expspec.homotopy import ANTIPODAL_LIPSCHITZ
 
+    x, y, d = _geodesic_pairs(30000, seed=4)
+    for fn, lip in ((f_map, 4.0), (suspension_eh, 2.0)):
+        (a0, a1), (b0, b1) = fn(*x), fn(*y)
+        moved = np.sqrt(np.abs(a0 - b0) ** 2 + np.abs(a1 - b1) ** 2)
+        assert np.all(moved <= lip * d + 1e-13), fn.__name__
+        # the bound is nearly attained, so the sample reaches the steep directions
+        assert (moved / d).max() >= 0.95 * lip, fn.__name__
 
-def test_straightline_rejects_bad_t(mesh9):
-    with pytest.raises(ValueError):
-        straightline_homotopy(1.0, 0.0, 0.0, 1.5)
+    def gap(p):
+        (f0, f1), (e0, e1) = f_map(*p), suspension_eh(*p)
+        return np.sqrt(np.abs(f0 + e0) ** 2 + np.abs(f1 + e1) ** 2)
+
+    moved = np.abs(gap(x) - gap(y))
+    assert ANTIPODAL_LIPSCHITZ == 2.0
+    assert np.all(moved <= ANTIPODAL_LIPSCHITZ * d + 1e-13)
+    # the steepest slope of the gap is sqrt(2), near the poles
+    assert (moved / d).max() >= 0.95 * np.sqrt(2.0)
 
 
 def test_null_homotopy_endpoints(mesh9):
@@ -267,7 +289,8 @@ def test_unknown_sabotage_rejected(mesh9):
 
 
 # The former two-pass hemisphere and gap code, kept as the reference for the
-# single f/Eh pass: each map was evaluated over the whole mesh twice.
+# single f/Eh pass: each map was evaluated over the whole mesh twice, and the
+# gap minimum was taken over a whole-mesh array of |f + Eh|.
 def _reference_second_coord_im_sign(mesh, which):
     from expspec import homotopy
     from expspec.algebra import sweep
@@ -300,23 +323,13 @@ def _reference_antipodal_gap(mesh):
         out[:] = np.sqrt(np.abs(f0 + e0) ** 2 + np.abs(f1 + e1) ** 2)
 
     sweep(fill, gaps, z0, z1, z2)
-    band = np.abs(z2) <= homotopy.Z_CAP
-    band_min = float(gaps[band].min()) if np.any(band) else np.inf
-    cap_min = float(gaps[~band].min()) if np.any(~band) else np.inf
-    lip = homotopy._band_lipschitz_estimate(mesh, gaps, homotopy.Z_CAP)
-    factor = homotopy.LIPSCHITZ_SAFETY * lip
-    band_certified = band_min - mesh.covering_radius * factor
-    cap_bound = homotopy._cap_lower_bound(homotopy.Z_CAP)
+    min_gap = float(gaps.min())
     return dict(
-        min_gap=float(gaps.min()),
-        band_min=band_min,
-        cap_min=cap_min,
+        min_gap=min_gap,
         covering_radius=mesh.covering_radius,
-        band_lipschitz_estimate=lip,
-        modulus_factor=factor,
-        band_certified=band_certified,
-        cap_bound=cap_bound,
-        certified_lower_bound=min(band_certified, cap_bound),
+        certified_lower_bound=min_gap
+        - homotopy.ANTIPODAL_LIPSCHITZ * mesh.covering_radius
+        - homotopy.ROUNDING_PER_LATITUDE * mesh.lat_count,
         hemisphere_worst_violation=_reference_hemisphere(mesh),
     )
 
@@ -399,16 +412,14 @@ def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
     monkeypatch.setattr(homotopy, "suspension_eh", eh_nan_at_lane)
     assert np.isnan(identity_residuals(mesh9).ba_vs_diag)
     assert np.isnan(path_invertibility(mesh9).endpoint_start)
-    assert np.isnan(antipodal_gap(mesh9).hemisphere_worst_violation)
+    gap = antipodal_gap(mesh9)
+    assert np.isnan(gap.hemisphere_worst_violation)
+    assert np.isnan(gap.min_gap) and np.isnan(gap.certified_lower_bound)
 
 
-def test_nan_norm_is_degenerate(monkeypatch):
+def test_nan_norm_is_degenerate():
     # a nan norm is not above the threshold, so it must raise like a tiny one
-    from expspec import homotopy
-    from expspec.homotopy import DegenerateNormalization, DegenerateProjection
+    from expspec.homotopy import DegenerateProjection
 
     with pytest.raises(DegenerateProjection):
         f_map(np.nan, 0, 0)
-    monkeypatch.setattr(homotopy, "suspension_eh", lambda z0, z1, z2: (np.nan, np.nan))
-    with pytest.raises(DegenerateNormalization):
-        straightline_homotopy(1.0, 0.0, 0.0, 1.0)

@@ -5,12 +5,9 @@ from numpy.testing import assert_array_equal
 from expspec.sphere import (
     InvalidResolution,
     equator_mesh,
-    hemisphere_sign,
     mesh_s4,
-    mesh_to_csv,
     s3_shell_grid,
     shell_point_count,
-    sphere_point4,
 )
 
 
@@ -103,33 +100,6 @@ def test_covering_radius_bounds_sampled_distances():
     v = rng.standard_normal((2000, 5))
     v /= np.linalg.norm(v, axis=1)[:, None]
     best_dot = (v @ embed(m).T).max(axis=1)
-    d = np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0))
-    # chordal distance is below geodesic, which the bound controls
+    # the geodesic distance to the nearest mesh point, which the bound controls
+    d = np.arccos(np.minimum(best_dot, 1.0))
     assert d.max() <= m.covering_radius
-
-
-def test_hemisphere_sign():
-    assert hemisphere_sign(1.0) == 1
-    assert hemisphere_sign(0.0) == 0
-    assert hemisphere_sign(-1.0) == -1
-    assert_array_equal(hemisphere_sign(np.array([0.3, 0.0, -0.2])), [1.0, 0.0, -1.0])
-
-
-def test_sphere_point_validation():
-    sphere_point4(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        sphere_point4(1.0, 1.0, 0.0)
-
-
-def test_csv_export_roundtrip(tmp_path):
-    m = mesh_s4(3, 8)
-    path = tmp_path / "mesh.csv"
-    mesh_to_csv(m, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "re_z0,im_z0,re_z1,im_z1,z2"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    # 17 significant digits round-trip doubles exactly
-    assert_array_equal(data[:, 0] + 1j * data[:, 1], m.z0)
-    assert_array_equal(data[:, 4], m.z2)
-    mesh_to_csv(m, tmp_path / "mesh2.csv")
-    assert (tmp_path / "mesh2.csv").read_bytes() == path.read_bytes()
