@@ -25,16 +25,18 @@ and 2.0e-7 at 4096 for the default fiber pair. Accumulation is
 deterministic: one numpy row sum per outer segment, then math.fsum over
 the rows (exact compensated merge in fixed order).
 
-The O(n m) pair kernels (the Gauss sum and the curve separation) walk the
-outer curve in row blocks of BLOCK_ELEMENTS // m rows, on planar x/y/z
-arrays of shape (rows, m), so peak memory is O(n + m + BLOCK_ELEMENTS)
-rather than O(n m) at every segment count. Blocking changes no value:
-each pair term is computed with the same roundings as the (n, m, 3)
-formulation (length-3 dot products grouped (x + z) + y, squared norms
-(x + y) + z, as numpy's einsum and norm group them on x86-64), each row
-sum is still one numpy sum over a full row, and the separation takes one
-square root of the minimum squared distance, which is exact because sqrt
-is monotone and correctly rounded.
+The O(n m) pair kernels (the Gauss sum and the curve separation) take
+the segment midpoints and directions from one helper and walk the outer
+curve in row blocks of BLOCK_ELEMENTS // m rows, on planar x/y/z arrays
+of shape (rows, m), so peak memory is O(n + m + BLOCK_ELEMENTS) rather
+than O(n m) at every segment count. Blocking changes no value: each pair
+term is computed with the same roundings as the (n, m, 3) formulation
+(length-3 dot products grouped (x + z) + y, squared norms (x + y) + z, as
+numpy's einsum and norm group them on x86-64), each row sum is still one
+numpy sum over a full row, and a minimum is exact in any order. The
+separation is a proven lower bound on the distance between the curves,
+one midpoint-to-midpoint norm per pair less the two half lengths; see
+curve_separation for the proof and its rounding slack.
 
 Orientation convention: increasing theta on both fibers and a
 right-handed frame in R^3. With the default pole this yields -1 for the
@@ -74,7 +76,12 @@ DEFAULT_POLE = SpherePoint3(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
 
 
 class CurvesTooClose(ValueError):
-    """Curves closer than the Gauss-sum discretization can tolerate."""
+    """The curves' separation bound is below what the Gauss sum can tolerate.
+
+    Raised when curve_separation, a lower bound on the distance between
+    the two polylines, reads less than MIN_CURVE_SEPARATION; the curves
+    themselves may be farther apart than the bound.
+    """
 
 
 class NearPole(ValueError):
@@ -206,55 +213,80 @@ def _columns(points):
     return points[:, 0:1], points[:, 1:2], points[:, 2:3]
 
 
-def _min_vertex_segment_distance(verts, segs_a, segs_b):
-    ax, ay, az = _rows(segs_a)
-    dx, dy, dz = _rows(segs_b - segs_a)
-    denom = (dx * dx + dz * dz) + dy * dy  # dot products grouped as einsum groups them
-    best = np.inf
-    for rows in _row_blocks(len(verts), len(segs_a)):
-        vx, vy, vz = _columns(verts[rows])
-        t = (vx - ax) * dx + (vz - az) * dz
-        t += (vy - ay) * dy
-        t /= denom
-        np.clip(t, 0.0, 1.0, out=t)
-        e = vx - (ax + t * dx)
-        sq = e * e
-        e = vy - (ay + t * dy)
-        sq += e * e
-        e = vz - (az + t * dz)
-        sq += e * e
-        best = np.minimum(best, sq.min())  # propagates a NaN, as a full min would
-    return math.sqrt(best)
+def _segments(points):
+    """Midpoints and directions of a closed polyline's edges, edge i from vertex i to i+1."""
+    d = np.roll(points, -1, axis=0) - points
+    return points + 0.5 * d, d
 
 
 def curve_separation(c1, c2):
-    """Min distance between either curve's vertices and the other's segments."""
-    p1, p2 = c1.points, c2.points
-    a1, b1 = p1, np.roll(p1, -1, axis=0)
-    a2, b2 = p2, np.roll(p2, -1, axis=0)
-    return min(
-        _min_vertex_segment_distance(p1, a2, b2),
-        _min_vertex_segment_distance(p2, a1, b1),
-    )
+    """A lower bound on the distance between two closed polylines.
 
+    Returns min over segment pairs (i, j) of |m_i - n_j| - |e_j|/2 - |d_i|/2,
+    where m_i and d_i are the midpoint and direction of c1's segment i, and
+    n_j and e_j those of c2's segment j.
 
-def gauss_linking(c1, c2):
-    """Discrete Gauss double integral of two disjoint closed polylines.
+    Proof: every point of segment i is x = m_i + t d_i with |t| <= 1/2, so
+    |x - m_i| <= |d_i|/2; likewise |y - n_j| <= |e_j|/2 for y on segment j.
+    By the triangle inequality
 
-    Midpoint evaluation per segment pair; raises CurvesTooClose below the
-    documented separation threshold.
+        |x - y| >= |m_i - n_j| - |x - m_i| - |y - n_j|
+                >= |m_i - n_j| - |d_i|/2 - |e_j|/2,
+
+    so each pair term bounds the distance between its two segments, and
+    the minimum over all pairs bounds the distance between the curves.
+    Midpoints lie on the curves, so the bound is at most max |d_i|/2 +
+    max |e_j|/2 below the true distance.
+
+    Rounding, to first order in u = 2^-53, with the stored vertices exact
+    and R the largest vertex norm of either curve (so |m| <= R, |d| <= 2R):
+    a direction takes one rounding per coordinate, |d^ - d| <= 2uR; a
+    midpoint halves exactly and rounds once, |m^ - m| <= uR + uR = 2uR; a
+    difference of midpoints, |r^ - r| <= 2uR + 2uR + 2uR = 6uR; its norm,
+    three roundings in (x^2 + y^2) + z^2 and one in the square root, is
+    off by 2.5u |r^| <= 5uR, so 11uR from |r| in all. A half length is
+    off by (2.5u 2R + 2uR)/2 = 3.5uR, 7uR for both. The two subtractions
+    round results of magnitude at most 2R, 4uR. The minimum is exact. So
+    the computed bound is within 22uR < 2.7e-15 R of the exact one, and
+    curves that pass gauss_linking's guard are at least
+    MIN_CURVE_SEPARATION - 2.7e-15 R apart. For the fiber pairs of
+    hopf_invariant_of_h the pole clearance keeps every image within 10 of
+    the origin (|image| = sqrt((1 + w.q)/(1 - w.q)) and 1 - w.q =
+    |w - q|^2 / 2 >= 0.02), and the translated unlink within 20, so the
+    slack is below 6e-14, ten orders of magnitude under the threshold.
+
+    One row-blocked pass. Rounding is monotone, so subtracting |d_i|/2
+    after each row's minimum gives the same value as subtracting it from
+    every pair term.
     """
-    if curve_separation(c1, c2) < MIN_CURVE_SEPARATION:
-        raise CurvesTooClose(f"curves closer than {MIN_CURVE_SEPARATION}")
-    p1, p2 = c1.points, c2.points
-    d1 = np.roll(p1, -1, axis=0) - p1
-    d2 = np.roll(p2, -1, axis=0) - p2
-    m1 = p1 + 0.5 * d1
-    m2 = p2 + 0.5 * d2
+    m1, d1 = _segments(c1.points)
+    m2, d2 = _segments(c2.points)
+    h1 = 0.5 * np.linalg.norm(d1, axis=1)
+    h2 = 0.5 * np.linalg.norm(d2, axis=1)
+    nx, ny, nz = _rows(m2)
+    best = np.inf
+    for rows in _row_blocks(len(m1), len(m2)):
+        mx, my, mz = _columns(m1[rows])
+        e = mx - nx
+        dist = e * e
+        np.subtract(my, ny, out=e)
+        dist += e * e
+        np.subtract(mz, nz, out=e)
+        dist += e * e
+        np.sqrt(dist, out=dist)
+        dist -= h2
+        best = np.minimum(best, (dist.min(axis=1) - h1[rows]).min())
+    return float(best)
+
+
+def _gauss_sum(c1, c2):
+    """Midpoint-rule Gauss double integral of two closed polylines, unguarded."""
+    m1, d1 = _segments(c1.points)
+    m2, d2 = _segments(c2.points)
     ux, uy, uz = _rows(d2)
     nx, ny, nz = _rows(m2)
     partials = []  # deterministic, one per outer segment
-    for rows in _row_blocks(len(p1), len(p2)):
+    for rows in _row_blocks(len(m1), len(m2)):
         ax, ay, az = _columns(d1[rows])
         mx, my, mz = _columns(m1[rows])
         rx, ry, rz = mx - nx, my - ny, mz - nz
@@ -271,6 +303,18 @@ def gauss_linking(c1, c2):
     raw = math.fsum(partials) / (4.0 * math.pi)
     rounded = int(round(raw))
     return LinkingResult(raw=raw, rounded=rounded, residual=abs(raw - rounded))
+
+
+def gauss_linking(c1, c2):
+    """Discrete Gauss double integral of two disjoint closed polylines.
+
+    Midpoint evaluation per segment pair. Raises CurvesTooClose when
+    curve_separation, a proven lower bound on the distance between the
+    curves, is below MIN_CURVE_SEPARATION.
+    """
+    if curve_separation(c1, c2) < MIN_CURVE_SEPARATION:
+        raise CurvesTooClose(f"curves not proven {MIN_CURVE_SEPARATION} apart")
+    return _gauss_sum(c1, c2)
 
 
 def residual_tolerance(segments):

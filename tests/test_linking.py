@@ -12,7 +12,7 @@ from expspec.linking import (
     LinkingResult,
     NearPole,
     PolylineCurve3,
-    _min_vertex_segment_distance,
+    _gauss_sum,
     curve_separation,
     fiber_to_csv,
     gauss_linking,
@@ -185,24 +185,15 @@ def test_fiber_csv_export(tmp_path):
     assert np.array_equal(data, curve.points)
 
 
-# Reference: the (n, m, 3) formulation the row-blocked kernels replace. The
-# kernels reproduce its roundings, so they must equal it bit for bit.
-def reference_min_vertex_segment_distance(verts, segs_a, segs_b):
-    d = segs_b - segs_a
-    rel = verts[:, None, :] - segs_a[None, :, :]
-    denom = np.einsum("mk,mk->m", d, d)
-    t = np.einsum("nmk,mk->nm", rel, d) / denom[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    closest = segs_a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return float(np.linalg.norm(verts[:, None, :] - closest, axis=2).min())
-
-
-def reference_curve_separation(c1, c2):
+# Reference: whole-array formulations of the row-blocked kernels. The
+# kernels reproduce their roundings, so they must equal them bit for bit.
+def reference_pair_terms(c1, c2):
+    # |m_i - n_j| - |e_j|/2 - |d_i|/2 for every segment pair (i, j)
     p1, p2 = c1.points, c2.points
-    return min(
-        reference_min_vertex_segment_distance(p1, p2, np.roll(p2, -1, axis=0)),
-        reference_min_vertex_segment_distance(p2, p1, np.roll(p1, -1, axis=0)),
-    )
+    d1 = np.roll(p1, -1, axis=0) - p1
+    d2 = np.roll(p2, -1, axis=0) - p2
+    dist = np.linalg.norm((p1 + 0.5 * d1)[:, None, :] - (p2 + 0.5 * d2)[None, :, :], axis=2)
+    return (dist - 0.5 * np.linalg.norm(d2, axis=1)[None, :]) - 0.5 * np.linalg.norm(d1, axis=1)[:, None]
 
 
 def reference_gauss_raw(c1, c2):
@@ -219,9 +210,9 @@ def reference_gauss_raw(c1, c2):
     return math.fsum(rows.tolist()) / (4.0 * math.pi)
 
 
-def hopf_fiber_pair(segments):
-    w = hopf_fiber((0.0, 1.0), segments)
-    v = hopf_fiber((0.0, -1.0), segments)
+def hopf_fiber_pair(segments, values=((0.0, 1.0), (0.0, -1.0))):
+    w = hopf_fiber(values[0], segments)
+    v = hopf_fiber(values[1], segments)
     return PolylineCurve3(stereographic(*w)), PolylineCurve3(stereographic(*v))
 
 
@@ -249,47 +240,136 @@ def test_blocked_kernels_match_reference_bitwise(case):
     else:
         c1, _ = hopf_fiber_pair(256)
         c2 = c1.translated((10.0, 0.0, 0.0))
-    assert curve_separation(c1, c2) == reference_curve_separation(c1, c2)
-    assert gauss_linking(c1, c2).raw == reference_gauss_raw(c1, c2)
-    assert gauss_linking(c2, c1).raw == reference_gauss_raw(c2, c1)
-
-
-def test_vertex_segment_distance_matches_reference_per_vertex():
-    # one vertex at a time, so each pair term's rounding decides a minimum
-    c1, c2 = noisy_loops(300, 517)
-    a, b = c2.points, np.roll(c2.points, -1, axis=0)
-    for v in c1.points[:, None, :]:
-        expected = reference_min_vertex_segment_distance(v, a, b)
-        assert _min_vertex_segment_distance(v, a, b) == expected
+    assert curve_separation(c1, c2) == reference_pair_terms(c1, c2).min()
+    assert curve_separation(c2, c1) == reference_pair_terms(c2, c1).min()
+    assert _gauss_sum(c1, c2).raw == reference_gauss_raw(c1, c2)
+    assert _gauss_sum(c2, c1).raw == reference_gauss_raw(c2, c1)
+    if case == "unequal_300_517":
+        # the loops come within 0.0022 of each other; the bound reads -0.185
+        with pytest.raises(CurvesTooClose):
+            gauss_linking(c1, c2)
+    else:
+        assert gauss_linking(c1, c2) == _gauss_sum(c1, c2)
 
 
 def test_curves_too_close_in_last_partial_block():
     c1 = circle(n=300)
     last = 299
     # A 6 x 5 rectangle in the vertical plane through c1's vertex `last`. Its
-    # inner vertical edge passes 5e-4 outside that vertex; every vertex of
-    # the rectangle stays at least 1 away from c1, so only c1's vertices
-    # against the rectangle's segments can see the near miss.
+    # inner vertical edge passes 5e-4 outside that vertex, in steps of 0.01
+    # for |z| <= 1 and of 1 beyond. Only c1's segments 298 and 299, which meet
+    # at that vertex, come under the threshold, so a block loop that drops
+    # its partial last block misses the near miss.
     u = c1.points[last]
     up = np.array([0.0, 0.0, 1.0])
     inner = u * (1 + 5e-4)
     outer = u * 6.0
+    heights = np.concatenate([[-3.0, -2.0], np.linspace(-1, 1, 200, endpoint=False), [1.0, 2.0]])
     sides = [
-        inner + np.outer(np.linspace(-3, 3, 3, endpoint=False), up),  # z = -3, -1, 1
+        inner + np.outer(heights, up),
         inner + 3 * up + np.outer(np.linspace(0, 1, 120, endpoint=False), outer - inner),
         outer + np.outer(np.linspace(3, -3, 157, endpoint=False), up),
         outer - 3 * up + np.outer(np.linspace(0, 1, 120, endpoint=False), inner - outer),
     ]
     c2 = PolylineCurve3(np.concatenate(sides))
     step = BLOCK_ELEMENTS // len(c2)
-    assert len(c1) % step and last >= len(c1) - len(c1) % step
-    p1 = c1.points
-    assert reference_min_vertex_segment_distance(c2.points, p1, np.roll(p1, -1, axis=0)) > 0.9
+    tail = len(c1) - len(c1) % step
+    assert len(c1) % step and tail <= 298
+    terms = reference_pair_terms(c1, c2)
+    close_rows = np.unique(np.nonzero(terms < 1e-3)[0])
+    assert close_rows.tolist() == [298, last]
     sep = curve_separation(c1, c2)
-    assert sep == reference_curve_separation(c1, c2)
-    assert sep == pytest.approx(5e-4, rel=1e-6)
+    assert sep == terms.min() < 0.0
     with pytest.raises(CurvesTooClose):
         gauss_linking(c1, c2)
+
+
+def x_shaped_squares(gap):
+    # Two 16-vertex squares with sides of 4 unit segments. The segment of the
+    # first from (-0.5, 0, 0) to (0.5, 0, 0) crosses, at its midpoint, the
+    # segment of the second from (0, -0.5, gap) to (0, 0.5, gap), and each
+    # square turns away from the other beyond those segments. Every vertex is
+    # at least 0.5 from the other curve.
+    def square(origin, a, b):
+        steps = np.arange(4)[:, None]
+        corners = [origin, origin + 4 * a, origin + 4 * a + 4 * b, origin + 4 * b]
+        dirs = [a, b, -a, -b]
+        return PolylineCurve3(np.concatenate([c + steps * e for c, e in zip(corners, dirs)]))
+
+    x, y, z = np.eye(3)
+    first = square(np.array([-1.5, 0.0, 0.0]), x, -y)
+    second = square(np.array([0.0, -1.5, gap]), y, z)
+    return first, second
+
+
+def test_x_shaped_near_miss_raises():
+    c1, c2 = x_shaped_squares(1e-4)
+    # the closest approach is 1e-4, between the two segment midpoints
+    assert np.linalg.norm(c1.points[1] + c1.points[2] - c2.points[1] - c2.points[2]) / 2 == pytest.approx(1e-4)
+    # a vertex-to-segment minimum, in either direction, reads 0.5
+    for a, b in ((c1, c2), (c2, c1)):
+        assert vertex_distance(a.points, b) >= 0.5
+    assert curve_separation(c1, c2) == pytest.approx(1e-4 - 1.0)
+    # unguarded, the midpoint rule turns the near miss into a huge "linking number"
+    assert abs(_gauss_sum(c1, c2).raw) > 1e6
+    with pytest.raises(CurvesTooClose):
+        gauss_linking(c1, c2)
+    with pytest.raises(CurvesTooClose):
+        gauss_linking(c2, c1)
+
+
+def vertex_distance(points, curve):
+    # exact minimum distance from the points to the polyline's segments
+    a = curve.points
+    d = np.roll(a, -1, axis=0) - a
+    rel = points[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("nmk,mk->nm", rel, d) / np.einsum("mk,mk->m", d, d), 0.0, 1.0)
+    return float(np.linalg.norm(rel - t[:, :, None] * d[None, :, :], axis=2).min())
+
+
+def dense_samples(curve, per_segment):
+    # per_segment equally spaced points on every segment, vertices included
+    p = curve.points
+    t = np.arange(per_segment)[:, None, None] / per_segment
+    return (p + t * (np.roll(p, -1, axis=0) - p)).reshape(-1, 3)
+
+
+def dense_distance(points, curve, per_segment):
+    # min distance from points to curve's dense samples: at least the true
+    # distance from the points to the curve
+    samples = dense_samples(curve, per_segment)
+    return min(
+        float(np.linalg.norm(block[:, None, :] - samples[None, :, :], axis=2).min())
+        for block in np.array_split(points, max(1, len(points) // 64))
+    )
+
+
+@pytest.mark.parametrize("lift", [0.0, 0.3, 0.8])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+def test_separation_bound_is_sound(seed, lift):
+    # Jittered loops, interlaced or lifted apart along z: the bound is
+    # negative on all interlaced pairs, of either sign at lift 0.3 and
+    # positive at 0.8. It never exceeds the distance between densely sampled
+    # points of the two polylines, an upper bound on their true distance,
+    # and it is within the two largest half lengths of it.
+    c1, c2 = noisy_loops(40, 70, seed)
+    c2 = c2.translated((0.0, 0.0, lift))
+    sampled = dense_distance(dense_samples(c1, 32), c2, 32)
+    bound = curve_separation(c1, c2)
+    assert bound <= sampled
+    # the nearest samples lie within 1/64 of a segment length of the
+    # closest points, so sampled <= distance + (H1 + H2) / 32
+    halves = sum(0.5 * np.linalg.norm(np.roll(c.points, -1, axis=0) - c.points, axis=1).max() for c in (c1, c2))
+    assert bound >= sampled - halves * (1 + 1 / 32)
+
+
+@pytest.mark.parametrize("values", [((0.0, 1.0), (0.0, -1.0)), ((1.0, 0.0), (-1.0, 0.0))])
+def test_separation_margin_at_the_lowest_segment_count(values):
+    # The CLI accepts --segments down to 64; the bound for the fiber pair
+    # there clears MIN_CURVE_SEPARATION = 1e-3 by far (0.7707).
+    c1, c2 = hopf_fiber_pair(64, values)
+    assert curve_separation(c1, c2) >= 0.5
+    assert abs(gauss_linking(c1, c2).rounded) == 1
 
 
 def test_linking_memory_is_bounded():
