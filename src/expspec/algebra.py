@@ -33,7 +33,23 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .linalg2 import cond2, eig2, eye_like, mat_inv, mat_mul, op_norm, planar, sort_pair
+# cond2 is unused here but stays importable as expspec.algebra.cond2, a
+# kernel that perfbench/tracer.py wraps at this module
+from .linalg2 import (  # noqa: F401
+    buffer,
+    carve,
+    cond2,
+    eig2,
+    eye_like,
+    field_buffer,
+    fields,
+    mat_inv,
+    mat_mul,
+    op_norm,
+    planar,
+    sort_pair,
+    workspace,
+)
 
 __all__ = [
     "DomainError",
@@ -61,10 +77,12 @@ __all__ = [
 # spectral point lambda = 1/mu (mu = 1 is singular exactly on the equator)
 MU_PROBES = (0.0, 0.5, 1.0, 2.0, -1.0, 1j, -2j, 1 + 1j)
 
-# sweep granularity: a chunk Field of 2^13 points is 512 KiB, so the planes a
-# kernel hands from one ufunc step to the next stay in a 2 MiB L2 cache. The
-# value came from a scan of 2^11 to 2^19 (CHANGES.md); results do not depend
-# on CHUNK.
+# sweep granularity: a chunk plane of 2^13 points is 128 KiB and a chunk Field
+# 512 KiB, so the planes a kernel hands from one ufunc step to the next stay in
+# a 2 MiB L2 cache. The value came from a scan of 2^11 to 2^19 (CHANGES.md);
+# results do not depend on CHUNK. The algebra sweeps write every such plane
+# into one workspace allocated per sweep: a fresh 128 KiB temporary per step
+# sits at glibc's mmap threshold and is zero-filled again on first touch.
 CHUNK = 1 << 13
 
 
@@ -72,15 +90,22 @@ class DomainError(ValueError):
     """Argument outside the function's documented domain."""
 
 
-def sweep(kernel, *arrays):
+def sweep(kernel, *arrays, planes=0):
     """Apply kernel to consecutive CHUNK-long slices of equal-length arrays.
 
     Returns the per-chunk results in array order. The slices are views, so
     a kernel can write its output into the slice of an array passed for
     that purpose. Every kernel given here is pointwise, so the folded
     results do not depend on CHUNK.
+
+    With planes > 0 the kernel also gets, as its last argument, one
+    workspace for the whole sweep: `planes` complex planes of CHUNK points
+    (fewer for a shorter sweep). It holds the previous chunk's values, so a
+    kernel slices it to its own chunk's length and writes every lane it reads.
     """
-    return [kernel(*(x[i : i + CHUNK] for x in arrays)) for i in range(0, len(arrays[0]), CHUNK)]
+    n = len(arrays[0])
+    work = (np.empty((planes, min(n, CHUNK)), np.complex128),) if planes else ()
+    return [kernel(*(x[i : i + CHUNK] for x in arrays), *work) for i in range(0, n, CHUNK)]
 
 
 def _coords(z0, z1, z2):
@@ -90,19 +115,30 @@ def _coords(z0, z1, z2):
     return z0, z1, z2
 
 
-def phi(z2):
+def _reciprocal(z2, out):
+    """w = 1/(1 + i z2), written into out."""
+    return np.divide(1.0, np.add(1.0, np.multiply(1j, z2, out=out), out=out), out=out)
+
+
+def phi(z2, out=None, work=None):
     """phi(z2) = -((1 - i z2)/(1 + i z2))^2, unit modulus on [-1, 1].
 
     phi(0) = -1, phi(+-1) = 1. Inputs within 1e-12 of the interval are
     clamped (guards one-ulp overshoot in convex combinations); anything
-    further out raises DomainError.
+    further out raises DomainError. out and work (1 plane) as in linalg2.
     """
     z2 = np.asarray(z2, dtype=np.float64)
-    if np.any(np.abs(z2) > 1.0 + 1e-12):
+    out = buffer(out, z2.shape, np.complex128)
+    t = workspace(work, 1, z2.shape)[0, ...]
+    # |z2|, then the clamped z2, in the bytes of out until w overwrites them
+    x = carve(out, np.float64)[0]
+    big = carve(t, bool)[0]
+    if np.any(np.greater(np.abs(z2, out=x), 1.0 + 1e-12, out=big)):
         raise DomainError("phi requires z2 in [-1, 1]")
-    z2 = np.clip(z2, -1.0, 1.0)
-    w = (1.0 - 1j * z2) / (1.0 + 1j * z2)
-    return -(w * w)
+    iz = np.multiply(1j, np.clip(z2, -1.0, 1.0, out=x), out=t)
+    # w = (1 - i z2)/(1 + i z2), phi = -(w w)
+    w = np.divide(np.subtract(1.0, iz, out=out), np.add(1.0, iz, out=iz), out=out)
+    return np.negative(np.multiply(w, w, out=w), out=w)
 
 
 def field_one(z0, z1, z2):
@@ -110,31 +146,56 @@ def field_one(z0, z1, z2):
     return planar(np.ones(np.broadcast(z0, z1, z2).shape), 0.0, 0.0, 1.0)
 
 
-def field_a(z0, z1, z2):
+def _field_out(out, z0, z1, z2):
+    """out, or a new Field over the broadcast coordinates, and its entry planes."""
+    return field_buffer(out, np.broadcast_shapes(z0.shape, z1.shape, z2.shape))
+
+
+def field_a(z0, z1, z2, out=None):
     """First column (z0, z1)/(1 + i z2), second column zero."""
     z0, z1, z2 = _coords(z0, z1, z2)
-    w = 1.0 / (1.0 + 1j * z2)
-    return planar(z0 * w, 0.0, z1 * w, 0.0)
+    out, (o00, o01, o10, o11) = _field_out(out, z0, z1, z2)
+    w = _reciprocal(z2, out=o01)
+    np.multiply(z0, w, out=o00)
+    np.multiply(z1, w, out=o10)
+    o01.fill(0.0)
+    o11.fill(0.0)
+    return out
 
 
-def field_b(z0, z1, z2):
+def field_b(z0, z1, z2, out=None):
     """First row (conj z0, conj z1)/(1 + i z2), second row zero."""
     z0, z1, z2 = _coords(z0, z1, z2)
-    w = 1.0 / (1.0 + 1j * z2)
-    return planar(np.conj(z0) * w, np.conj(z1) * w, 0.0, 0.0)
+    out, (o00, o01, o10, o11) = _field_out(out, z0, z1, z2)
+    w = _reciprocal(z2, out=o10)
+    np.multiply(np.conjugate(z0, out=o00), w, out=o00)
+    np.multiply(np.conjugate(z1, out=o01), w, out=o01)
+    o10.fill(0.0)
+    o11.fill(0.0)
+    return out
 
 
-def field_c(z0, z1, z2):
-    """The closed-form unitary map c (oracle for 1 - 2ab, never its computation path)."""
+def field_c(z0, z1, z2, out=None, work=None):
+    """The closed-form unitary map c (oracle for 1 - 2ab, never its computation path).
+
+    c = I - 2 beta [[z0 conj z0, z0 conj z1], [z1 conj z0, z1 conj z1]] with
+    beta = 1/(1 + i z2)^2, each entry multiplied left to right. out and
+    work (1 plane) as in linalg2.
+    """
     z0, z1, z2 = _coords(z0, z1, z2)
-    w = 1.0 / (1.0 + 1j * z2)
-    beta = w * w
-    return planar(
-        1.0 - 2.0 * beta * z0 * np.conj(z0),
-        -2.0 * beta * z0 * np.conj(z1),
-        -2.0 * beta * z1 * np.conj(z0),
-        1.0 - 2.0 * beta * z1 * np.conj(z1),
-    )
+    out, (c00, c01, c10, c11) = _field_out(out, z0, z1, z2)
+    conj = workspace(work, 1, c00.shape)[0, ...]
+    beta = _reciprocal(z2, out=c11)
+    np.multiply(beta, beta, out=beta)
+    two_beta = np.multiply(2.0, beta, out=c00)
+    minus_two_beta = np.multiply(-2.0, beta, out=c01)
+    # c11 = 1 - 2 beta z1 conj(z1), c10 = -2 beta z1 conj(z0), then the z0 row
+    np.conjugate(z1, out=conj)
+    np.subtract(1.0, np.multiply(np.multiply(two_beta, z1, out=c11), conj, out=c11), out=c11)
+    np.multiply(np.multiply(minus_two_beta, z1, out=c10), np.conjugate(z0, out=conj), out=c10)
+    np.subtract(1.0, np.multiply(np.multiply(two_beta, z0, out=c00), conj, out=c00), out=c00)
+    np.multiply(np.multiply(minus_two_beta, z0, out=c01), np.conjugate(z1, out=conj), out=c01)
+    return out
 
 
 def field_ab(z0, z1, z2):
@@ -157,11 +218,20 @@ def field_one_minus_2ba(z0, z1, z2):
     return eye_like(ba) - 2.0 * ba
 
 
-def product_eigenvalue(z2):
-    """The shared nonzero eigenvalue (1 - z2^2)/(1 + i z2)^2 of ab and ba."""
+def product_eigenvalue(z2, out=None, work=None):
+    """The shared nonzero eigenvalue (1 - z2^2)/(1 + i z2)^2 of ab and ba.
+
+    out and work (2 planes) as in linalg2.
+    """
     z2 = np.asarray(z2, dtype=np.float64)
-    w = 1.0 / (1.0 + 1j * z2)
-    return (1.0 - z2 * z2) * w * w
+    out = buffer(out, z2.shape, np.complex128)
+    work = workspace(work, 2, z2.shape)
+    w, t = work[0, ...], work[1, ...]
+    _reciprocal(z2, out=w)
+    s = carve(t, np.float64)[0]
+    np.subtract(1.0, np.multiply(z2, z2, out=s), out=s)
+    # ((1 - z2^2) w) w
+    return np.multiply(np.multiply(s, w, out=out), w, out=out)
 
 
 # the built-in elements of C(S^4, M2), by name, with their planar evaluators
@@ -176,16 +246,20 @@ ELEMENTS = {
 }
 
 
-def _inverse_identity_residual(a, b, ba, m, mu, where=True):
-    """Pointwise ||(I - mu ba)(I + mu b u a) - I|| with u = m^{-1}, m = I - mu ab.
+def _inverse_identity_residual(a, b, ba, u, mu, out=None, work=None):
+    """Pointwise ||(I - mu ba)(I + mu b u a) - I|| with u = (I - mu ab)^{-1}.
 
-    Only the lanes selected by `where` are guarded by mat_inv's
-    singularity threshold; the others may come out inf or nan.
+    out and work (14 planes) as in linalg2.
     """
-    eye = eye_like(m)
-    u = mat_inv(m, where=where)
-    lhs = mat_mul(eye - mu * ba, eye + mu * mat_mul(b, mat_mul(u, a)))
-    return op_norm(lhs - eye)
+    work = workspace(work, 14, u.shape[1:])
+    x, y, z = fields(work[:12])
+    scratch = work[12:]
+    eye = eye_like(u)
+    mat_mul(b, mat_mul(u, a, out=x, work=scratch), out=y, work=scratch)
+    np.add(eye, np.multiply(mu, y, out=y), out=y)
+    np.subtract(eye, np.multiply(mu, ba, out=x), out=x)
+    lhs = mat_mul(x, y, out=z, work=scratch)
+    return op_norm(np.subtract(lhs, eye, out=lhs), out=out, work=scratch)
 
 
 def check_inverse_identity(z0, z1, z2, mu):
@@ -198,39 +272,55 @@ def check_inverse_identity(z0, z1, z2, mu):
     a = field_a(z0, z1, z2)
     b = field_b(z0, z1, z2)
     ab = mat_mul(a, b)
-    return _inverse_identity_residual(a, b, mat_mul(b, a), eye_like(ab) - mu * ab, mu)
+    return _inverse_identity_residual(a, b, mat_mul(b, a), mat_inv(eye_like(ab) - mu * ab), mu)
 
 
-def _inverse_identity_chunk(z0, z1, z2, mus, cond_limit):
-    a = field_a(z0, z1, z2)
-    b = field_b(z0, z1, z2)
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
+# workspace planes of one inverse-identity chunk: six Fields (a, b, ab, ba,
+# m, u), the masks, the residual, and the residual's own 14 planes
+_INVERSE_PLANES = 24 + 1 + 1 + 14
+
+
+def _inverse_identity_chunk(z0, z1, z2, work, mus, cond_limit):
+    work = work[:, : len(z2)]
+    a, b, ab, ba, m, u = fields(work[:24])
+    ok, skip = carve(work[24], bool)[:2]
+    res = carve(work[25], np.float64)[0]
+    scratch = work[26:]
+    field_a(z0, z1, z2, out=a)
+    field_b(z0, z1, z2, out=b)
+    mat_mul(a, b, out=ab, work=scratch)
+    mat_mul(b, a, out=ba, work=scratch)
     eye = eye_like(ab)
     worst = 0.0
     skipped = 0
     for mu in mus:
-        m = eye - mu * ab
-        ok = cond2(m) <= cond_limit
-        skipped += int(np.count_nonzero(~ok))
-        if not np.any(ok):
-            continue
+        np.subtract(eye, np.multiply(mu, ab, out=m), out=m)
         # unconditioned lanes may overflow to inf or nan; the mask drops them
         with np.errstate(over="ignore", invalid="ignore"):
-            res = _inverse_identity_residual(a, b, ba, m, mu, where=ok)
+            mat_inv(m, cond_limit, out=u, ok=ok, work=scratch)
+            skipped += int(np.count_nonzero(np.logical_not(ok, out=skip)))
+            if not np.any(ok):
+                continue
+            _inverse_identity_residual(a, b, ba, u, mu, out=res, work=scratch)
+            np.copyto(res, 0.0, where=skip)
             # np.maximum, unlike max(), keeps a nan from a conditioned lane
-            worst = np.maximum(worst, np.where(ok, res, 0.0).max())
+            worst = np.maximum(worst, res.max())
     return float(worst), skipped
 
 
 def inverse_identity_sweep(mesh, mus=MU_PROBES, cond_limit=1e6):
     """Max inverse-identity residual over mesh x probe values, conditioned cases only.
 
-    Points where cond(I - mu ab) exceeds cond_limit are skipped; a
-    conditioned point below the singularity threshold still raises
+    Points where cond(I - mu ab) exceeds cond_limit are skipped; a point
+    whose condition number is nan is not, so its nan reaches the maximum.
+    A conditioned point below the singularity threshold still raises
     SingularMatrix. Returns (max_residual, skipped_count).
     """
-    parts = sweep(lambda *x: _inverse_identity_chunk(*x, mus, cond_limit), *mesh.arrays())
+    parts = sweep(
+        lambda z0, z1, z2, work: _inverse_identity_chunk(z0, z1, z2, work, mus, cond_limit),
+        *mesh.arrays(),
+        planes=_INVERSE_PLANES,
+    )
     return float(np.max([w for w, _ in parts])), sum(s for _, s in parts)
 
 
@@ -250,27 +340,52 @@ class IdentityResiduals:
         return float(np.maximum.reduce(astuple(self)))
 
 
-def _identity_chunk(x0, x1, x2):
-    a = field_a(x0, x1, x2)
-    b = field_b(x0, x1, x2)
-    ab = mat_mul(a, b)
+# workspace planes of one identity chunk: five Fields (a, b, ab and two
+# temporaries), w, one spare plane, the residual, and 4 kernel planes
+_IDENTITY_PLANES = 20 + 1 + 1 + 1 + 4
+
+
+def _identity_chunk(x0, x1, x2, work):
+    work = work[:, : len(x2)]
+    t_planes, c_planes = work[12:16], work[16:20]
+    a, b, ab, t, c = fields(work[:20])
+    w, s = work[20], work[21]
+    r = carve(work[22], np.float64)[0]
+    scratch = work[23:]
+    field_a(x0, x1, x2, out=a)
+    field_b(x0, x1, x2, out=b)
+    mat_mul(a, b, out=ab, work=scratch)
     eye = eye_like(ab)
 
-    r_ab = op_norm((eye - 2.0 * ab) - field_c(x0, x1, x2)).max()
+    # 1 - 2ab = c
+    np.subtract(eye, np.multiply(2.0, ab, out=t), out=t)
+    np.subtract(t, field_c(x0, x1, x2, out=c, work=scratch), out=t)
+    r_ab = op_norm(t, out=r, work=scratch).max()
 
-    ph = phi(x2)
-    r_ba = op_norm((eye - 2.0 * mat_mul(b, a)) - planar(ph, 0.0, 0.0, 1.0)).max()
-    r_phi = np.abs(np.abs(ph) - 1.0).max()
+    # 1 - 2ba = diag(phi, 1), and |phi| = 1
+    ph = phi(x2, out=c_planes[0], work=scratch)
+    planar(ph, 0.0, 0.0, 1.0, out=c)
+    np.subtract(eye, np.multiply(2.0, mat_mul(b, a, out=t, work=scratch), out=t), out=t)
+    r_ba = op_norm(np.subtract(t, c, out=t), out=r, work=scratch).max()
+    r_phi = np.abs(np.subtract(np.abs(ph, out=r), 1.0, out=r), out=r).max()
 
-    w = 1.0 / (1.0 + 1j * x2)
-    r_a2 = op_norm(mat_mul(a, a) - (x0 * w) * a).max()
-    r_b2 = op_norm(mat_mul(b, b) - (np.conj(x0) * w) * b).max()
+    # a^2 = (z0 w) a and b^2 = (conj(z0) w) b, w = 1/(1 + i z2)
+    _reciprocal(x2, out=w)
+    np.multiply(np.multiply(x0, w, out=s), a, out=c)
+    mat_mul(a, a, out=t, work=scratch)
+    r_a2 = op_norm(np.subtract(t, c, out=t), out=r, work=scratch).max()
+    np.multiply(np.multiply(np.conjugate(x0, out=s), w, out=s), b, out=c)
+    mat_mul(b, b, out=t, work=scratch)
+    r_b2 = op_norm(np.subtract(t, c, out=t), out=r, work=scratch).max()
 
-    lam = product_eigenvalue(x2)
-    lo, hi = sort_pair(np.zeros_like(lam), lam)
-    got_lo, got_hi = eig2(ab)
-    r_eig = np.maximum(np.abs(got_lo - lo).max(), np.abs(got_hi - hi).max())
-    return tuple(float(r) for r in (r_ab, r_ba, r_phi, r_a2, r_b2, r_eig))
+    # eig(ab) = {0, product eigenvalue}, both sorted
+    lam = product_eigenvalue(x2, out=w, work=scratch)
+    s.fill(0.0)
+    lo_hi = sort_pair(s, lam, out=c_planes[:2], work=scratch)
+    got = eig2(ab, out=t_planes[:2], work=scratch)
+    np.subtract(got, lo_hi, out=got)
+    r_eig = np.maximum(np.abs(got[0], out=r).max(), np.abs(got[1], out=r).max())
+    return tuple(float(v) for v in (r_ab, r_ba, r_phi, r_a2, r_b2, r_eig))
 
 
 def identity_residuals(mesh):
@@ -280,6 +395,6 @@ def identity_residuals(mesh):
     a^2 = (z0/(1+i z2)) a, b^2 = (conj z0/(1+i z2)) b (rank-one algebra),
     1-2ab = c, 1-2ba = diag(phi, 1), and eig(ab) = {product eigenvalue, 0}.
     """
-    parts = sweep(_identity_chunk, *mesh.arrays())
+    parts = sweep(_identity_chunk, *mesh.arrays(), planes=_IDENTITY_PLANES)
     # np.maximum, unlike max(), keeps a nan from any chunk
     return IdentityResiduals(*(float(np.maximum.reduce(column)) for column in zip(*parts)))

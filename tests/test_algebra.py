@@ -166,3 +166,48 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
         monkeypatch.setattr(algebra, "CHUNK", chunk)
         assert np.array_equal(np.concatenate(algebra.sweep(lambda j: j, idx)), idx)
         assert run_all_sweeps() == one_chunk
+
+
+class _Arrays:
+    """A mesh stand-in: just the coordinate arrays a sweep reads."""
+
+    def __init__(self, z0, z1, z2):
+        self.z0, self.z1, self.z2 = z0, z1, z2
+
+    def __len__(self):
+        return len(self.z2)
+
+    def arrays(self):
+        return self.z0, self.z1, self.z2
+
+
+def test_inverse_identity_sweep_keeps_nan_lanes(mesh9):
+    # a nan point has a nan condition number; it must reach the maximum,
+    # not be skipped as ill-conditioned (the skip count stays the clean 80)
+    z0 = mesh9.z0.copy()
+    z0[len(z0) // 3] = np.nan
+    worst, skipped = inverse_identity_sweep(_Arrays(z0, mesh9.z1, mesh9.z2))
+    assert np.isnan(worst)
+    assert skipped == 80
+
+
+def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
+    # a partial last chunk reuses the workspace of a full one; the lanes past
+    # its length still hold the full chunk's values, here a nan
+    from expspec.algebra import _IDENTITY_PLANES, _INVERSE_PLANES, _identity_chunk, _inverse_identity_chunk
+
+    full, n = 300, 100
+    z0, z1, z2 = (x[:full] for x in mesh9.arrays())
+    z0_nan = z0.copy()
+    z0_nan[n + 5] = np.nan
+    cases = (
+        (_identity_chunk, _IDENTITY_PLANES, ()),
+        (_inverse_identity_chunk, _INVERSE_PLANES, (MU_PROBES, 1e6)),
+    )
+    for chunk, planes, args in cases:
+        work = np.empty((planes, full), dtype=np.complex128)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(chunk(z0_nan, z1, z2, work, *args)[0])
+        stale = chunk(z0[:n], z1[:n], z2[:n], work, *args)
+        fresh = chunk(z0[:n], z1[:n], z2[:n], np.empty((planes, full), dtype=np.complex128), *args)
+        assert repr(stale) == repr(fresh)

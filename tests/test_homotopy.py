@@ -389,8 +389,9 @@ def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
     from expspec import algebra, homotopy
     from expspec.algebra import identity_residuals, phi
 
-    def phi_nan_at_south_pole(z2):
-        return np.where(np.asarray(z2) == -1.0, np.nan, phi(z2))
+    def phi_nan_at_south_pole(z2, **buffers):
+        # buffers: the out=/work= that the identity sweep passes
+        return np.where(np.asarray(z2) == -1.0, np.nan, phi(z2, **buffers))
 
     z2 = mesh9.z2
     lane = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))[-1]

@@ -8,6 +8,7 @@ from expspec.linalg2 import (
     SingularMatrix,
     cond2,
     eig2,
+    eye_like,
     mat_inv,
     mat_mul,
     op_norm,
@@ -188,10 +189,176 @@ def test_kernels_reject_stacks():
 
 
 def test_mat_inv_guards_only_selected_lanes():
+    # lane 0 is the identity, lane 1 the singular all-ones matrix
     m = planar(np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(SingularMatrix):
         mat_inv(m)
-    inv = mat_inv(m, where=np.array([True, False]))
+    ok = np.empty(2, dtype=bool)
+    inv = mat_inv(m, cond_limit=1e6, ok=ok)
+    assert ok.tolist() == [True, False]
     assert np.array_equal(inv[:, 0], I2)
     with pytest.raises(SingularMatrix):
-        mat_inv(m, where=np.array([False, True]))
+        mat_inv(m, cond_limit=np.inf)
+
+
+# The parent formulation of the kernels, one numpy expression per step, kept
+# as the reference that the buffered kernels must match bit for bit.
+def ref_mat_mul(x, y):
+    x00, x01, x10, x11 = np.asarray(x)
+    y00, y01, y10, y11 = np.asarray(y)
+    return np.array(np.broadcast_arrays(
+        x00 * y00 + x01 * y10, x00 * y01 + x01 * y11, x10 * y00 + x11 * y10, x10 * y01 + x11 * y11
+    ))
+
+
+def ref_eig2(m):
+    a, b, c, d = np.asarray(m)
+    mid = 0.5 * (a + d)
+    disc = np.sqrt(((a - d) * 0.5) ** 2 + b * c)
+    disc = np.where(np.real(np.conj(disc) * mid) < 0.0, -disc, disc)
+    r1 = mid + disc
+    det = a * d - b * c
+    safe = np.where(r1 == 0, 1.0, r1)
+    r2 = np.where(r1 == 0, 0.0 + 0.0j, det / safe)
+    swap = (r1.real > r2.real) | ((r1.real == r2.real) & (r1.imag > r2.imag))
+    return np.stack((np.where(swap, r2, r1), np.where(swap, r1, r2)))
+
+
+def ref_op_norm(m):
+    a, b, c, d = np.asarray(m)
+    g00 = np.abs(a) ** 2 + np.abs(c) ** 2
+    g11 = np.abs(b) ** 2 + np.abs(d) ** 2
+    g01 = np.conj(a) * b + np.conj(c) * d
+    mid = 0.5 * (g00 + g11)
+    rad = np.sqrt((0.5 * (g00 - g11)) ** 2 + np.abs(g01) ** 2)
+    return np.sqrt(np.maximum(mid + rad, 0.0))
+
+
+def ref_cond2(m):
+    a, b, c, d = np.asarray(m)
+    det = a * d - b * c
+    return np.where(det == 0, np.inf, ref_op_norm(m) ** 2 / np.abs(np.where(det == 0, 1.0, det)))
+
+
+def ref_guard_fires(m, where):
+    """The parent mat_inv(m, where=...) guard: does it raise SingularMatrix?"""
+    a, b, c, d = np.asarray(m)
+    det = a * d - b * c
+    return bool(np.any(where & (np.abs(det) <= SINGULARITY_RTOL * ref_op_norm(m) ** 2)))
+
+
+def ref_mat_inv(m):
+    a, b, c, d = np.asarray(m)
+    det = a * d - b * c
+    return np.array([d / det, -b / det, -c / det, a / det])
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def special_field(n, seed):
+    """A random Field with nan, inf, zero and rank-one lanes."""
+    rng = np.random.RandomState(seed)
+    m = as_field(rand_mat2(rng, n) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1)))
+    m[:, 1] = np.nan
+    m[2, 2] = np.inf
+    m[0, 3] = complex(-np.inf, 1.0)
+    m[:, 4] = 0.0
+    m[:, 5] = [1.0, 2.0, 2.0, 4.0]
+    m[1, 6] = complex(0.0, np.nan)
+    return m
+
+
+KERNELS = [
+    # (name, call with buffers, parent reference, result shape over the planes)
+    ("mat_mul", lambda m, **kw: mat_mul(m, m[::-1].view(Field), **kw), lambda m: ref_mat_mul(m, m[::-1]), (4,)),
+    ("eig2", eig2, ref_eig2, (2,)),
+    ("op_norm", op_norm, ref_op_norm, ()),
+    ("cond2", cond2, ref_cond2, ()),
+]
+
+
+@pytest.mark.parametrize("name, kernel, ref, lead", KERNELS, ids=[k[0] for k in KERNELS])
+@pytest.mark.parametrize("field", ["special", "zero_d", "eye"])
+def test_buffered_kernels_match_the_allocating_call(name, kernel, ref, lead, field):
+    if field == "special":
+        m = special_field(37, 17)
+    elif field == "zero_d":
+        m = planar(1.0 + 2j, -0.5, 3.0, 0.25j)
+    else:
+        m = eye_like(special_field(37, 17))
+    planes = m.shape[1:]
+    dtype = np.float64 if name in ("op_norm", "cond2") else np.complex128
+    out = np.full(lead + planes, np.nan, dtype=dtype)
+    if lead == (4,):
+        out = out.view(Field)
+    work = np.full((4,) + planes, complex(np.nan, np.nan))  # 4: the most any kernel uses
+    with np.errstate(all="ignore"):
+        allocated = kernel(m)
+        got = kernel(m, out=out, work=work)
+        reference = ref(m)
+    assert got is out
+    assert same_bits(got, allocated)
+    assert same_bits(allocated, reference)
+
+
+@pytest.mark.parametrize("field", ["special", "zero_d", "eye"])
+def test_buffered_mat_inv_matches_the_allocating_call(field):
+    if field == "special":
+        m = special_field(37, 23)
+        m[:, 2:4] = np.eye(2).ravel()[:, None]  # drop the inf lanes: the guard fires on them
+    elif field == "zero_d":
+        m = planar(1.0 + 2j, -0.5, 3.0, 0.25j)
+    else:
+        m = eye_like(special_field(37, 17))
+    planes = m.shape[1:]
+    out = np.full((4,) + planes, np.nan + 0j).view(Field)
+    ok = np.zeros(planes, dtype=bool)
+    work = np.full((4,) + planes, complex(np.nan, np.nan))
+    with np.errstate(all="ignore"):
+        allocated = mat_inv(m, 1e6)
+        got = mat_inv(m, 1e6, out=out, ok=ok, work=work)
+        reference = ref_mat_inv(m)
+        cond = ref_cond2(m)
+    assert got is out
+    assert same_bits(got, allocated)
+    assert same_bits(allocated, reference)
+    assert same_bits(ok, ~(cond > 1e6))
+
+
+def test_mat_inv_mask_keeps_nan_lanes():
+    m = special_field(37, 29)
+    m[:, 2:4] = np.eye(2).ravel()[:, None]
+    ok = np.empty(37, dtype=bool)
+    with np.errstate(all="ignore"):
+        mat_inv(m, 1e6, ok=ok)
+        cond = cond2(m)
+    assert np.isnan(cond[[1, 6]]).all() and ok[[1, 6]].all()
+    assert not ok[[4, 5]].any()  # singular lanes: cond is inf
+    assert same_bits(ok, ~(cond > 1e6))
+
+
+@pytest.mark.parametrize("limit", [1e3, 1e6, 1e15, np.inf])
+def test_mat_inv_guard_fires_where_the_parent_guard_fired(limit):
+    # the parent selected the lanes with where=~(cond2(m) > limit) and
+    # guarded those; lanes near the threshold have |det|/|m|^2 near 1e-14
+    rng = np.random.RandomState(31)
+    m = special_field(48, 31)
+    m[:, 8:48] = planar(1.0, 0.0, 0.0, 10.0 ** rng.uniform(-15, -13, 40))  # diag(1, s)
+    m[1, 9::2] = 1e-3 * (rng.standard_normal(20) + 1j)
+    lanes = [m[:, [i]].view(Field) for i in range(48)] + [m, m[:, 4:]]
+    outcomes = []
+    for field in lanes:
+        with np.errstate(all="ignore"):
+            expected = ref_guard_fires(field, ~(ref_cond2(field) > limit))
+            try:
+                mat_inv(field, limit)
+                fired = False
+            except SingularMatrix:
+                fired = True
+        assert fired == expected
+        outcomes.append(fired)
+    if limit > 1e6:
+        assert any(outcomes[8:48]) and not all(outcomes[8:48])
