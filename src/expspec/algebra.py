@@ -90,22 +90,22 @@ class DomainError(ValueError):
     """Argument outside the function's documented domain."""
 
 
-def sweep(kernel, *arrays, planes=0):
-    """Apply kernel to consecutive CHUNK-long slices of equal-length arrays.
+def sweep(kernel, mesh, planes=0):
+    """Apply kernel to the consecutive CHUNK-long point ranges of a mesh.
 
-    Returns the per-chunk results in array order. The slices are views, so
-    a kernel can write its output into the slice of an array passed for
-    that purpose. Every kernel given here is pointwise, so the folded
-    results do not depend on CHUNK.
+    mesh is a sphere.SphereMesh4 or a sphere.MeshSlice, read only through
+    its chunks(): the kernel gets (z0, z1, z2) for each range, as views of
+    buffers that the next chunk overwrites, so it must not keep them.
+    Returns the per-chunk results in mesh order. Every kernel given here is
+    pointwise, so the folded results do not depend on CHUNK.
 
     With planes > 0 the kernel also gets, as its last argument, one
     workspace for the whole sweep: `planes` complex planes of CHUNK points
     (fewer for a shorter sweep). It holds the previous chunk's values, so a
     kernel slices it to its own chunk's length and writes every lane it reads.
     """
-    n = len(arrays[0])
-    work = (np.empty((planes, min(n, CHUNK)), np.complex128),) if planes else ()
-    return [kernel(*(x[i : i + CHUNK] for x in arrays), *work) for i in range(0, n, CHUNK)]
+    work = (np.empty((planes, min(len(mesh), CHUNK)), np.complex128),) if planes else ()
+    return [kernel(*chunk, *work) for chunk in mesh.chunks(CHUNK)]
 
 
 def _coords(z0, z1, z2):
@@ -212,10 +212,16 @@ def field_one_minus_2ab(z0, z1, z2):
     return eye_like(ab) - 2.0 * ab
 
 
-def field_one_minus_2ba(z0, z1, z2):
-    """I - 2 b(x) a(x); equals diag(phi(z2), 1) pointwise."""
-    ba = field_ba(z0, z1, z2)
-    return eye_like(ba) - 2.0 * ba
+def field_one_minus_2ba(z0, z1, z2, out=None, work=None):
+    """I - 2 b(x) a(x); equals diag(phi(z2), 1) pointwise.
+
+    out and work (9 planes) as in linalg2.
+    """
+    z0, z1, z2 = _coords(z0, z1, z2)
+    work = workspace(work, 9, np.broadcast(z0, z1, z2).shape)
+    b, a = fields(work[:8])
+    ba = mat_mul(field_b(z0, z1, z2, out=b), field_a(z0, z1, z2, out=a), out=out, work=work[8:])
+    return np.subtract(eye_like(ba), np.multiply(2.0, ba, out=ba), out=ba)
 
 
 def product_eigenvalue(z2, out=None, work=None):
@@ -318,7 +324,7 @@ def inverse_identity_sweep(mesh, mus=MU_PROBES, cond_limit=1e6):
     """
     parts = sweep(
         lambda z0, z1, z2, work: _inverse_identity_chunk(z0, z1, z2, work, mus, cond_limit),
-        *mesh.arrays(),
+        mesh,
         planes=_INVERSE_PLANES,
     )
     return float(np.max([w for w, _ in parts])), sum(s for _, s in parts)
@@ -395,6 +401,6 @@ def identity_residuals(mesh):
     a^2 = (z0/(1+i z2)) a, b^2 = (conj z0/(1+i z2)) b (rank-one algebra),
     1-2ab = c, 1-2ba = diag(phi, 1), and eig(ab) = {product eigenvalue, 0}.
     """
-    parts = sweep(_identity_chunk, *mesh.arrays(), planes=_IDENTITY_PLANES)
+    parts = sweep(_identity_chunk, mesh, planes=_IDENTITY_PLANES)
     # np.maximum, unlike max(), keeps a nan from any chunk
     return IdentityResiduals(*(float(np.maximum.reduce(column)) for column in zip(*parts)))

@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linking
-from .algebra import field_one_minus_2ba, phi, sweep
-from .linalg2 import eye_like, op_norm, planar
+from .algebra import _coords, _reciprocal, field_one_minus_2ba, phi, sweep
+from .linalg2 import buffer, carve, eye_like, field_buffer, fields, op_norm, planar, workspace
 from .sphere import equator_mesh
 
 __all__ = [
@@ -186,56 +186,123 @@ def hopf(w0, w1):
     return -2.0 * w0 * np.conj(w1), (w0 * np.conj(w0) - w1 * np.conj(w1)).real
 
 
-def suspension_eh(z0, z1, z2):
+def suspension_eh(z0, z1, z2, out=None, work=None):
     """Suspension of the Hopf map, S^4 -> S^3, with the polar continuity extension.
 
-    Returns two complex arrays (first coordinate, second coordinate).
+    Returns a complex array (2, ...): the first and the second coordinate.
+    It runs hopf's steps on (z0, z1). out and work (3 planes) as in linalg2.
     """
-    z0 = np.asarray(z0, dtype=np.complex128)
-    z1 = np.asarray(z1, dtype=np.complex128)
-    z2 = np.asarray(z2, dtype=np.float64)
-    h0, h1 = hopf(z0, z1)
-    rr = (1.0 - z2) * (1.0 + z2)
-    pole = rr <= 0.0
-    root = np.sqrt(np.where(pole, 1.0, rr))
-    e0 = np.where(pole, 0.0, h0 / root)
-    e1 = np.where(pole, 1j * np.sign(z2), h1 / root + 1j * z2)
-    return e0, e1
+    z0, z1, z2 = _coords(z0, z1, z2)
+    shape = np.broadcast(z0, z1, z2).shape
+    out = buffer(out, (2,) + shape, np.complex128)
+    e0, e1 = out[0, ...], out[1, ...]
+    work = workspace(work, 3, shape)
+    a, b, c = work[0, ...], work[1, ...], work[2, ...]
+    # h0 = (-2 z0) conj(z1) in e0, h1 = Re(z0 conj(z0) - z1 conj(z1)) in a
+    np.multiply(np.multiply(-2.0, z0, out=e0), np.conjugate(z1, out=a), out=e0)
+    np.multiply(z0, np.conjugate(z0, out=a), out=a)
+    np.subtract(a, np.multiply(z1, np.conjugate(z1, out=b), out=b), out=a)
+    h1 = a.real
+    # root = sqrt((1 - z2)(1 + z2)), or 1 at the poles, where that is <= 0
+    root, x = carve(b, np.float64)
+    pole = carve(c, bool)[0]
+    np.multiply(np.subtract(1.0, z2, out=root), np.add(1.0, z2, out=x), out=root)
+    np.less_equal(root, 0.0, out=pole)
+    np.copyto(root, 1.0, where=pole)
+    np.sqrt(root, out=root)
+    # e0 = h0/root, e1 = h1/root + i z2; (0, i sign(z2)) at the poles
+    np.divide(e0, root, out=e0)
+    np.copyto(e0, 0.0, where=pole)
+    np.divide(h1, root, out=x)
+    np.add(x, np.multiply(1j, z2, out=e1), out=e1)
+    sign = carve(a, np.float64)[0]
+    np.copyto(e1, np.multiply(1j, np.sign(z2, out=sign), out=b), where=pole)
+    return out
 
 
-def f_map(z0, z1, z2):
+def f_map(z0, z1, z2, out=None, work=None):
     """The second column of c, normalized to unit Euclidean norm (a map S^4 -> S^3).
 
     The column is pc = (-2 z0 conj(z1)/(1+i z2)^2, 1 - 2|z1|^2/(1+i z2)^2),
     computed in field_c's operation order, so it is bitwise the second column
     of field_c. c is unitary, so the norm is 1 up to rounding; if it ever drops
     below 1e-13 this raises DegenerateProjection, and any such firing is a
-    verification failure upstream.
+    verification failure upstream. Returns a complex array (2, ...); out and
+    work (2 planes) as in linalg2.
     """
-    z0 = np.asarray(z0, dtype=np.complex128)
-    z1 = np.asarray(z1, dtype=np.complex128)
-    z2 = np.asarray(z2, dtype=np.float64)
-    w = 1.0 / (1.0 + 1j * z2)
-    beta = w * w
-    p0, p1 = -2.0 * beta * z0 * np.conj(z1), 1.0 - 2.0 * beta * z1 * np.conj(z1)
-    n = np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
-    if not np.all(n > 1e-13):  # a nan norm fails too
+    z0, z1, z2 = _coords(z0, z1, z2)
+    shape = np.broadcast(z0, z1, z2).shape
+    out = buffer(out, (2,) + shape, np.complex128)
+    p0, p1 = out[0, ...], out[1, ...]
+    work = workspace(work, 2, shape)
+    beta, conj = work[0, ...], work[1, ...]
+    _reciprocal(z2, out=beta)
+    np.multiply(beta, beta, out=beta)
+    # p0 = ((-2 beta) z0) conj(z1), p1 = 1 - ((2 beta) z1) conj(z1)
+    np.conjugate(z1, out=conj)
+    np.multiply(np.multiply(np.multiply(-2.0, beta, out=p0), z0, out=p0), conj, out=p0)
+    np.multiply(np.multiply(2.0, beta, out=p1), z1, out=p1)
+    np.subtract(1.0, np.multiply(p1, conj, out=p1), out=p1)
+    # n = sqrt(|p0|^2 + |p1|^2), in the bytes of beta
+    n, t = carve(beta, np.float64)
+    np.add(np.square(np.abs(p0, out=n), out=n), np.square(np.abs(p1, out=t), out=t), out=n)
+    np.sqrt(n, out=n)
+    if not np.all(np.greater(n, 1e-13, out=carve(conj, bool)[0])):  # a nan norm fails too
         raise DegenerateProjection("projected column norm below 1e-13")
-    return p0 / n, p1 / n
+    np.divide(p0, n, out=p0)
+    np.divide(p1, n, out=p1)
+    return out
+
+
+# workspace planes of one f/Eh chunk: f, Eh and the 3 planes either one uses
+_F_EH_PLANES = 2 + 2 + 3
+
+
+def _distance_chunk(x0, x1, x2, work, f, combine):
+    """f and Eh on one chunk, and |combine(f, Eh)| pointwise, in the chunk's workspace.
+
+    combine is np.add or np.subtract; the distance is left in work[5].
+    """
+    scratch = work[4:]
+    fx = f(x0, x1, x2, out=work[:2], work=scratch)
+    ex = suspension_eh(x0, x1, x2, out=work[2:4], work=scratch)
+    t = scratch[0]
+    d, d1 = carve(scratch[1], np.float64)
+    np.square(np.abs(combine(fx[0], ex[0], out=t), out=d), out=d)
+    np.square(np.abs(combine(fx[1], ex[1], out=t), out=d1), out=d1)
+    return fx, ex, np.sqrt(np.add(d, d1, out=d), out=d)
 
 
 def equator_deviation(shell_count, f=f_map):
-    """max |f - Eh| over the equator grid (f_map and Eh coincide there with h)."""
-    z0, z1, z2 = equator_mesh(shell_count)
-    f0, f1 = f(z0, z1, z2)
-    e0, e1 = suspension_eh(z0, z1, z2)
-    return float(np.sqrt(np.abs(f0 - e0) ** 2 + np.abs(f1 - e1) ** 2).max())
+    """max |f - Eh| over the equator grid (f_map and Eh coincide there with h).
+
+    Folded per chunk over the equator ring, so memory does not grow with
+    shell_count. f takes out= and work= (2 planes) like f_map.
+    """
+
+    def kernel(x0, x1, x2, work):
+        return _distance_chunk(x0, x1, x2, work[:, : len(x2)], f, np.subtract)[2].max()
+
+    # np.maximum, unlike max(), keeps a nan from any chunk
+    return float(np.maximum.reduce(sweep(kernel, equator_mesh(shell_count), planes=_F_EH_PLANES)))
 
 
-def _antipodal_distance(f, e):
-    """|f + Eh| pointwise, from the coordinate pairs f = (f0, f1) and e = (e0, e1)."""
-    (f0, f1), (e0, e1) = f, e
-    return np.sqrt(np.abs(f0 + e0) ** 2 + np.abs(f1 + e1) ** 2)
+def _f_eh_chunk(x0, x1, x2, work):
+    """min |f + Eh| and the hemisphere minimum on one chunk (see _f_eh_pass)."""
+    work = work[:, : len(x2)]
+    fx, ex, gap = _distance_chunk(x0, x1, x2, work, f_map, np.add)
+    min_gap = gap.min()
+    s, v = carve(work[6], np.float64)
+    d, d1 = carve(work[5], np.float64)
+    keep, other = carve(work[4], bool)[:2]
+    # min(sign(z2) Im f1, sign(z2) Im Eh1), inf on the equator and at the poles
+    np.sign(x2, out=s)
+    signed = np.minimum(np.multiply(s, fx[1].imag, out=d), np.multiply(s, ex[1].imag, out=d1), out=d)
+    np.logical_and(np.not_equal(x2, 0.0, out=keep), np.not_equal(np.abs(x2, out=v), 1.0, out=other), out=keep)
+    np.copyto(signed, np.inf, where=np.logical_not(keep, out=keep))
+    # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
+    # depends on the order it meets them, so the chunking would show in the sign
+    return min_gap, signed.min() + 0.0
 
 
 def _f_eh_pass(mesh):
@@ -245,19 +312,8 @@ def _f_eh_pass(mesh):
     the minimum over both maps of sign(z2) * Im(second coordinate) on the
     off-equator, off-pole points (inf when there are none).
     """
-
-    def kernel(x0, x1, x2):
-        f = f_map(x0, x1, x2)
-        e = suspension_eh(x0, x1, x2)
-        keep = (x2 != 0.0) & (np.abs(x2) != 1.0)
-        s = np.sign(x2)
-        signed = np.minimum(s * f[1].imag, s * e[1].imag)
-        # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
-        # depends on the order it meets them, so the chunking would show in the sign
-        return _antipodal_distance(f, e).min(), np.where(keep, signed, np.inf).min() + 0.0
-
     # np.minimum, unlike min(), keeps a nan from any chunk
-    min_gap, hemisphere = np.minimum.reduce(sweep(kernel, *mesh.arrays()))
+    min_gap, hemisphere = np.minimum.reduce(sweep(_f_eh_chunk, mesh, planes=_F_EH_PLANES))
     return float(min_gap), float(hemisphere)
 
 
@@ -408,14 +464,21 @@ def antipodal_gap(mesh):
     )
 
 
-def null_homotopy_ba(z2, t):
+def null_homotopy_ba(z2, t, out=None, work=None):
     """Explicit null homotopy of 1 - 2ba, as a Field: H(x, t) = diag(phi((1-t) z2 + t), 1).
 
-    H depends on the point x = (z0, z1, z2) only through z2.
+    H depends on the point x = (z0, z1, z2) only through z2. out and work
+    (1 plane) as in linalg2.
     """
     if np.any((np.asarray(t) < 0) | (np.asarray(t) > 1)):
         raise ValueError("t must lie in [0, 1]")
-    return planar(phi((1.0 - t) * np.asarray(z2, dtype=np.float64) + t), 0.0, 0.0, 1.0)
+    z2 = np.asarray(z2, dtype=np.float64)
+    shape = np.broadcast(z2, t).shape
+    out, (h00, _, _, h11) = field_buffer(out, shape)
+    # the argument of phi, in the bytes of h11 until planar overwrites them
+    x = carve(h11, np.float64)[0]
+    np.add(np.multiply(1.0 - t, z2, out=x), t, out=x)
+    return planar(phi(x, out=h00, work=workspace(work, 1, shape)), 0.0, 0.0, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -425,6 +488,22 @@ class PathInvertibility:
     max_det_deviation: float   # max ||det H(x,t)| - 1| over latitudes x t-grid
     endpoint_start: float      # max ||H(x,0) - (1-2ba)(x)|| over the mesh
     endpoint_end: float        # max ||H(x,1) - I|| over the mesh
+
+
+# workspace planes of one path chunk: the Fields 1 - 2ba and H(x, 0), the
+# residual, and the 9 planes of field_one_minus_2ba
+_PATH_PLANES = 4 + 4 + 1 + 9
+
+
+def _start_residual_chunk(x0, x1, x2, work):
+    """max ||(1 - 2ba)(x) - H(x, 0)|| over one chunk."""
+    work = work[:, : len(x2)]
+    d, h = fields(work[:8])
+    r = carve(work[8], np.float64)[0]
+    scratch = work[9:]
+    d = field_one_minus_2ba(x0, x1, x2, out=d, work=scratch)
+    d -= null_homotopy_ba(x2, 0.0, out=h, work=scratch)
+    return float(op_norm(d, out=r, work=scratch).max())
 
 
 def path_invertibility(mesh, t_count=33):
@@ -439,13 +518,7 @@ def path_invertibility(mesh, t_count=33):
     dets = phi((1.0 - ts[:, None]) * z2s[None, :] + ts[:, None])
     max_det_dev = float(np.abs(np.abs(dets) - 1.0).max())
 
-    def start_residual(x0, x1, x2):
-        # in place, so at most two chunk Fields are alive on top of the mesh
-        d = field_one_minus_2ba(x0, x1, x2)
-        d -= null_homotopy_ba(x2, 0.0)
-        return float(op_norm(d).max())
-
-    start_res = float(np.maximum.reduce(sweep(start_residual, *mesh.arrays())))
+    start_res = float(np.maximum.reduce(sweep(_start_residual_chunk, mesh, planes=_PATH_PLANES)))
     h1 = null_homotopy_ba(z2s, 1.0)
     end_res = float(op_norm(h1 - eye_like(h1)).max())
     return PathInvertibility(max_det_dev, start_res, end_res)
@@ -489,9 +562,9 @@ class HomotopyCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _flipped_f(z0, z1, z2):
-    f0, f1 = f_map(z0, z1, z2)
-    return -f0, -f1
+def _flipped_f(z0, z1, z2, out=None, work=None):
+    f = f_map(z0, z1, z2, out=out, work=work)
+    return np.negative(f, out=f)
 
 
 def build_certificates(mesh, segments=256, sabotage=None):

@@ -86,10 +86,9 @@ def sample_spectrum(element, mesh):
     order: lexicographic by real then imaginary part).
     """
     field = ELEMENTS[element]
-    z0, z1, z2 = mesh.arrays()
-    if len(z0) == 0:
+    if len(mesh) == 0:
         raise ValueError("empty mesh")
-    chunks = sweep(lambda *x: _dedup(eig2(field(*x)).ravel()), z0, z1, z2)
+    chunks = sweep(lambda *x: _dedup(eig2(field(*x)).ravel()), mesh)
     return _dedup(np.concatenate(chunks))
 
 
@@ -134,9 +133,9 @@ def eigenvalue_lipschitz(mesh, element):
     divided by the latitude arc spacing; reported so users can turn the
     covering radius into an outer error bar for the sampled spectrum.
     """
-    z0, z1, z2 = mesh.arrays()
-    reps = [sl.start for sl in mesh.lat_slices]
-    vals = eig2(ELEMENTS[element](z0[reps], z1[reps], z2[reps]))
+    # the first point of each latitude, in closed form
+    reps = [mesh.point(mesh.latitude(j).start) for j in range(mesh.lat_count)]
+    vals = eig2(ELEMENTS[element](*(np.array(x) for x in zip(*reps))))
     dpsi = np.pi / (mesh.lat_count - 1)
     diffs = np.abs(np.diff(vals, axis=1)).max(axis=0)
     return float(diffs.max() / dpsi)

@@ -17,10 +17,24 @@ eta = 0 and eta = pi/2 degenerate to circles and are emitted once each:
 
     shell point count = (K - 1) * shell_count^2 + 2 * shell_count.
 
-The poles (0, 0, +-1) are stored once each, and the latitude cosines are
+The poles (0, 0, +-1) appear once each, and the latitude cosines are
 snapped so the poles and the equator ring are exact (z2 in {1, 0, -1}
 bitwise, sin(psi) = 1 exactly on the equator). lat_count must therefore
 be odd, so that the equator latitude exists.
+
+A mesh stores no points. SphereMesh4 is a closed-form description: the
+counts, the latitude cosines and sines, the phase table
+e^{2 pi i k / shell_count} and the shell coordinates cos(eta) e^{i xi1},
+sin(eta) e^{i xi2} of the interior eta rows, one table row per eta. The
+points are numbered flat, north pole first, then the latitudes north to
+south (each one shell grid in the order above, eta rows outermost, then
+xi1, then xi2), then the south pole. The coordinates of any index range
+are computed on demand, each as s * w with s = sin(psi_j) and the shell
+coordinate w = cos(eta) e^{i xi1} (or sin(eta) e^{i xi2}) formed first,
+so a point does not depend on which range it was computed in. A sweep
+reads the mesh as consecutive chunks of three reused buffers
+(SphereMesh4.chunks), so its memory does not grow with the mesh:
+--lat 2049 --shell 256 is 8.45e9 points.
 
 The covering radius of the full mesh (largest geodesic distance from any
 point of the sphere to the mesh) is bounded by
@@ -62,7 +76,7 @@ __all__ = [
     "SpherePoint3",
     "SpherePoint4",
     "SphereMesh4",
-    "s3_shell_grid",
+    "MeshSlice",
     "shell_point_count",
     "mesh_s4",
     "equator_mesh",
@@ -84,62 +98,167 @@ class SpherePoint4(NamedTuple):
     z2: float
 
 
-def s3_shell_grid(shell_count):
-    """The documented S^3 Hopf-coordinate grid as two complex arrays (w0, w1)."""
-    if shell_count < 8:
-        raise InvalidResolution("shell_count must be >= 8")
-    s = int(shell_count)
-    k = max(2, math.ceil(s / 4))
-    phases = np.exp(2j * np.pi * np.arange(s) / s)
-    w0_parts = [phases]  # eta = 0 ring: (e^{i xi1}, 0)
-    w1_parts = [np.zeros(s, dtype=np.complex128)]
-    for m in range(1, k):
-        eta = (np.pi / 2) * (m / k)
-        ce, se = math.cos(eta), math.sin(eta)
-        # xi1 varies along rows, xi2 along columns; row-major flatten
-        w0 = np.repeat(ce * phases, s)
-        w1 = np.tile(se * phases, s)
-        w0_parts.append(w0)
-        w1_parts.append(w1)
-    w0_parts.append(np.zeros(s, dtype=np.complex128))  # eta = pi/2 ring: (0, e^{i xi2})
-    w1_parts.append(phases)
-    return np.concatenate(w0_parts), np.concatenate(w1_parts)
+def _eta_steps(shell_count):
+    return max(2, math.ceil(shell_count / 4))
 
 
 def shell_point_count(shell_count):
-    k = max(2, math.ceil(shell_count / 4))
-    return (k - 1) * shell_count**2 + 2 * shell_count
+    return (_eta_steps(shell_count) - 1) * shell_count**2 + 2 * shell_count
+
+
+def _spread(dst, table, offset, width, outer):
+    """dst[t] = table[(offset + t) // width] if outer, else table[(offset + t) % width]."""
+    row, col = divmod(offset, width)
+    n = len(dst)
+    head = min(n, width - col) if col else 0
+    if head:
+        dst[:head] = table[row] if outer else table[col : col + head]
+        row += 1
+    full = (n - head) // width
+    body = dst[head : head + full * width].reshape(full, width)
+    body[...] = table[row : row + full, None] if outer else table
+    tail = n - head - full * width
+    if tail:
+        dst[n - tail :] = table[row + full] if outer else table[:tail]
 
 
 @dataclass(frozen=True)
 class SphereMesh4:
-    """Deterministic product mesh on the 4-sphere (immutable, shareable).
+    """Deterministic product mesh on the 4-sphere: a closed-form description.
 
-    Points are stored flat, ordered north pole, latitudes north to south
-    (each latitude one shell-grid copy in fixed order), south pole.
+    It stores no point arrays (see the module docstring for the order of
+    the points). len(mesh) is exact, point(i) is closed form, and chunks()
+    yields the coordinates of consecutive index ranges. Every route gives
+    the same bits for the same point. The chunks are views of buffers that
+    the next chunk overwrites, so a kernel must not keep them.
     """
 
     lat_count: int
     shell_count: int
-    z0: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
     covering_radius: float
-    lat_slices: tuple = field(repr=False)
-    z2_values: np.ndarray = field(repr=False)
-
-    def __len__(self):
-        return self.z0.shape[0]
-
-    def point(self, i):
-        return SpherePoint4(complex(self.z0[i]), complex(self.z1[i]), float(self.z2[i]))
+    z2_values: np.ndarray = field(repr=False)  # cos(psi_j), one per latitude
+    lat_sines: np.ndarray = field(repr=False)  # sin(psi_j), one per latitude
+    phases: np.ndarray = field(repr=False)  # e^{2 pi i k / shell_count}
+    cos_rows: np.ndarray = field(repr=False)  # cos(eta_m) * phases, interior eta rows m = 1 .. K-1
+    sin_rows: np.ndarray = field(repr=False)  # sin(eta_m) * phases
 
     @property
-    def equator_slice(self):
-        return self.lat_slices[(self.lat_count - 1) // 2]
+    def shell_size(self):
+        return shell_point_count(self.shell_count)
+
+    def __len__(self):
+        return 2 + (self.lat_count - 2) * self.shell_size
+
+    def latitude(self, j):
+        """The points of latitude j (0 is the north pole) as a MeshSlice."""
+        if j == 0:
+            return MeshSlice(self, 0, 1)
+        if j == self.lat_count - 1:
+            return MeshSlice(self, len(self) - 1, len(self))
+        start = 1 + (j - 1) * self.shell_size
+        return MeshSlice(self, start, start + self.shell_size)
+
+    @property
+    def equator(self):
+        return self.latitude((self.lat_count - 1) // 2)
+
+    def point(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(f"mesh index {i} out of range")
+        z0, z1, z2 = next(self.chunks(1, i, i + 1))
+        return SpherePoint4(complex(z0[0]), complex(z1[0]), float(z2[0]))
+
+    def chunks(self, size, start=0, stop=None):
+        """Yield (z0, z1, z2) for the index ranges [i, i + size) of [start, stop).
+
+        The arrays are views of three buffers that every chunk overwrites,
+        so a consumer must not keep them past its own chunk.
+        """
+        stop = len(self) if stop is None else stop
+        buffers = (
+            np.empty(min(size, stop - start), np.complex128),
+            np.empty(min(size, stop - start), np.complex128),
+            np.empty(min(size, stop - start), np.float64),
+        )
+        for i in range(start, stop, size):
+            chunk = tuple(b[: min(size, stop - i)] for b in buffers)
+            self._fill(i, *chunk)
+            yield chunk
 
     def arrays(self):
-        return self.z0, self.z1, self.z2
+        """Every point as three new arrays (z0, z1, z2).
+
+        A materializing helper for tests and demos: it holds the whole mesh
+        in memory, so no module of the package calls it.
+        """
+        return MeshSlice(self, 0, len(self)).arrays()
+
+    def _fill(self, i, z0, z1, z2):
+        """Write the points [i, i + len(z2)) into z0, z1, z2."""
+        shell = self.shell_size
+        last = 1 + (self.lat_count - 2) * shell  # the south pole
+        k, n = 0, len(z2)
+        while k < n:
+            if i == 0 or i == last:
+                j, r, size = (0 if i == 0 else self.lat_count - 1), 0, 1
+            else:
+                j, r = divmod(i - 1, shell)
+                j, size = j + 1, shell
+            m = min(n - k, size - r)
+            x0, x1 = z0[k : k + m], z1[k : k + m]
+            z2[k : k + m] = self.z2_values[j]
+            if size == 1:
+                x0[...] = 0.0
+                x1[...] = 0.0
+            else:
+                self._fill_shell(r, x0, x1)
+                s = float(self.lat_sines[j])
+                np.multiply(s, x0, out=x0)
+                np.multiply(s, x1, out=x1)
+            k += m
+            i += m
+
+    def _fill_shell(self, r, w0, w1):
+        """Write the shell grid points [r, r + len(w0)) into w0, w1."""
+        s = self.shell_count
+        last = self.shell_size - s  # start of the eta = pi/2 ring
+        k, n = 0, len(w0)
+        while k < n:
+            if r < s:  # eta = 0 ring: (e^{i xi1}, 0)
+                m = min(n - k, s - r)
+                w0[k : k + m] = self.phases[r : r + m]
+                w1[k : k + m] = 0.0
+            elif r >= last:  # eta = pi/2 ring: (0, e^{i xi2})
+                m = n - k
+                w0[k:] = 0.0
+                w1[k:] = self.phases[r - last : r - last + m]
+            else:  # interior row: xi1 varies along rows, xi2 along columns
+                row, q = divmod(r - s, s * s)
+                m = min(n - k, s * s - q)
+                _spread(w0[k : k + m], self.cos_rows[row], q, s, outer=True)
+                _spread(w1[k : k + m], self.sin_rows[row], q, s, outer=False)
+            k += m
+            r += m
+
+
+@dataclass(frozen=True)
+class MeshSlice:
+    """The points [start, stop) of a mesh, swept like a mesh."""
+
+    mesh: SphereMesh4
+    start: int
+    stop: int
+
+    def __len__(self):
+        return self.stop - self.start
+
+    def chunks(self, size):
+        return self.mesh.chunks(size, self.start, self.stop)
+
+    def arrays(self):
+        """The points as three new arrays (z0, z1, z2); see SphereMesh4.arrays."""
+        # the only chunk of a generator dropped at once: nothing overwrites it
+        return next(self.chunks(len(self)))
 
 
 def _latitude_cos_sin(j, lat_count):
@@ -155,54 +274,36 @@ def _latitude_cos_sin(j, lat_count):
 
 
 def mesh_s4(lat_count, shell_count):
-    """Build the product mesh; lat_count odd >= 3, shell_count >= 8."""
+    """Describe the product mesh; lat_count odd >= 3, shell_count >= 8."""
     lat_count = int(lat_count)
     shell_count = int(shell_count)
     if lat_count < 3 or lat_count % 2 == 0:
         raise InvalidResolution("lat_count must be an odd integer >= 3")
     if shell_count < 8:
         raise InvalidResolution("shell_count must be >= 8")
-    w0, w1 = s3_shell_grid(shell_count)
-    n_shell = w0.shape[0]
-    k = max(2, math.ceil(shell_count / 4))
-
-    z0_parts, z1_parts, z2_parts, slices = [], [], [], []
-    start = 0
-    for j in range(lat_count):
-        c, s = _latitude_cos_sin(j, lat_count)
-        if s == 0.0:  # poles stored once
-            z0_parts.append(np.zeros(1, dtype=np.complex128))
-            z1_parts.append(np.zeros(1, dtype=np.complex128))
-            z2_parts.append(np.full(1, c))
-            size = 1
-        else:
-            z0_parts.append(s * w0)
-            z1_parts.append(s * w1)
-            z2_parts.append(np.full(n_shell, c))
-            size = n_shell
-        slices.append(slice(start, start + size))
-        start += size
-
+    k = _eta_steps(shell_count)
+    etas = [(math.pi / 2) * (m / k) for m in range(1, k)]
+    phases = np.exp(2j * np.pi * np.arange(shell_count) / shell_count)
+    lat = np.array([_latitude_cos_sin(j, lat_count) for j in range(lat_count)])
     d_eta = (math.pi / 2) / k
     d_xi = 2 * math.pi / shell_count
     covering = math.pi / (2 * (lat_count - 1)) + 0.5 * math.hypot(d_eta, d_xi)
     return SphereMesh4(
         lat_count=lat_count,
         shell_count=shell_count,
-        z0=np.concatenate(z0_parts),
-        z1=np.concatenate(z1_parts),
-        z2=np.concatenate(z2_parts),
         covering_radius=covering,
-        lat_slices=tuple(slices),
-        z2_values=np.array([_latitude_cos_sin(j, lat_count)[0] for j in range(lat_count)]),
+        z2_values=lat[:, 0].copy(),
+        lat_sines=lat[:, 1].copy(),
+        phases=phases,
+        cos_rows=np.array([math.cos(eta) for eta in etas])[:, None] * phases,
+        sin_rows=np.array([math.sin(eta) for eta in etas])[:, None] * phases,
     )
 
 
 def equator_mesh(shell_count):
-    """The S^3 grid embedded at z2 = 0, as arrays (z0, z1, z2).
+    """The S^3 grid embedded at z2 = 0, as a MeshSlice.
 
     Bit-identical to the equator latitude of any mesh_s4 with the same
     shell_count (sin(psi) is snapped to exactly 1 there).
     """
-    w0, w1 = s3_shell_grid(shell_count)
-    return w0.copy(), w1.copy(), np.zeros(w0.shape[0])
+    return mesh_s4(3, shell_count).equator

@@ -72,11 +72,9 @@ def evidence(certify_report, subject):
 
 
 def test_criterion_01_identity_reproduction(default_mesh):
-    z0, z1, z2 = default_mesh.arrays()
     start = time.perf_counter()
     worst = 0.0
-    for i in range(0, len(z0), CHUNK):
-        x = (z0[i : i + CHUNK], z1[i : i + CHUNK], z2[i : i + CHUNK])
+    for x in default_mesh.chunks(CHUNK):
         worst = max(worst, float(op_norm(field_one_minus_2ab(*x) - field_c(*x)).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-13 and elapsed <= 10.0

@@ -161,15 +161,17 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
     monkeypatch.setattr(algebra, "CHUNK", len(mesh9))
     one_chunk = run_all_sweeps()
     assert len(mesh9) % 7 != 0
-    idx = np.arange(len(mesh9))
+    points = mesh9.arrays()
     for chunk in (default_chunk, 7):
         monkeypatch.setattr(algebra, "CHUNK", chunk)
-        assert np.array_equal(np.concatenate(algebra.sweep(lambda j: j, idx)), idx)
+        chunks = algebra.sweep(lambda *x: [c.copy() for c in x], mesh9)
+        for got, want in zip(zip(*chunks), points):
+            assert np.array_equal(np.concatenate(got), want)
         assert run_all_sweeps() == one_chunk
 
 
 class _Arrays:
-    """A mesh stand-in: just the coordinate arrays a sweep reads."""
+    """A mesh stand-in: fixed coordinate arrays, swept in slices."""
 
     def __init__(self, z0, z1, z2):
         self.z0, self.z1, self.z2 = z0, z1, z2
@@ -177,16 +179,17 @@ class _Arrays:
     def __len__(self):
         return len(self.z2)
 
-    def arrays(self):
-        return self.z0, self.z1, self.z2
+    def chunks(self, size):
+        for i in range(0, len(self), size):
+            yield self.z0[i : i + size], self.z1[i : i + size], self.z2[i : i + size]
 
 
 def test_inverse_identity_sweep_keeps_nan_lanes(mesh9):
     # a nan point has a nan condition number; it must reach the maximum,
     # not be skipped as ill-conditioned (the skip count stays the clean 80)
-    z0 = mesh9.z0.copy()
+    z0, z1, z2 = mesh9.arrays()
     z0[len(z0) // 3] = np.nan
-    worst, skipped = inverse_identity_sweep(_Arrays(z0, mesh9.z1, mesh9.z2))
+    worst, skipped = inverse_identity_sweep(_Arrays(z0, z1, z2))
     assert np.isnan(worst)
     assert skipped == 80
 

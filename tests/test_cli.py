@@ -68,6 +68,25 @@ def test_certify_passes(capsys):
     assert len(certs[1]["assumptions"]) == 1
 
 
+@pytest.mark.parametrize("lat, shell", [(33, 32), (97, 32), (65, 64)])
+def test_certify_memory_stays_bounded(lat, shell):
+    # the mesh is streamed in chunks, so the traced peak does not grow with
+    # it: 224k, 687k and 3.9M points (the whole 65x64 mesh was 155 MiB)
+    import tracemalloc
+
+    from expspec.report import run_certify
+
+    cfg = RunConfig(lat=lat, shell=shell).validate()
+    tracemalloc.start()
+    try:
+        rep = run_certify(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in rep.checks)
+    assert peak < 8 << 20
+
+
 CERTIFY_RECORDS = [
     "ba_path_invertibility",
     "ba_endpoint_start",

@@ -43,7 +43,7 @@ def test_hopf_lands_on_sphere():
 
 
 def test_suspension_on_equator_is_hopf():
-    z0, z1, z2 = equator_mesh(8)
+    z0, z1, z2 = equator_mesh(8).arrays()
     e0, e1 = suspension_eh(z0, z1, z2)
     h0, h1 = hopf(z0, z1)
     assert np.abs(e0 - h0).max() <= 1e-15
@@ -52,8 +52,8 @@ def test_suspension_on_equator_is_hopf():
 
 
 def test_suspension_poles_and_sample_point():
-    assert suspension_eh(0, 0, 1) == (0, 1j)
-    assert suspension_eh(0, 0, -1) == (0, -1j)
+    assert tuple(suspension_eh(0, 0, 1)) == (0, 1j)
+    assert tuple(suspension_eh(0, 0, -1)) == (0, -1j)
     e0, e1 = suspension_eh(S, 0, S)
     assert e0 == 0
     assert e1 == pytest.approx(S + 1j * S)
@@ -75,12 +75,12 @@ def test_suspension_unit_norm(mesh9):
 
 
 def test_f_map_points():
-    z0, z1, z2 = equator_mesh(8)
+    z0, z1, z2 = equator_mesh(8).arrays()
     f0, f1 = f_map(z0, z1, z2)
     h0, h1 = hopf(z0, z1)
     assert np.abs(f0 - h0).max() <= 1e-15
     assert np.abs(f1 - h1).max() <= 1e-15
-    assert f_map(0, 0, 1) == (0, 1)
+    assert tuple(f_map(0, 0, 1)) == (0, 1)
     f0, f1 = f_map(0, 1, 0)
     assert f0 == 0 and f1 == pytest.approx(-1)
 
@@ -141,8 +141,9 @@ def test_self_gap_is_two(mesh9, monkeypatch):
 def test_antipode_gap_is_zero(mesh9, monkeypatch):
     from expspec import homotopy
 
-    def neg_f(z0, z1, z2):
-        f0, f1 = f_map(z0, z1, z2)
+    def neg_f(z0, z1, z2, **buffers):
+        # buffers: the out=/work= that the f/Eh sweep passes
+        f0, f1 = f_map(z0, z1, z2, **buffers)
         return -f0, -f1
 
     monkeypatch.setattr(homotopy, "suspension_eh", neg_f)
@@ -239,7 +240,7 @@ def test_null_homotopy_endpoints(mesh9):
 
 def test_null_homotopy_det_has_unit_modulus(mesh9):
     for t in np.linspace(0, 1, 9):
-        h00, h01, h10, h11 = null_homotopy_ba(mesh9.z2, t)
+        h00, h01, h10, h11 = null_homotopy_ba(mesh9.arrays()[2], t)
         det = h00 * h11 - h01 * h10
         assert np.abs(np.abs(det) - 1.0).max() <= 1e-13
 
@@ -291,9 +292,16 @@ def test_unknown_sabotage_rejected(mesh9):
 # The former two-pass hemisphere and gap code, kept as the reference for the
 # single f/Eh pass: each map was evaluated over the whole mesh twice, and the
 # gap minimum was taken over a whole-mesh array of |f + Eh|.
+def _chunked(fn, *arrays):
+    """fn on consecutive CHUNK-long slices of equal-length arrays (the former sweep)."""
+    from expspec import algebra
+
+    n = len(arrays[0])
+    return [fn(*(x[i : i + algebra.CHUNK] for x in arrays)) for i in range(0, n, algebra.CHUNK)]
+
+
 def _reference_second_coord_im_sign(mesh, which):
     from expspec import homotopy
-    from expspec.algebra import sweep
 
     z0, z1, z2 = mesh.arrays()
     coords = homotopy.f_map if which == "f" else homotopy.suspension_eh
@@ -303,7 +311,7 @@ def _reference_second_coord_im_sign(mesh, which):
         return float((np.sign(z2[j]) * c1.imag).min()) + 0.0
 
     idx = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))
-    return min(sweep(chunk_min, idx), default=np.inf)
+    return min(_chunked(chunk_min, idx), default=np.inf)
 
 
 def _reference_hemisphere(mesh):
@@ -312,7 +320,6 @@ def _reference_hemisphere(mesh):
 
 def _reference_antipodal_gap(mesh):
     from expspec import homotopy
-    from expspec.algebra import sweep
 
     z0, z1, z2 = mesh.arrays()
     gaps = np.empty(len(mesh))
@@ -322,7 +329,7 @@ def _reference_antipodal_gap(mesh):
         e0, e1 = homotopy.suspension_eh(x0, x1, x2)
         out[:] = np.sqrt(np.abs(f0 + e0) ** 2 + np.abs(f1 + e1) ** 2)
 
-    sweep(fill, gaps, z0, z1, z2)
+    _chunked(fill, gaps, z0, z1, z2)
     min_gap = float(gaps.min())
     return dict(
         min_gap=min_gap,
@@ -363,9 +370,10 @@ def test_certificates_evaluate_f_and_eh_once_per_point(mesh9, monkeypatch):
     seen = {"f_map": [], "suspension_eh": []}
 
     def recording(name, fn):
-        def wrapped(z0, z1, z2):
-            seen[name].append(np.broadcast_arrays(z0, z1, z2))
-            return fn(z0, z1, z2)
+        def wrapped(z0, z1, z2, **buffers):
+            # copies: a sweep's chunks are views of buffers the next chunk overwrites
+            seen[name].append([np.array(x) for x in np.broadcast_arrays(z0, z1, z2)])
+            return fn(z0, z1, z2, **buffers)
 
         return wrapped
 
@@ -375,7 +383,7 @@ def test_certificates_evaluate_f_and_eh_once_per_point(mesh9, monkeypatch):
     with pytest.raises(CertificateFailure):
         build_certificates(mesh9, segments=64)
 
-    equator = equator_mesh(mesh9.shell_count)
+    equator = equator_mesh(mesh9.shell_count).arrays()
     expected = _sorted_rows(*(np.concatenate(c) for c in zip(mesh9.arrays(), equator)))
     assert len(expected) == len(mesh9) + len(equator[2])
     for name, calls in seen.items():
@@ -393,19 +401,19 @@ def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
         # buffers: the out=/work= that the identity sweep passes
         return np.where(np.asarray(z2) == -1.0, np.nan, phi(z2, **buffers))
 
-    z2 = mesh9.z2
+    z0, z1, z2 = mesh9.arrays()
     lane = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))[-1]
     monkeypatch.setattr(algebra, "CHUNK", 7)
     assert lane >= len(mesh9) - len(mesh9) % 7  # the last chunk
     assert z2[0] == 1.0 and z2[-1] == -1.0      # the south pole is in the last chunk
 
     def at_lane(x0, x1, x2):
-        return (x0 == mesh9.z0[lane]) & (x1 == mesh9.z1[lane]) & (x2 == z2[lane])
+        return (x0 == z0[lane]) & (x1 == z1[lane]) & (x2 == z2[lane])
 
     assert np.count_nonzero(at_lane(*mesh9.arrays())) == 1
 
-    def eh_nan_at_lane(x0, x1, x2):
-        e0, e1 = suspension_eh(x0, x1, x2)
+    def eh_nan_at_lane(x0, x1, x2, **buffers):
+        e0, e1 = suspension_eh(x0, x1, x2, **buffers)
         return e0, np.where(at_lane(x0, x1, x2), complex(np.nan, np.nan), e1)
 
     monkeypatch.setattr(algebra, "phi", phi_nan_at_south_pole)
@@ -424,3 +432,126 @@ def test_nan_norm_is_degenerate():
 
     with pytest.raises(DegenerateProjection):
         f_map(np.nan, 0, 0)
+
+
+# The former one-expression evaluators, kept as the reference for the
+# buffered ones, which must match them bit for bit.
+def ref_f_map(z0, z1, z2):
+    w = 1.0 / (1.0 + 1j * z2)
+    beta = w * w
+    p0, p1 = -2.0 * beta * z0 * np.conj(z1), 1.0 - 2.0 * beta * z1 * np.conj(z1)
+    n = np.sqrt(np.abs(p0) ** 2 + np.abs(p1) ** 2)
+    return np.array([p0 / n, p1 / n])
+
+
+def ref_suspension_eh(z0, z1, z2):
+    h0, h1 = hopf(z0, z1)
+    rr = (1.0 - z2) * (1.0 + z2)
+    pole = rr <= 0.0
+    root = np.sqrt(np.where(pole, 1.0, rr))
+    e0 = np.where(pole, 0.0, h0 / root)
+    e1 = np.where(pole, 1j * np.sign(z2), h1 / root + 1j * z2)
+    return np.array([e0, e1])
+
+
+def ref_one_minus_2ba(z0, z1, z2):
+    from expspec.algebra import field_a, field_b
+    from expspec.linalg2 import eye_like, mat_mul
+
+    ba = mat_mul(field_b(z0, z1, z2), field_a(z0, z1, z2))
+    return eye_like(ba) - 2.0 * ba
+
+
+def ref_null_homotopy_ba(z2, t):
+    from expspec.algebra import phi
+    from expspec.linalg2 import planar
+
+    return planar(phi((1.0 - t) * np.asarray(z2, dtype=np.float64) + t), 0.0, 0.0, 1.0)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def sphere_points(n, seed, nan_lanes=True):
+    """Random points of S^4, the poles, an equator point and, optionally, nan lanes."""
+    rng = np.random.RandomState(seed)
+    v = rng.standard_normal((n, 5))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    z0, z1, z2 = v[:, 0] + 1j * v[:, 1], v[:, 2] + 1j * v[:, 3], v[:, 4]
+    z0[:3], z1[:3], z2[:3] = (0, 0, S), (0, 0, S * 1j), (1.0, -1.0, 0.0)
+    if nan_lanes:
+        z0[5], z1[6], z2[7] = np.nan, complex(0.0, np.nan), np.nan
+    return z0, z1, z2
+
+
+EVALUATORS = [
+    # (name, call with buffers, parent reference, output planes, work planes, nan lanes allowed)
+    ("f_map", f_map, ref_f_map, 2, 2, False),
+    ("suspension_eh", suspension_eh, ref_suspension_eh, 2, 3, True),
+    ("one_minus_2ba", field_one_minus_2ba, ref_one_minus_2ba, 4, 9, True),
+    ("null_homotopy_ba", lambda z0, z1, z2, **kw: null_homotopy_ba(z2, 0.25, **kw),
+     lambda z0, z1, z2: ref_null_homotopy_ba(z2, 0.25), 4, 1, True),
+]
+
+
+@pytest.mark.parametrize("name, evaluate, ref, planes, work_planes, nan_lanes", EVALUATORS,
+                         ids=[e[0] for e in EVALUATORS])
+def test_buffered_evaluators_match_the_allocating_call(name, evaluate, ref, planes, work_planes, nan_lanes):
+    from expspec.linalg2 import Field
+
+    z = sphere_points(41, 3, nan_lanes)
+    out = np.full((planes, 41), complex(np.nan, np.nan))
+    if planes == 4:
+        out = out.view(Field)
+    work = np.full((work_planes, 41), complex(np.nan, np.nan))
+    with np.errstate(invalid="ignore"):
+        allocated = evaluate(*z)
+        got = evaluate(*z, out=out, work=work)
+        reference = ref(*z)
+    assert got is out
+    assert same_bits(got, allocated)
+    assert same_bits(allocated, reference)
+    assert not nan_lanes or np.isnan(allocated[0][5:8]).any()
+    # a 0-d point: the south pole
+    assert same_bits(evaluate(0, 0, -1.0), ref(0j, 0j, -1.0))
+
+
+def test_f_map_raises_on_a_nan_lane_with_and_without_buffers():
+    from expspec.homotopy import DegenerateProjection
+
+    z = sphere_points(41, 4)
+    with pytest.raises(DegenerateProjection), np.errstate(invalid="ignore"):
+        f_map(*z)
+    with pytest.raises(DegenerateProjection), np.errstate(invalid="ignore"):
+        f_map(*z, out=np.empty((2, 41), complex), work=np.empty((2, 41), complex))
+
+
+def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
+    # a partial last chunk reuses the workspace of a full one; the lanes past
+    # its length still hold the full chunk's values, here a nan
+    from expspec.homotopy import (
+        DegenerateProjection,
+        _F_EH_PLANES,
+        _PATH_PLANES,
+        _f_eh_chunk,
+        _start_residual_chunk,
+    )
+
+    full, n = 300, 100
+    z0, z1, z2 = (x[:full] for x in mesh9.arrays())
+    z0_nan = z0.copy()
+    z0_nan[n + 5] = np.nan
+    for chunk, planes in ((_f_eh_chunk, _F_EH_PLANES), (_start_residual_chunk, _PATH_PLANES)):
+        work = np.full((planes, full), complex(np.nan, np.nan))
+        with np.errstate(invalid="ignore"):
+            if chunk is _f_eh_chunk:  # f_map rejects the nan lane, after writing it
+                with pytest.raises(DegenerateProjection):
+                    chunk(z0_nan, z1, z2, work)
+            else:
+                assert np.isnan(chunk(z0_nan, z1, z2, work))
+        stale = chunk(z0[:n], z1[:n], z2[:n], work)
+        fresh = chunk(z0[:n], z1[:n], z2[:n], np.full((planes, full), complex(np.nan, np.nan)))
+        assert repr(stale) == repr(fresh)
+        assert not np.isnan(np.asarray(fresh, dtype=float)).any()

@@ -1,12 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from expspec.algebra import CHUNK
 from expspec.sphere import (
     InvalidResolution,
     equator_mesh,
     mesh_s4,
-    s3_shell_grid,
     shell_point_count,
 )
 
@@ -23,8 +26,7 @@ def test_minimal_mesh_count_and_poles():
     assert m.point(0) == (0j, 0j, 1.0)
     assert m.point(len(m) - 1) == (0j, 0j, -1.0)
     # the equator shell is exact
-    eq = m.equator_slice
-    assert np.all(m.z2[eq] == 0.0)
+    assert np.all(m.equator.arrays()[2] == 0.0)
 
 
 def test_point_normalization():
@@ -33,15 +35,12 @@ def test_point_normalization():
 
 
 def test_determinism():
-    a = mesh_s4(5, 8)
-    b = mesh_s4(5, 8)
-    assert_array_equal(a.z0, b.z0)
-    assert_array_equal(a.z1, b.z1)
-    assert_array_equal(a.z2, b.z2)
+    for x, y in zip(mesh_s4(5, 8).arrays(), mesh_s4(5, 8).arrays()):
+        assert_array_equal(x, y)
 
 
 def test_equator_mesh_properties():
-    z0, z1, z2 = equator_mesh(8)
+    z0, z1, z2 = equator_mesh(8).arrays()
     assert np.all(z2 == 0.0)
     assert np.abs(np.abs(z0) ** 2 + np.abs(z1) ** 2 - 1.0).max() <= 1e-14
     # the Hopf-coordinate origin is on the grid
@@ -49,17 +48,15 @@ def test_equator_mesh_properties():
 
 
 def test_equator_submesh_matches_equator_mesh():
-    m = mesh_s4(9, 8)
-    z0, z1, z2 = equator_mesh(8)
-    eq = m.equator_slice
-    assert_array_equal(m.z0[eq], z0)
-    assert_array_equal(m.z1[eq], z1)
-    assert_array_equal(m.z2[eq], z2)
+    ring = mesh_s4(9, 8).equator
+    assert len(ring) == shell_point_count(8)
+    for x, y in zip(ring.arrays(), equator_mesh(8).arrays()):
+        assert_array_equal(x, y)
 
 
 def test_latitude_snapping():
     m = mesh_s4(5, 8)
-    assert set(np.unique(m.z2)) >= {-1.0, 0.0, 1.0}
+    assert set(np.unique(m.arrays()[2])) >= {-1.0, 0.0, 1.0}
 
 
 def test_invalid_resolutions():
@@ -70,11 +67,12 @@ def test_invalid_resolutions():
     with pytest.raises(InvalidResolution):
         mesh_s4(9, 4)
     with pytest.raises(InvalidResolution):
-        s3_shell_grid(7)
+        equator_mesh(7)
 
 
 def embed(m):
-    return np.column_stack([m.z0.real, m.z0.imag, m.z1.real, m.z1.imag, m.z2])
+    z0, z1, z2 = m.arrays()
+    return np.column_stack([z0.real, z0.imag, z1.real, z1.imag, z2])
 
 
 def min_pairwise_gap(m):
@@ -103,3 +101,107 @@ def test_covering_radius_bounds_sampled_distances():
     # the geodesic distance to the nearest mesh point, which the bound controls
     d = np.arccos(np.minimum(best_dot, 1.0))
     assert d.max() <= m.covering_radius
+
+
+# The former whole-array construction, kept as the reference for the
+# streamed mesh: the S^3 grid, then one scaled copy of it per latitude.
+def reference_shell_grid(shell_count):
+    s = int(shell_count)
+    k = max(2, math.ceil(s / 4))
+    phases = np.exp(2j * np.pi * np.arange(s) / s)
+    w0_parts = [phases]  # eta = 0 ring: (e^{i xi1}, 0)
+    w1_parts = [np.zeros(s, dtype=np.complex128)]
+    for m in range(1, k):
+        eta = (np.pi / 2) * (m / k)
+        ce, se = math.cos(eta), math.sin(eta)
+        w0_parts.append(np.repeat(ce * phases, s))
+        w1_parts.append(np.tile(se * phases, s))
+    w0_parts.append(np.zeros(s, dtype=np.complex128))  # eta = pi/2 ring: (0, e^{i xi2})
+    w1_parts.append(phases)
+    return np.concatenate(w0_parts), np.concatenate(w1_parts)
+
+
+def reference_latitude_cos_sin(j, lat_count):
+    # snapped so poles and equator are exact
+    if j == 0:
+        return 1.0, 0.0
+    if j == lat_count - 1:
+        return -1.0, 0.0
+    if 2 * j == lat_count - 1:
+        return 0.0, 1.0
+    psi = math.pi * j / (lat_count - 1)
+    return math.cos(psi), math.sin(psi)
+
+
+def reference_mesh(lat_count, shell_count):
+    w0, w1 = reference_shell_grid(shell_count)
+    z0_parts, z1_parts, z2_parts = [], [], []
+    for j in range(lat_count):
+        c, s = reference_latitude_cos_sin(j, lat_count)
+        if s == 0.0:  # poles stored once
+            z0_parts.append(np.zeros(1, dtype=np.complex128))
+            z1_parts.append(np.zeros(1, dtype=np.complex128))
+            z2_parts.append(np.full(1, c))
+        else:
+            z0_parts.append(s * w0)
+            z1_parts.append(s * w1)
+            z2_parts.append(np.full(w0.shape[0], c))
+    return np.concatenate(z0_parts), np.concatenate(z1_parts), np.concatenate(z2_parts)
+
+
+def assert_same_points(got, want):
+    """Equal coordinates with equal signs of zero, part by part."""
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        for part in (np.real, np.imag) if np.iscomplexobj(y) else (np.real,):
+            assert np.array_equal(part(x), part(y))
+            assert np.array_equal(np.signbit(part(x)), np.signbit(part(y)))
+
+
+@pytest.mark.parametrize("lat, shell", [(9, 8), (33, 32), (65, 64)])
+def test_chunks_equal_the_whole_array_mesh(lat, shell):
+    m = mesh_s4(lat, shell)
+    want = reference_mesh(lat, shell)
+    assert len(m) == len(want[2])
+    for size in (7, CHUNK, len(m), len(m) - 1):
+        # at 65x64, chunks of 7 points are checked from the north pole into the
+        # second latitude and from the end of the third-last to the south pole:
+        # 5.5e5 chunks would take about 15 s, and these cross every kind of boundary
+        windows = [(0, len(m))]
+        if size == 7 and len(m) > 10**6:
+            windows = [(0, m.shell_size + 2), (len(m) - m.shell_size - 2, len(m))]
+        for a, b in windows:
+            a -= a % size  # the chunk boundaries of a whole-mesh sweep
+            # copies: each chunk is a view of buffers that the next one overwrites
+            chunks = [tuple(x.copy() for x in chunk) for chunk in m.chunks(size, a, b)]
+            assert [len(c[2]) for c in chunks] == [min(size, b - i) for i in range(a, b, size)]
+            assert_same_points([np.concatenate(x) for x in zip(*chunks)], (x[a:b] for x in want))
+
+
+@pytest.mark.parametrize("lat, shell", [(9, 8), (33, 32), (65, 64)])
+def test_point_is_closed_form(lat, shell):
+    m = mesh_s4(lat, shell)
+    z0, z1, z2 = reference_mesh(lat, shell)
+    starts = [m.latitude(j).start for j in range(lat)]
+    assert starts[0] == 0 and starts[-1] == len(m) - 1
+    for i in starts + [1 + shell_point_count(shell) // 2, len(m) - 2, len(m) - 1]:
+        p = m.point(i)
+        assert_same_points((np.array([p.z0]), np.array([p.z1]), np.array([p.z2])),
+                           (z0[i : i + 1], z1[i : i + 1], z2[i : i + 1]))
+    with pytest.raises(IndexError):
+        m.point(len(m))
+
+
+def test_largest_mesh_description_is_small():
+    tracemalloc.start()
+    try:
+        m = mesh_s4(2049, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(m) == 8_452_636_162
+    assert peak < 1 << 20
+    # a point and a chunk at the far end, without the mesh in memory
+    assert m.point(len(m) - 1) == (0j, 0j, -1.0)
+    z0, z1, z2 = next(m.chunks(7, len(m) - 7))
+    assert len(z2) == 7 and z2[-1] == -1.0
