@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from .algebra import DomainError
-from .homotopy import DegenerateProjection
+from .homotopy import SABOTAGE_TAGS, DegenerateProjection
 from .linalg2 import SingularMatrix
 from .linking import CurvesTooClose, NearPole
 from .report import (
@@ -67,7 +67,7 @@ _FLAGS = {
     "fmt": ("--format", dict(
         choices=("json", "csv-summary"), help=f"report format (default {_DEFAULT.fmt})")),
     # negative-control hook for tests
-    "sabotage": ("--sabotage", dict(choices=("flip-f", "fiber"), help=argparse.SUPPRESS)),
+    "sabotage": ("--sabotage", dict(choices=SABOTAGE_TAGS, help=argparse.SUPPRESS)),
 }
 
 # subcommand -> (help, the RunConfig fields it reads besides out and fmt)

@@ -30,6 +30,11 @@ machine check.
   * h itself is essential: its Hopf invariant, the linking number of two
     fiber circles, is +-1 (linking module).
 
+The equator, hemisphere and antipodal evidence all come from one sweep
+that evaluates f and Eh once per mesh point, the equator included: the
+mesh's own equator latitude is the ring the coincidence is measured on
+(see antipodal_gap).
+
 The one step that is cited rather than computed -- essentialness of h
 forces essentialness of its suspension Eh -- is the Freudenthal
 suspension theorem, and it is carried on the certificate as its single
@@ -50,7 +55,6 @@ import numpy as np
 from . import linking
 from .algebra import _coords, _reciprocal, field_one_minus_2ba, phi, sweep
 from .linalg2 import buffer, carve, eye_like, field_buffer, fields, op_norm, planar, workspace
-from .sphere import equator_mesh
 
 __all__ = [
     "DegenerateProjection",
@@ -60,10 +64,10 @@ __all__ = [
     "check_records",
     "CERTIFICATE_CHECKS",
     "FREUDENTHAL_SUSPENSION",
+    "SABOTAGE_TAGS",
     "hopf",
     "suspension_eh",
     "f_map",
-    "equator_deviation",
     "hemisphere_preservation",
     "AntipodalGap",
     "antipodal_gap",
@@ -76,6 +80,9 @@ __all__ = [
 
 ANTIPODAL_LIPSCHITZ = 2.0  # Lip |f + Eh| on S^4, proved in antipodal_gap
 ROUNDING_PER_LATITUDE = 1e-13  # the floating-point term of antipodal_gap, per mesh latitude
+
+# the negative controls build_certificates accepts (see there)
+SABOTAGE_TAGS = ("flip-f", "fiber")
 
 FREUDENTHAL_SUSPENSION = (
     "Freudenthal suspension theorem (classical, cited not computed): "
@@ -258,63 +265,57 @@ def f_map(z0, z1, z2, out=None, work=None):
 _F_EH_PLANES = 2 + 2 + 3
 
 
-def _distance_chunk(x0, x1, x2, work, f, combine):
-    """f and Eh on one chunk, and |combine(f, Eh)| pointwise, in the chunk's workspace.
+def _f_eh_chunk(x0, x1, x2, work, flip_equator=False):
+    """min |f + Eh|, the hemisphere minimum and max |f - Eh| on the equator, on one chunk.
 
-    combine is np.add or np.subtract; the distance is left in work[5].
+    See _f_eh_pass. z2 falls through the mesh order, so the chunk's equator
+    lanes (z2 = 0) are one run, read as slices of the workspace planes; a
+    chunk without them gives -inf. With flip_equator, f is negated on that
+    run, where |(-f) - Eh| is the |f + Eh| already at hand.
     """
-    scratch = work[4:]
-    fx = f(x0, x1, x2, out=work[:2], work=scratch)
-    ex = suspension_eh(x0, x1, x2, out=work[2:4], work=scratch)
-    t = scratch[0]
-    d, d1 = carve(scratch[1], np.float64)
-    np.square(np.abs(combine(fx[0], ex[0], out=t), out=d), out=d)
-    np.square(np.abs(combine(fx[1], ex[1], out=t), out=d1), out=d1)
-    return fx, ex, np.sqrt(np.add(d, d1, out=d), out=d)
-
-
-def equator_deviation(shell_count, f=f_map):
-    """max |f - Eh| over the equator grid (f_map and Eh coincide there with h).
-
-    Folded per chunk over the equator ring, so memory does not grow with
-    shell_count. f takes out= and work= (2 planes) like f_map.
-    """
-
-    def kernel(x0, x1, x2, work):
-        return _distance_chunk(x0, x1, x2, work[:, : len(x2)], f, np.subtract)[2].max()
-
-    # np.maximum, unlike max(), keeps a nan from any chunk
-    return float(np.maximum.reduce(sweep(kernel, equator_mesh(shell_count), planes=_F_EH_PLANES)))
-
-
-def _f_eh_chunk(x0, x1, x2, work):
-    """min |f + Eh| and the hemisphere minimum on one chunk (see _f_eh_pass)."""
     work = work[:, : len(x2)]
-    fx, ex, gap = _distance_chunk(x0, x1, x2, work, f_map, np.add)
-    min_gap = gap.min()
-    s, v = carve(work[6], np.float64)
+    fx = f_map(x0, x1, x2, out=work[:2], work=work[4:])
+    ex = suspension_eh(x0, x1, x2, out=work[2:4], work=work[4:])
+    t = work[4]
     d, d1 = carve(work[5], np.float64)
-    keep, other = carve(work[4], bool)[:2]
+    keep, other = carve(t, bool)[:2]
+    np.square(np.abs(np.add(fx[0], ex[0], out=t), out=d), out=d)
+    np.square(np.abs(np.add(fx[1], ex[1], out=t), out=d1), out=d1)
+    gap = np.sqrt(np.add(d, d1, out=d), out=d)
+    min_gap = gap.min()
+    # the equator run: after the z2 > 0 lanes, before the z2 < 0 ones
+    start = np.count_nonzero(np.greater(x2, 0.0, out=keep))
+    eq = slice(start, np.count_nonzero(np.greater_equal(x2, 0.0, out=keep)))
+    if not flip_equator:
+        np.square(np.abs(np.subtract(fx[0][eq], ex[0][eq], out=t[eq]), out=d[eq]), out=d[eq])
+        np.square(np.abs(np.subtract(fx[1][eq], ex[1][eq], out=t[eq]), out=d1[eq]), out=d1[eq])
+        np.sqrt(np.add(d[eq], d1[eq], out=d[eq]), out=d[eq])
+    equator = d[eq].max(initial=-np.inf)
     # min(sign(z2) Im f1, sign(z2) Im Eh1), inf on the equator and at the poles
+    s, v = carve(work[6], np.float64)
     np.sign(x2, out=s)
     signed = np.minimum(np.multiply(s, fx[1].imag, out=d), np.multiply(s, ex[1].imag, out=d1), out=d)
     np.logical_and(np.not_equal(x2, 0.0, out=keep), np.not_equal(np.abs(x2, out=v), 1.0, out=other), out=keep)
     np.copyto(signed, np.inf, where=np.logical_not(keep, out=keep))
     # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
     # depends on the order it meets them, so the chunking would show in the sign
-    return min_gap, signed.min() + 0.0
+    return min_gap, signed.min() + 0.0, equator
 
 
-def _f_eh_pass(mesh):
-    """One sweep evaluating f and Eh once per mesh point.
+def _f_eh_pass(mesh, flip_equator=False):
+    """One sweep evaluating f and Eh once per mesh point, the equator included.
 
-    Returns (min_gap, hemisphere): the minimum of |f + Eh| over the mesh, and
-    the minimum over both maps of sign(z2) * Im(second coordinate) on the
-    off-equator, off-pole points (inf when there are none).
+    Returns (min_gap, hemisphere, equator): the minimum of |f + Eh| over the
+    mesh; the minimum over both maps of sign(z2) * Im(second coordinate) on
+    the off-equator, off-pole points (inf when there are none); and the
+    maximum of |f - Eh| over the equator points, or of |(-f) - Eh| with
+    flip_equator (-inf when there are none). The sweep reads the mesh in
+    its own order, north to south, which _f_eh_chunk's equator run needs.
     """
-    # np.minimum, unlike min(), keeps a nan from any chunk
-    min_gap, hemisphere = np.minimum.reduce(sweep(_f_eh_chunk, mesh, planes=_F_EH_PLANES))
-    return float(min_gap), float(hemisphere)
+    folds = np.array(sweep(lambda *chunk: _f_eh_chunk(*chunk, flip_equator), mesh, planes=_F_EH_PLANES))
+    # np.minimum and np.maximum, unlike min() and max(), keep a nan from any chunk
+    min_gap, hemisphere = np.minimum.reduce(folds[:, :2])
+    return float(min_gap), float(hemisphere), float(np.maximum.reduce(folds[:, 2]))
 
 
 def hemisphere_preservation(mesh):
@@ -336,9 +337,10 @@ class AntipodalGap:
     covering_radius: float
     certified_lower_bound: float
     hemisphere_worst_violation: float  # from the same f/Eh pass, see hemisphere_preservation
+    equator_max_deviation: float  # max |f - Eh| on the equator, from the same pass
 
 
-def antipodal_gap(mesh):
+def antipodal_gap(mesh, _flip_equator=False):
     """Measured minimum of |f + Eh| over the mesh plus a certified lower bound on all of S^4.
 
         certified_lower_bound = min_gap - ANTIPODAL_LIPSCHITZ * covering_radius
@@ -449,11 +451,15 @@ def antipodal_gap(mesh):
     for every lat_count >= 3. A long-double evaluation at the exact grid
     points measured 4.6e-16 at 9 latitudes and 1.4e-14 at 2049.
 
-    One pass: f and Eh are evaluated once per mesh point, in the sweep that
-    also yields the hemisphere evidence (hemisphere_worst_violation), and
-    both minima fold per chunk.
+    One pass: f and Eh are evaluated once per mesh point, the equator
+    included, in the sweep that also yields the hemisphere evidence
+    (hemisphere_worst_violation) and the equator coincidence
+    (equator_max_deviation, max |f - Eh| over the mesh's equator latitude);
+    the minima and the maximum fold per chunk. _flip_equator is the flip-f
+    negative control of build_certificates: it negates f on the equator
+    only, so equator_max_deviation reads max |f + Eh| there, about 2.
     """
-    min_gap, hemisphere = _f_eh_pass(mesh)
+    min_gap, hemisphere, equator = _f_eh_pass(mesh, _flip_equator)
     return AntipodalGap(
         min_gap=min_gap,
         covering_radius=mesh.covering_radius,
@@ -461,6 +467,7 @@ def antipodal_gap(mesh):
         - ANTIPODAL_LIPSCHITZ * mesh.covering_radius
         - ROUNDING_PER_LATITUDE * mesh.lat_count,
         hemisphere_worst_violation=hemisphere,
+        equator_max_deviation=equator,
     )
 
 
@@ -562,23 +569,20 @@ class HomotopyCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _flipped_f(z0, z1, z2, out=None, work=None):
-    f = f_map(z0, z1, z2, out=out, work=work)
-    return np.negative(f, out=f)
-
-
 def build_certificates(mesh, segments=256, sabotage=None):
     """Assemble the two homotopy certificates over a mesh.
 
     Returns (certificate for 1-2ba, certificate for 1-2ab). Gathers all the
     evidence first, then evaluates every bound of CERTIFICATE_CHECKS; if any
     fails it raises CertificateFailure, which names every failing evidence
-    key and carries the whole evidence dict. The sabotage hook ("flip-f"
-    negates f on the equator, "fiber" links a fiber with a translate of
-    itself) exists for negative-control tests and must make this function
-    fail.
+    key and carries the whole evidence dict. f and Eh are evaluated once
+    per mesh point, the equator included, in antipodal_gap's one pass. The
+    sabotage hook, one of SABOTAGE_TAGS ("flip-f" negates f on the equator
+    through antipodal_gap's _flip_equator, "fiber" links a fiber with a
+    translate of itself), exists for negative-control tests and must make
+    this function fail.
     """
-    if sabotage not in (None, "flip-f", "fiber"):
+    if sabotage not in (None, *SABOTAGE_TAGS):
         raise ValueError(f"unknown sabotage tag: {sabotage!r}")
 
     path = path_invertibility(mesh)
@@ -587,11 +591,10 @@ def build_certificates(mesh, segments=256, sabotage=None):
         "endpoint_residual_start": path.endpoint_start,
         "endpoint_residual_end": path.endpoint_end,
     }
-    eq_dev = equator_deviation(mesh.shell_count, _flipped_f if sabotage == "flip-f" else f_map)
-    gap = antipodal_gap(mesh)
+    gap = antipodal_gap(mesh, _flip_equator=(sabotage == "flip-f"))
     link = linking.hopf_invariant_of_h(segments, _self_link=(sabotage == "fiber"))
     ab_evidence = {
-        "equator_max_deviation": eq_dev,
+        "equator_max_deviation": gap.equator_max_deviation,
         "hemisphere_worst_violation": gap.hemisphere_worst_violation,
         "antipodal_min_gap": gap.min_gap,
         "antipodal_certified_lower_bound": gap.certified_lower_bound,

@@ -285,7 +285,9 @@ def _gauss_sum(c1, c2):
     m2, d2 = _segments(c2.points)
     ux, uy, uz = _rows(d2)
     nx, ny, nz = _rows(m2)
-    partials = []  # deterministic, one per outer segment
+    # one per outer segment, preallocated: a growing list reallocates into the
+    # heap holes the block temporaries reuse, and the heap grows instead
+    partials = np.empty(len(m1))
     for rows in _row_blocks(len(m1), len(m2)):
         ax, ay, az = _columns(d1[rows])
         mx, my, mz = _columns(m1[rows])
@@ -299,7 +301,7 @@ def _gauss_sum(c1, c2):
         den += rz * rz
         np.sqrt(den, out=den)
         num /= den ** 3
-        partials.extend(num.sum(axis=1).tolist())
+        partials[rows] = num.sum(axis=1)
     raw = math.fsum(partials) / (4.0 * math.pi)
     rounded = int(round(raw))
     return LinkingResult(raw=raw, rounded=rounded, residual=abs(raw - rounded))

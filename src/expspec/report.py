@@ -19,6 +19,7 @@ from .algebra import field_a, field_b, identity_residuals, inverse_identity_swee
 from .generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
 from .homotopy import (
     CERTIFICATE_CHECKS,
+    SABOTAGE_TAGS,
     CertificateFailure,
     Check,
     build_certificates,
@@ -96,8 +97,8 @@ class RunConfig:
             raise UsageError("tolerances must be positive")
         if self.fmt not in ("json", "csv-summary"):
             raise UsageError("--format must be json or csv-summary")
-        if self.sabotage not in (None, "flip-f", "fiber"):
-            raise UsageError("--sabotage must be flip-f or fiber")
+        if self.sabotage not in (None, *SABOTAGE_TAGS):
+            raise UsageError(f"--sabotage must be {' or '.join(SABOTAGE_TAGS)}")
         return self
 
 

@@ -11,7 +11,6 @@ from expspec.homotopy import (
     HomotopyCertificate,
     antipodal_gap,
     build_certificates,
-    equator_deviation,
     f_map,
     hemisphere_preservation,
     hopf,
@@ -19,7 +18,7 @@ from expspec.homotopy import (
     path_invertibility,
     suspension_eh,
 )
-from expspec.sphere import equator_mesh
+from expspec.sphere import equator_mesh, mesh_s4
 
 from conftest import as_stack
 
@@ -118,8 +117,9 @@ def test_det_c_is_phi(mesh9):
 
 
 def test_equator_deviation():
-    assert equator_deviation(8) <= 1e-12
-    assert equator_deviation(64) <= 1e-12
+    # the equator latitude of mesh_s4(3, s) is the ring equator_mesh(s), bit for bit
+    for shell in (8, 64):
+        assert 0.0 <= antipodal_gap(mesh_s4(3, shell)).equator_max_deviation <= 1e-12
 
 
 def test_hemisphere_sample_point():
@@ -289,9 +289,10 @@ def test_unknown_sabotage_rejected(mesh9):
         build_certificates(mesh9, sabotage="nope")
 
 
-# The former two-pass hemisphere and gap code, kept as the reference for the
-# single f/Eh pass: each map was evaluated over the whole mesh twice, and the
-# gap minimum was taken over a whole-mesh array of |f + Eh|.
+# The former two-pass hemisphere, gap and equator code, kept as the reference
+# for the single f/Eh pass: each map was evaluated over the whole mesh twice,
+# the gap minimum was taken over a whole-mesh array of |f + Eh|, and the
+# equator maximum over a separate evaluation on the equator ring.
 def _chunked(fn, *arrays):
     """fn on consecutive CHUNK-long slices of equal-length arrays (the former sweep)."""
     from expspec import algebra
@@ -318,6 +319,14 @@ def _reference_hemisphere(mesh):
     return min(_reference_second_coord_im_sign(mesh, "f"), _reference_second_coord_im_sign(mesh, "eh"))
 
 
+def _reference_equator_deviation(mesh):
+    from expspec import homotopy
+
+    ring = mesh.equator.arrays()
+    (f0, f1), (e0, e1) = homotopy.f_map(*ring), homotopy.suspension_eh(*ring)
+    return float(np.sqrt(np.abs(f0 - e0) ** 2 + np.abs(f1 - e1) ** 2).max())
+
+
 def _reference_antipodal_gap(mesh):
     from expspec import homotopy
 
@@ -338,6 +347,7 @@ def _reference_antipodal_gap(mesh):
         - homotopy.ANTIPODAL_LIPSCHITZ * mesh.covering_radius
         - homotopy.ROUNDING_PER_LATITUDE * mesh.lat_count,
         hemisphere_worst_violation=_reference_hemisphere(mesh),
+        equator_max_deviation=_reference_equator_deviation(mesh),
     )
 
 
@@ -354,7 +364,9 @@ def test_one_pass_matches_two_pass_reference(mesh_name, request, monkeypatch):
     for chunk in (default_chunk, 7):
         monkeypatch.setattr(algebra, "CHUNK", chunk)
         assert asdict(antipodal_gap(mesh)) == expected
-        assert hemisphere_preservation(mesh) == expected["hemisphere_worst_violation"]
+    # the same pass's second value at every chunk size, so one size suffices
+    monkeypatch.setattr(algebra, "CHUNK", default_chunk)
+    assert hemisphere_preservation(mesh) == expected["hemisphere_worst_violation"]
 
 
 def _sorted_rows(z0, z1, z2):
@@ -383,9 +395,9 @@ def test_certificates_evaluate_f_and_eh_once_per_point(mesh9, monkeypatch):
     with pytest.raises(CertificateFailure):
         build_certificates(mesh9, segments=64)
 
-    equator = equator_mesh(mesh9.shell_count).arrays()
-    expected = _sorted_rows(*(np.concatenate(c) for c in zip(mesh9.arrays(), equator)))
-    assert len(expected) == len(mesh9) + len(equator[2])
+    # each mesh point exactly once: the equator record reads the same pass
+    expected = _sorted_rows(*mesh9.arrays())
+    assert len(expected) == len(mesh9)
     for name, calls in seen.items():
         got = _sorted_rows(*(np.concatenate(c) for c in zip(*calls)))
         assert got.shape == expected.shape and np.array_equal(got, expected), name
@@ -403,14 +415,19 @@ def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
 
     z0, z1, z2 = mesh9.arrays()
     lane = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))[-1]
+    ring = np.flatnonzero(z2 == 0.0)
+    equator_lane = ring[30]
     monkeypatch.setattr(algebra, "CHUNK", 7)
     assert lane >= len(mesh9) - len(mesh9) % 7  # the last chunk
     assert z2[0] == 1.0 and z2[-1] == -1.0      # the south pole is in the last chunk
+    # inside the equator run, whose chunks come after the first and go on after its own
+    assert ring[0] // 7 < equator_lane // 7 < ring[-1] // 7 and ring[0] >= 7
 
     def at_lane(x0, x1, x2):
-        return (x0 == z0[lane]) & (x1 == z1[lane]) & (x2 == z2[lane])
+        return np.logical_or.reduce([(x0 == z0[i]) & (x1 == z1[i]) & (x2 == z2[i])
+                                     for i in (lane, equator_lane)])
 
-    assert np.count_nonzero(at_lane(*mesh9.arrays())) == 1
+    assert np.count_nonzero(at_lane(*mesh9.arrays())) == 2
 
     def eh_nan_at_lane(x0, x1, x2, **buffers):
         e0, e1 = suspension_eh(x0, x1, x2, **buffers)
@@ -424,6 +441,7 @@ def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
     gap = antipodal_gap(mesh9)
     assert np.isnan(gap.hemisphere_worst_violation)
     assert np.isnan(gap.min_gap) and np.isnan(gap.certified_lower_bound)
+    assert np.isnan(gap.equator_max_deviation)
 
 
 def test_nan_norm_is_degenerate():
@@ -540,7 +558,9 @@ def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     )
 
     full, n = 300, 100
-    z0, z1, z2 = (x[:full] for x in mesh9.arrays())
+    # from the fourth latitude on, so the partial chunk holds equator lanes too
+    z0, z1, z2 = (x[200 : 200 + full] for x in mesh9.arrays())
+    assert np.count_nonzero(z2[:n] == 0.0) > 0
     z0_nan = z0.copy()
     z0_nan[n + 5] = np.nan
     for chunk, planes in ((_f_eh_chunk, _F_EH_PLANES), (_start_residual_chunk, _PATH_PLANES)):
