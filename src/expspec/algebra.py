@@ -63,7 +63,6 @@ __all__ = [
     "field_one_minus_2ab",
     "field_one_minus_2ba",
     "product_eigenvalue",
-    "check_inverse_identity",
     "inverse_identity_sweep",
     "identity_residuals",
     "IdentityResiduals",
@@ -93,9 +92,9 @@ class DomainError(ValueError):
 def sweep(kernel, mesh, planes=0):
     """Apply kernel to the consecutive CHUNK-long point ranges of a mesh.
 
-    mesh is a sphere.SphereMesh4 or a sphere.MeshSlice, read only through
-    its chunks(): the kernel gets (z0, z1, z2) for each range, as views of
-    buffers that the next chunk overwrites, so it must not keep them.
+    mesh is a sphere.SphereMesh4, read only through its chunks(): the
+    kernel gets (z0, z1, z2) for each range, as views of buffers that the
+    next chunk overwrites, so it must not keep them.
     Returns the per-chunk results in mesh order. Every kernel given here is
     pointwise, so the folded results do not depend on CHUNK.
 
@@ -266,19 +265,6 @@ def _inverse_identity_residual(a, b, ba, u, mu, out=None, work=None):
     np.subtract(eye, np.multiply(mu, ba, out=x), out=x)
     lhs = mat_mul(x, y, out=z, work=scratch)
     return op_norm(np.subtract(lhs, eye, out=lhs), out=out, work=scratch)
-
-
-def check_inverse_identity(z0, z1, z2, mu):
-    """Residual ||(I - mu ba)(I + mu b u a) - I|| with u = (I - mu ab)^{-1}.
-
-    Zero in exact arithmetic whenever I - mu ab is invertible; raises
-    SingularMatrix (from mat_inv) when it is not. For condition numbers
-    up to 1e6 the residual stays below 1e-10.
-    """
-    a = field_a(z0, z1, z2)
-    b = field_b(z0, z1, z2)
-    ab = mat_mul(a, b)
-    return _inverse_identity_residual(a, b, mat_mul(b, a), mat_inv(eye_like(ab) - mu * ab), mu)
 
 
 # workspace planes of one inverse-identity chunk: six Fields (a, b, ab, ba,

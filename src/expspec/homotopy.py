@@ -65,7 +65,6 @@ __all__ = [
     "CERTIFICATE_CHECKS",
     "FREUDENTHAL_SUSPENSION",
     "SABOTAGE_TAGS",
-    "hopf",
     "suspension_eh",
     "f_map",
     "hemisphere_preservation",
@@ -80,6 +79,7 @@ __all__ = [
 
 ANTIPODAL_LIPSCHITZ = 2.0  # Lip |f + Eh| on S^4, proved in antipodal_gap
 ROUNDING_PER_LATITUDE = 1e-13  # the floating-point term of antipodal_gap, per mesh latitude
+PATH_T_COUNT = 33  # t-values on [0, 1] at which path_invertibility checks |det H|
 
 # the negative controls build_certificates accepts (see there)
 SABOTAGE_TAGS = ("flip-f", "fiber")
@@ -156,7 +156,8 @@ def check_records(checks, evidence):
 # both evaluate this table, on the evidence plus the linking segment count.
 CERTIFICATE_CHECKS = (
     Check("ba_path_invertibility", "path_max_abs_det_deviation",
-          "|det| = 1 along the explicit null homotopy of 1 - 2ba (latitudes x 33 t-values)",
+          f"|det| = 1 along the explicit null homotopy of 1 - 2ba (latitudes x {PATH_T_COUNT} "
+          "t-values)",
           1e-13, "<="),
     Check("ba_endpoint_start", "endpoint_residual_start",
           "the path starts at 1 - 2ba", 1e-13, "<="),
@@ -182,22 +183,13 @@ CERTIFICATE_CHECKS = (
 )
 
 
-def hopf(w0, w1):
-    """Hopf map S^3 -> S^2: (w0, w1) -> (-2 w0 conj(w1), |w0|^2 - |w1|^2).
-
-    Returns (complex, real) arrays; the image lies on the unit 2-sphere
-    embedded in C x R.
-    """
-    w0 = np.asarray(w0, dtype=np.complex128)
-    w1 = np.asarray(w1, dtype=np.complex128)
-    return -2.0 * w0 * np.conj(w1), (w0 * np.conj(w0) - w1 * np.conj(w1)).real
-
-
 def suspension_eh(z0, z1, z2, out=None, work=None):
     """Suspension of the Hopf map, S^4 -> S^3, with the polar continuity extension.
 
     Returns a complex array (2, ...): the first and the second coordinate.
-    It runs hopf's steps on (z0, z1). out and work (3 planes) as in linalg2.
+    Its first steps are the Hopf map h(z0, z1) = (-2 z0 conj(z1),
+    |z0|^2 - |z1|^2) of the module docstring. out and work (3 planes) as in
+    linalg2.
     """
     z0, z1, z2 = _coords(z0, z1, z2)
     shape = np.broadcast(z0, z1, z2).shape
@@ -513,14 +505,14 @@ def _start_residual_chunk(x0, x1, x2, work):
     return float(op_norm(d, out=r, work=scratch).max())
 
 
-def path_invertibility(mesh, t_count=33):
-    """Check |det H| = 1 along the path and the endpoint identities.
+def path_invertibility(mesh):
+    """Check |det H| = 1 at PATH_T_COUNT t-values along the path, and the endpoint identities.
 
     H(x, t) depends on x only through z2, so the det sweep over the
     unique latitude values times the t-grid covers the full mesh exactly;
     the endpoint residual at t = 0 is a genuine full-mesh product sweep.
     """
-    ts = np.linspace(0.0, 1.0, t_count)
+    ts = np.linspace(0.0, 1.0, PATH_T_COUNT)
     z2s = np.unique(mesh.z2_values)
     dets = phi((1.0 - ts[:, None]) * z2s[None, :] + ts[:, None])
     max_det_dev = float(np.abs(np.abs(dets) - 1.0).max())

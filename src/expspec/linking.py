@@ -68,7 +68,7 @@ MIN_CURVE_SEPARATION = 1e-3
 MIN_POLE_DISTANCE = 1e-6
 FIBER_POLE_CLEARANCE = 0.2  # required distance from projection pole to each fiber
 # Pair terms per row block of the O(n m) kernels: 256 KiB per float64
-# temporary, so a block's working set stays in a core's L2 cache.
+# plane, so a block's working set stays in a core's L2 cache.
 BLOCK_ELEMENTS = 2**15
 
 # fixed projection pole, distance sqrt(2 - sqrt(2)) ~ 0.765 from both pole fibers
@@ -107,9 +107,6 @@ class PolylineCurve3:
 
     def __len__(self):
         return self.points.shape[0]
-
-    def reversed(self):
-        return PolylineCurve3(self.points[::-1].copy())
 
     def translated(self, offset):
         return PolylineCurve3(self.points + np.asarray(offset, dtype=np.float64))
@@ -202,10 +199,25 @@ def _rows(points):
     return np.ascontiguousarray(points.T)
 
 
+def _block_rows(m):
+    """Outer rows per block against m inner ones: at most BLOCK_ELEMENTS pair terms."""
+    return max(1, BLOCK_ELEMENTS // m)
+
+
 def _row_blocks(n, m):
     """Consecutive slices of n outer rows, each at most BLOCK_ELEMENTS pair terms against m."""
-    step = max(1, BLOCK_ELEMENTS // m)
+    step = _block_rows(m)
     return (slice(start, start + step) for start in range(0, n, step))
+
+
+def _block_workspace(planes, n, m):
+    """`planes` scratch planes for every block of _row_blocks(n, m), allocated once per pass.
+
+    Each block works in views of these planes, so a pass makes no
+    block-sized temporaries: a fresh 256 KiB temporary per step lands in
+    heap holes or grows the heap, and peak RSS then depends on the layout.
+    """
+    return np.empty((planes, min(n, _block_rows(m)), m))
 
 
 def _columns(points):
@@ -265,14 +277,15 @@ def curve_separation(c1, c2):
     h2 = 0.5 * np.linalg.norm(d2, axis=1)
     nx, ny, nz = _rows(m2)
     best = np.inf
+    work = _block_workspace(3, len(m1), len(m2))
     for rows in _row_blocks(len(m1), len(m2)):
         mx, my, mz = _columns(m1[rows])
-        e = mx - nx
-        dist = e * e
+        e, dist, t = work[:, : len(mx)]
+        np.multiply(np.subtract(mx, nx, out=e), e, out=dist)
         np.subtract(my, ny, out=e)
-        dist += e * e
+        dist += np.multiply(e, e, out=t)
         np.subtract(mz, nz, out=e)
-        dist += e * e
+        dist += np.multiply(e, e, out=t)
         np.sqrt(dist, out=dist)
         dist -= h2
         best = np.minimum(best, (dist.min(axis=1) - h1[rows]).min())
@@ -285,22 +298,28 @@ def _gauss_sum(c1, c2):
     m2, d2 = _segments(c2.points)
     ux, uy, uz = _rows(d2)
     nx, ny, nz = _rows(m2)
-    # one per outer segment, preallocated: a growing list reallocates into the
-    # heap holes the block temporaries reuse, and the heap grows instead
-    partials = np.empty(len(m1))
+    partials = np.empty(len(m1))  # one per outer segment
+    work = _block_workspace(6, len(m1), len(m2))
     for rows in _row_blocks(len(m1), len(m2)):
         ax, ay, az = _columns(d1[rows])
         mx, my, mz = _columns(m1[rows])
-        rx, ry, rz = mx - nx, my - ny, mz - nz
-        # r . (d1 x d2): np.cross's products, einsum's (x + z) + y grouping
-        num = rx * (ay * uz - az * uy)
-        num += rz * (ax * uy - ay * ux)
-        num += ry * (az * ux - ax * uz)
-        den = rx * rx
-        den += ry * ry
-        den += rz * rz
+        rx, ry, rz, num, den, t = work[:, : len(mx)]
+        np.subtract(mx, nx, out=rx)
+        np.subtract(my, ny, out=ry)
+        np.subtract(mz, nz, out=rz)
+        # r . (d1 x d2): np.cross's products, einsum's (x + z) + y grouping;
+        # den and t are scratch until den is computed
+        np.subtract(np.multiply(ay, uz, out=den), np.multiply(az, uy, out=t), out=den)
+        np.multiply(rx, den, out=num)
+        np.subtract(np.multiply(ax, uy, out=den), np.multiply(ay, ux, out=t), out=den)
+        num += np.multiply(rz, den, out=den)
+        np.subtract(np.multiply(az, ux, out=den), np.multiply(ax, uz, out=t), out=den)
+        num += np.multiply(ry, den, out=den)
+        np.multiply(rx, rx, out=den)
+        den += np.multiply(ry, ry, out=t)
+        den += np.multiply(rz, rz, out=t)
         np.sqrt(den, out=den)
-        num /= den ** 3
+        num /= np.power(den, 3, out=den)
         partials[rows] = num.sum(axis=1)
     raw = math.fsum(partials) / (4.0 * math.pi)
     rounded = int(round(raw))

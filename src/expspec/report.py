@@ -102,19 +102,6 @@ class RunConfig:
         return self
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize the tree."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 @dataclass
 class Report:
     command: str
@@ -128,18 +115,16 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self):
-        return _plain(
-            {
-                "schema": SCHEMA_VERSION,
-                "tool": {"name": "expspec", "version": __version__},
-                "command": self.command,
-                "config": self.config,
-                "checks": [asdict(c) for c in self.checks],
-                "notes": list(self.notes),
-                "artifacts": self.artifacts,
-                "overall_pass": self.overall_pass,
-            }
-        )
+        return {
+            "schema": SCHEMA_VERSION,
+            "tool": {"name": "expspec", "version": __version__},
+            "command": self.command,
+            "config": self.config,
+            "checks": [asdict(c) for c in self.checks],
+            "notes": list(self.notes),
+            "artifacts": self.artifacts,
+            "overall_pass": self.overall_pass,
+        }
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
@@ -265,11 +250,11 @@ def _spectrum_report(cfg, element, mesh, cloud):
     return rep
 
 
-def run_spectrum(cfg, element, mesh=None):
+def run_spectrum(cfg, element):
     """Sample one element's spectrum, compare to its analytic target, export the cloud."""
     if element not in SPECTRUM_CHECKS:
         raise UsageError(f"unknown element {element!r}; choose from {', '.join(SPECTRUM_ELEMENTS)}")
-    mesh = mesh if mesh is not None else _mesh_from(cfg, spectrum=True)
+    mesh = _mesh_from(cfg, spectrum=True)
     cloud = sample_spectrum(element, mesh)
     rep = _spectrum_report(cfg, element, mesh, cloud)
     if cfg.out:

@@ -59,11 +59,9 @@ class TargetSet:
         """Exact pointwise distance from complex values to the circle."""
         return np.abs(np.abs(np.asarray(values) - self.centre) - self.radius)
 
-    def samples(self, count=TARGET_SAMPLES):
-        """Deterministic, equally spaced point samples of the circle."""
-        if count < 8:
-            raise ValueError("need at least 8 target samples")
-        th = 2.0 * np.pi * np.arange(count) / count
+    def samples(self):
+        """TARGET_SAMPLES deterministic, equally spaced point samples of the circle."""
+        th = 2.0 * np.pi * np.arange(TARGET_SAMPLES) / TARGET_SAMPLES
         return self.centre + self.radius * np.exp(1j * th)
 
 
@@ -106,17 +104,17 @@ def _farthest_nearest(a, b):
     return np.maximum.reduce(worst)
 
 
-def hausdorff_to_target(cloud, target, target_samples=TARGET_SAMPLES):
+def hausdorff_to_target(cloud, target):
     """Symmetric Hausdorff distance between a cloud and an analytic target.
 
     Cloud-to-target uses the exact point-to-set distance; target-to-cloud
-    discretizes the target at `target_samples` points and takes the worst
+    discretizes the target at TARGET_SAMPLES points and takes the worst
     nearest-cloud distance.
     """
     if cloud.size == 0:
         raise ValueError("empty cloud")
     d_ct = target.distance(cloud).max()
-    return float(np.maximum(d_ct, _farthest_nearest(target.samples(target_samples), cloud)))
+    return float(np.maximum(d_ct, _farthest_nearest(target.samples(), cloud)))
 
 
 def cloud_hausdorff(a, b):
@@ -133,9 +131,9 @@ def eigenvalue_lipschitz(mesh, element):
     divided by the latitude arc spacing; reported so users can turn the
     covering radius into an outer error bar for the sampled spectrum.
     """
-    # the first point of each latitude, in closed form
-    reps = [mesh.point(mesh.latitude(j).start) for j in range(mesh.lat_count)]
-    vals = eig2(ELEMENTS[element](*(np.array(x) for x in zip(*reps))))
+    # the first point of each latitude, (sin(psi_j), 0, cos(psi_j)), as in the sphere module
+    reps = (mesh.lat_sines.astype(np.complex128), 0j, mesh.z2_values)
+    vals = eig2(ELEMENTS[element](*reps))
     dpsi = np.pi / (mesh.lat_count - 1)
     diffs = np.abs(np.diff(vals, axis=1)).max(axis=0)
     return float(diffs.max() / dpsi)

@@ -31,10 +31,12 @@ south (each one shell grid in the order above, eta rows outermost, then
 xi1, then xi2), then the south pole. The coordinates of any index range
 are computed on demand, each as s * w with s = sin(psi_j) and the shell
 coordinate w = cos(eta) e^{i xi1} (or sin(eta) e^{i xi2}) formed first,
-so a point does not depend on which range it was computed in. A sweep
-reads the mesh as consecutive chunks of three reused buffers
-(SphereMesh4.chunks), so its memory does not grow with the mesh:
---lat 2049 --shell 256 is 8.45e9 points.
+so a point does not depend on which range it was computed in. Latitude
+j, 0 < j < lat_count - 1, is the range [1 + (j - 1) S, 1 + j S) with S
+the shell point count, and its first point is (sin(psi_j), 0, cos(psi_j)).
+Every read of a mesh goes through SphereMesh4.chunks, which yields
+consecutive ranges in three reused buffers, so a sweep's memory does not
+grow with the mesh: --lat 2049 --shell 256 is 8.45e9 points.
 
 The covering radius of the full mesh (largest geodesic distance from any
 point of the sphere to the mesh) is bounded by
@@ -76,10 +78,8 @@ __all__ = [
     "SpherePoint3",
     "SpherePoint4",
     "SphereMesh4",
-    "MeshSlice",
     "shell_point_count",
     "mesh_s4",
-    "equator_mesh",
 ]
 
 
@@ -149,19 +149,6 @@ class SphereMesh4:
     def __len__(self):
         return 2 + (self.lat_count - 2) * self.shell_size
 
-    def latitude(self, j):
-        """The points of latitude j (0 is the north pole) as a MeshSlice."""
-        if j == 0:
-            return MeshSlice(self, 0, 1)
-        if j == self.lat_count - 1:
-            return MeshSlice(self, len(self) - 1, len(self))
-        start = 1 + (j - 1) * self.shell_size
-        return MeshSlice(self, start, start + self.shell_size)
-
-    @property
-    def equator(self):
-        return self.latitude((self.lat_count - 1) // 2)
-
     def point(self, i):
         if not 0 <= i < len(self):
             raise IndexError(f"mesh index {i} out of range")
@@ -191,7 +178,8 @@ class SphereMesh4:
         A materializing helper for tests and demos: it holds the whole mesh
         in memory, so no module of the package calls it.
         """
-        return MeshSlice(self, 0, len(self)).arrays()
+        # the only chunk of a generator dropped at once: nothing overwrites it
+        return next(self.chunks(len(self)))
 
     def _fill(self, i, z0, z1, z2):
         """Write the points [i, i + len(z2)) into z0, z1, z2."""
@@ -241,26 +229,6 @@ class SphereMesh4:
             r += m
 
 
-@dataclass(frozen=True)
-class MeshSlice:
-    """The points [start, stop) of a mesh, swept like a mesh."""
-
-    mesh: SphereMesh4
-    start: int
-    stop: int
-
-    def __len__(self):
-        return self.stop - self.start
-
-    def chunks(self, size):
-        return self.mesh.chunks(size, self.start, self.stop)
-
-    def arrays(self):
-        """The points as three new arrays (z0, z1, z2); see SphereMesh4.arrays."""
-        # the only chunk of a generator dropped at once: nothing overwrites it
-        return next(self.chunks(len(self)))
-
-
 def _latitude_cos_sin(j, lat_count):
     # snapped so poles and equator are exact
     if j == 0:
@@ -298,12 +266,3 @@ def mesh_s4(lat_count, shell_count):
         cos_rows=np.array([math.cos(eta) for eta in etas])[:, None] * phases,
         sin_rows=np.array([math.sin(eta) for eta in etas])[:, None] * phases,
     )
-
-
-def equator_mesh(shell_count):
-    """The S^3 grid embedded at z2 = 0, as a MeshSlice.
-
-    Bit-identical to the equator latitude of any mesh_s4 with the same
-    shell_count (sin(psi) is snapped to exactly 1 there).
-    """
-    return mesh_s4(3, shell_count).equator

@@ -16,6 +16,28 @@ def as_stack(f):
     return np.moveaxis(np.asarray(f), 0, -1).reshape(f.shape[1:] + (2, 2))
 
 
+def hopf(w0, w1):
+    """Hopf map S^3 -> S^2: (w0, w1) -> (-2 w0 conj(w1), |w0|^2 - |w1|^2).
+
+    Returns (complex, real) arrays; the image lies on the unit 2-sphere
+    embedded in C x R.
+    """
+    w0 = np.asarray(w0, dtype=np.complex128)
+    w1 = np.asarray(w1, dtype=np.complex128)
+    return -2.0 * w0 * np.conj(w1), (w0 * np.conj(w0) - w1 * np.conj(w1)).real
+
+
+def equator_ring(mesh):
+    """The points of the mesh's equator latitude as three new arrays (z0, z1, z2).
+
+    Latitude j, 0 < j < lat_count - 1, is the index range starting at
+    1 + (j - 1) * shell_size; the equator is j = (lat_count - 1) / 2.
+    """
+    start = 1 + (mesh.lat_count - 3) // 2 * mesh.shell_size
+    # the only chunk of a generator dropped at once: nothing overwrites it
+    return next(mesh.chunks(mesh.shell_size, start, start + mesh.shell_size))
+
+
 @pytest.fixture(scope="session")
 def mesh9():
     """Coarse mesh: 562 points, enough for exact-identity sweeps."""

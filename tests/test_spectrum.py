@@ -66,8 +66,6 @@ def test_hausdorff_dense_samples_vs_circle():
 def test_hausdorff_degenerate_inputs():
     with pytest.raises(ValueError):
         hausdorff_to_target(np.array([]), CIRCLE_C)
-    with pytest.raises(ValueError):
-        hausdorff_to_target(np.array([1.0 + 0j]), CIRCLE_C, target_samples=4)
 
 
 def test_target_validation_and_boundary():
