@@ -76,6 +76,9 @@ __all__ = [
 # spectral point lambda = 1/mu (mu = 1 is singular exactly on the equator)
 MU_PROBES = (0.0, 0.5, 1.0, 2.0, -1.0, 1j, -2j, 1 + 1j)
 
+# the inverse-identity sweep skips a probe where cond(I - mu ab) exceeds this
+COND_LIMIT = 1e6
+
 # sweep granularity: a chunk plane of 2^13 points is 128 KiB and a chunk Field
 # 512 KiB, so the planes a kernel hands from one ufunc step to the next stay in
 # a 2 MiB L2 cache. The value came from a scan of 2^11 to 2^19 (CHANGES.md);
@@ -272,7 +275,7 @@ def _inverse_identity_residual(a, b, ba, u, mu, out=None, work=None):
 _INVERSE_PLANES = 24 + 1 + 1 + 14
 
 
-def _inverse_identity_chunk(z0, z1, z2, work, mus, cond_limit):
+def _inverse_identity_chunk(z0, z1, z2, work, mus):
     work = work[:, : len(z2)]
     a, b, ab, ba, m, u = fields(work[:24])
     ok, skip = carve(work[24], bool)[:2]
@@ -289,7 +292,7 @@ def _inverse_identity_chunk(z0, z1, z2, work, mus, cond_limit):
         np.subtract(eye, np.multiply(mu, ab, out=m), out=m)
         # unconditioned lanes may overflow to inf or nan; the mask drops them
         with np.errstate(over="ignore", invalid="ignore"):
-            mat_inv(m, cond_limit, out=u, ok=ok, work=scratch)
+            mat_inv(m, COND_LIMIT, out=u, ok=ok, work=scratch)
             skipped += int(np.count_nonzero(np.logical_not(ok, out=skip)))
             if not np.any(ok):
                 continue
@@ -300,16 +303,16 @@ def _inverse_identity_chunk(z0, z1, z2, work, mus, cond_limit):
     return float(worst), skipped
 
 
-def inverse_identity_sweep(mesh, mus=MU_PROBES, cond_limit=1e6):
+def inverse_identity_sweep(mesh, mus=MU_PROBES):
     """Max inverse-identity residual over mesh x probe values, conditioned cases only.
 
-    Points where cond(I - mu ab) exceeds cond_limit are skipped; a point
+    Points where cond(I - mu ab) exceeds COND_LIMIT are skipped; a point
     whose condition number is nan is not, so its nan reaches the maximum.
     A conditioned point below the singularity threshold still raises
     SingularMatrix. Returns (max_residual, skipped_count).
     """
     parts = sweep(
-        lambda z0, z1, z2, work: _inverse_identity_chunk(z0, z1, z2, work, mus, cond_limit),
+        lambda z0, z1, z2, work: _inverse_identity_chunk(z0, z1, z2, work, mus),
         mesh,
         planes=_INVERSE_PLANES,
     )

@@ -25,21 +25,22 @@ and 2.0e-7 at 4096 for the default fiber pair. Accumulation is
 deterministic: one numpy row sum per outer segment, then math.fsum over
 the rows (exact compensated merge in fixed order).
 
-The O(n m) pair kernels (the Gauss sum and the curve separation) take
-the segment midpoints and directions from one helper and walk the outer
-curve in row blocks of BLOCK_ELEMENTS // m rows, on planar x/y/z arrays
-of shape (rows, m), so peak memory is O(n + m + BLOCK_ELEMENTS) rather
-than O(n m) at every segment count. Blocking changes no value: each pair
-term is computed with the same roundings as the (n, m, 3) formulation
-(length-3 dot products grouped (x + z) + y, squared norms (x + y) + z, as
-numpy's einsum and norm group them on x86-64), each row sum is still one
-numpy sum over a full row, and a minimum is exact in any order. The
-separation is a proven lower bound on the distance between the curves,
-one midpoint-to-midpoint norm per pair less the two half lengths; see
-curve_separation for the proof and its rounding slack.
+One O(n m) pass over the segment pairs yields both the Gauss sum and
+the curve separation, which share each pair's midpoint distance. It
+walks the outer curve in row blocks of BLOCK_ELEMENTS // m rows, on
+planar x/y/z arrays of shape (rows, m), so peak memory is
+O(n + m + BLOCK_ELEMENTS) rather than O(n m) at every segment count.
+Blocking changes no value: each pair term is computed with the same
+roundings as the (n, m, 3) formulation (length-3 dot products grouped
+(x + z) + y, squared norms (x + y) + z, as numpy's einsum and norm group
+them on x86-64), each row sum is still one numpy sum over a full row,
+and a minimum is exact in any order. The separation is a proven lower
+bound on the distance between the curves, one midpoint-to-midpoint norm
+per pair less the two half lengths; see curve_separation for the proof
+and its rounding slack.
 
 Orientation convention: increasing theta on both fibers and a
-right-handed frame in R^3. With the default pole this yields -1 for the
+right-handed frame in R^3. With DEFAULT_POLE this yields -1 for the
 pole fiber pair; the sign is reported, only the magnitude is asserted.
 """
 
@@ -67,7 +68,7 @@ __all__ = [
 MIN_CURVE_SEPARATION = 1e-3
 MIN_POLE_DISTANCE = 1e-6
 FIBER_POLE_CLEARANCE = 0.2  # required distance from projection pole to each fiber
-# Pair terms per row block of the O(n m) kernels: 256 KiB per float64
+# Pair terms per row block of the O(n m) pass: 256 KiB per float64
 # plane, so a block's working set stays in a core's L2 cache.
 BLOCK_ELEMENTS = 2**15
 
@@ -150,8 +151,8 @@ def _to_r4(w0, w1):
     return np.stack([np.real(w0), np.imag(w0), np.real(w1), np.imag(w1)], axis=-1)
 
 
-def _pole_vector(pole):
-    v = np.array([pole[0].real, pole[0].imag, pole[1].real, pole[1].imag])
+def _pole_vector():
+    v = _to_r4(*DEFAULT_POLE)
     n = np.linalg.norm(v)
     if abs(n - 1.0) > 1e-12:
         raise ValueError("projection pole must lie on S^3")
@@ -177,15 +178,15 @@ def _pole_basis(q):
     return np.stack(basis, axis=1)  # (4, 3)
 
 
-def stereographic(w0, w1, pole=DEFAULT_POLE):
-    """Stereographic projection of S^3 points from `pole` onto its orthogonal R^3.
+def stereographic(w0, w1):
+    """Stereographic projection of S^3 points from DEFAULT_POLE onto its orthogonal R^3.
 
     The image of w is (w - (w.q) q)/(1 - w.q) expressed in a fixed
     orthonormal basis of q-perp; the antipode of the pole lands at the
     origin and the equatorial 2-sphere of the pole axis is norm-preserved.
     """
     v = np.atleast_2d(_to_r4(np.asarray(w0, dtype=np.complex128), np.asarray(w1, dtype=np.complex128)))
-    q = _pole_vector(pole)
+    q = _pole_vector()
     if np.any(np.linalg.norm(v - q, axis=1) < MIN_POLE_DISTANCE):
         raise NearPole(f"point within {MIN_POLE_DISTANCE} of the projection pole")
     dot = v @ q
@@ -194,41 +195,63 @@ def stereographic(w0, w1, pole=DEFAULT_POLE):
     return out if np.ndim(w0) else out[0]
 
 
-def _rows(points):
-    """The x, y, z coordinates of an (m, 3) array as three contiguous rows."""
-    return np.ascontiguousarray(points.T)
-
-
-def _block_rows(m):
-    """Outer rows per block against m inner ones: at most BLOCK_ELEMENTS pair terms."""
-    return max(1, BLOCK_ELEMENTS // m)
-
-
-def _row_blocks(n, m):
-    """Consecutive slices of n outer rows, each at most BLOCK_ELEMENTS pair terms against m."""
-    step = _block_rows(m)
-    return (slice(start, start + step) for start in range(0, n, step))
-
-
-def _block_workspace(planes, n, m):
-    """`planes` scratch planes for every block of _row_blocks(n, m), allocated once per pass.
-
-    Each block works in views of these planes, so a pass makes no
-    block-sized temporaries: a fresh 256 KiB temporary per step lands in
-    heap holes or grows the heap, and peak RSS then depends on the layout.
-    """
-    return np.empty((planes, min(n, _block_rows(m)), m))
-
-
-def _columns(points):
-    """The x, y, z coordinates of a (b, 3) array as (b, 1) columns."""
-    return points[:, 0:1], points[:, 1:2], points[:, 2:3]
-
-
 def _segments(points):
-    """Midpoints and directions of a closed polyline's edges, edge i from vertex i to i+1."""
+    """Midpoints, directions and half lengths of a closed polyline's edges.
+
+    Edge i runs from vertex i to i+1. Midpoints and directions come as
+    contiguous x, y, z rows of shape (3, n); the half lengths take numpy's
+    norm of each (x, y, z) direction.
+    """
     d = np.roll(points, -1, axis=0) - points
-    return points + 0.5 * d, d
+    return np.ascontiguousarray((points + 0.5 * d).T), np.ascontiguousarray(d.T), 0.5 * np.linalg.norm(d, axis=1)
+
+
+def _pair_pass(c1, c2):
+    """curve_separation's bound and the Gauss sum's row sums, in one pass over the segment pairs.
+
+    Returns (separation, partials): partials[i] is the numpy sum over c2's
+    segments of the midpoint-rule Gauss terms of c1's segment i. The pass
+    walks c1 in blocks of BLOCK_ELEMENTS // m rows against c2's m segments,
+    in one 6-plane workspace allocated up front, so no block allocates a
+    temporary: a fresh 256 KiB temporary per block lands in heap holes or
+    grows the heap, and peak RSS then depends on the layout. The
+    separation folds each block's midpoint distances right
+    after their square root, where the sum's scratch plane t is free. A
+    pair at distance 0, which only curves that fail the guard have, makes
+    its term nan or inf; that division and the row sums run without a
+    floating-point warning, and gauss_linking raises before it merges them.
+    """
+    m1, d1, h1 = _segments(c1.points)
+    (nx, ny, nz), (ux, uy, uz), h2 = _segments(c2.points)
+    n, m = len(h1), len(h2)
+    step = max(1, BLOCK_ELEMENTS // m)
+    work = np.empty((6, min(n, step), m))
+    partials = np.empty(n)
+    separation = np.inf
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        (mx, my, mz), (ax, ay, az) = m1[:, rows, None], d1[:, rows, None]
+        rx, ry, rz, num, den, t = work[:, : len(mx)]
+        np.subtract(mx, nx, out=rx)
+        np.subtract(my, ny, out=ry)
+        np.subtract(mz, nz, out=rz)
+        # r . (d1 x d2): np.cross's products, einsum's (x + z) + y grouping;
+        # den and t are scratch until den is computed
+        np.subtract(np.multiply(ay, uz, out=den), np.multiply(az, uy, out=t), out=den)
+        np.multiply(rx, den, out=num)
+        np.subtract(np.multiply(ax, uy, out=den), np.multiply(ay, ux, out=t), out=den)
+        num += np.multiply(rz, den, out=den)
+        np.subtract(np.multiply(az, ux, out=den), np.multiply(ax, uz, out=t), out=den)
+        num += np.multiply(ry, den, out=den)
+        np.multiply(rx, rx, out=den)
+        den += np.multiply(ry, ry, out=t)
+        den += np.multiply(rz, rz, out=t)
+        np.sqrt(den, out=den)
+        separation = np.minimum(separation, (np.subtract(den, h2, out=t).min(axis=1) - h1[rows]).min())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num /= np.power(den, 3, out=den)
+            partials[rows] = num.sum(axis=1)
+    return float(separation), partials
 
 
 def curve_separation(c1, c2):
@@ -267,63 +290,12 @@ def curve_separation(c1, c2):
     |w - q|^2 / 2 >= 0.02), and the translated unlink within 20, so the
     slack is below 6e-14, ten orders of magnitude under the threshold.
 
-    One row-blocked pass. Rounding is monotone, so subtracting |d_i|/2
-    after each row's minimum gives the same value as subtracting it from
-    every pair term.
+    One row-blocked pass, shared with the Gauss sum: _pair_pass takes each
+    pair's |m_i - n_j| from the sum's own squared norm and square root.
+    Rounding is monotone, so subtracting |d_i|/2 after each row's minimum
+    gives the same value as subtracting it from every pair term.
     """
-    m1, d1 = _segments(c1.points)
-    m2, d2 = _segments(c2.points)
-    h1 = 0.5 * np.linalg.norm(d1, axis=1)
-    h2 = 0.5 * np.linalg.norm(d2, axis=1)
-    nx, ny, nz = _rows(m2)
-    best = np.inf
-    work = _block_workspace(3, len(m1), len(m2))
-    for rows in _row_blocks(len(m1), len(m2)):
-        mx, my, mz = _columns(m1[rows])
-        e, dist, t = work[:, : len(mx)]
-        np.multiply(np.subtract(mx, nx, out=e), e, out=dist)
-        np.subtract(my, ny, out=e)
-        dist += np.multiply(e, e, out=t)
-        np.subtract(mz, nz, out=e)
-        dist += np.multiply(e, e, out=t)
-        np.sqrt(dist, out=dist)
-        dist -= h2
-        best = np.minimum(best, (dist.min(axis=1) - h1[rows]).min())
-    return float(best)
-
-
-def _gauss_sum(c1, c2):
-    """Midpoint-rule Gauss double integral of two closed polylines, unguarded."""
-    m1, d1 = _segments(c1.points)
-    m2, d2 = _segments(c2.points)
-    ux, uy, uz = _rows(d2)
-    nx, ny, nz = _rows(m2)
-    partials = np.empty(len(m1))  # one per outer segment
-    work = _block_workspace(6, len(m1), len(m2))
-    for rows in _row_blocks(len(m1), len(m2)):
-        ax, ay, az = _columns(d1[rows])
-        mx, my, mz = _columns(m1[rows])
-        rx, ry, rz, num, den, t = work[:, : len(mx)]
-        np.subtract(mx, nx, out=rx)
-        np.subtract(my, ny, out=ry)
-        np.subtract(mz, nz, out=rz)
-        # r . (d1 x d2): np.cross's products, einsum's (x + z) + y grouping;
-        # den and t are scratch until den is computed
-        np.subtract(np.multiply(ay, uz, out=den), np.multiply(az, uy, out=t), out=den)
-        np.multiply(rx, den, out=num)
-        np.subtract(np.multiply(ax, uy, out=den), np.multiply(ay, ux, out=t), out=den)
-        num += np.multiply(rz, den, out=den)
-        np.subtract(np.multiply(az, ux, out=den), np.multiply(ax, uz, out=t), out=den)
-        num += np.multiply(ry, den, out=den)
-        np.multiply(rx, rx, out=den)
-        den += np.multiply(ry, ry, out=t)
-        den += np.multiply(rz, rz, out=t)
-        np.sqrt(den, out=den)
-        num /= np.power(den, 3, out=den)
-        partials[rows] = num.sum(axis=1)
-    raw = math.fsum(partials) / (4.0 * math.pi)
-    rounded = int(round(raw))
-    return LinkingResult(raw=raw, rounded=rounded, residual=abs(raw - rounded))
+    return _pair_pass(c1, c2)[0]
 
 
 def gauss_linking(c1, c2):
@@ -331,11 +303,14 @@ def gauss_linking(c1, c2):
 
     Midpoint evaluation per segment pair. Raises CurvesTooClose when
     curve_separation, a proven lower bound on the distance between the
-    curves, is below MIN_CURVE_SEPARATION.
+    curves, is below MIN_CURVE_SEPARATION. Both come from one _pair_pass.
     """
-    if curve_separation(c1, c2) < MIN_CURVE_SEPARATION:
+    separation, partials = _pair_pass(c1, c2)
+    if separation < MIN_CURVE_SEPARATION:
         raise CurvesTooClose(f"curves not proven {MIN_CURVE_SEPARATION} apart")
-    return _gauss_sum(c1, c2)
+    raw = math.fsum(partials) / (4.0 * math.pi)
+    rounded = int(round(raw))
+    return LinkingResult(raw=raw, rounded=rounded, residual=abs(raw - rounded))
 
 
 def residual_tolerance(segments):
@@ -347,14 +322,13 @@ def residual_tolerance(segments):
     return 0.05 if segments >= 256 else 0.2
 
 
-def hopf_invariant_of_h(segments=256, values=((0.0, 1.0), (0.0, -1.0)), pole=DEFAULT_POLE,
-                        _self_link=False):
+def hopf_invariant_of_h(segments=256, values=((0.0, 1.0), (0.0, -1.0)), _self_link=False):
     """Hopf invariant of h as the linking number of two fiber circles.
 
     Projects the fibers over the two regular values stereographically and
     evaluates the Gauss sum; the rounded value is +-1 (sign is an
-    orientation convention). The projection pole is checked to clear both
-    fibers by at least 0.2 before projecting. The `_self_link` hook
+    orientation convention). The projection pole, DEFAULT_POLE, is checked
+    to clear both fibers by at least 0.2 before projecting. The `_self_link` hook
     replaces the second fiber by a far translate of the first --- an
     unlink, used as a negative control.
     """
@@ -362,16 +336,16 @@ def hopf_invariant_of_h(segments=256, values=((0.0, 1.0), (0.0, -1.0)), pole=DEF
         raise ValueError("segments must be >= 64")
     w0a, w1a = hopf_fiber(values[0], segments)
     w0b, w1b = hopf_fiber(values[1], segments)
-    q = _pole_vector(pole)
+    q = _pole_vector()
     for w0, w1 in ((w0a, w1a), (w0b, w1b)):
         clearance = float(np.linalg.norm(_to_r4(w0, w1) - q, axis=1).min())
         if clearance < FIBER_POLE_CLEARANCE:
             raise NearPole(f"projection pole only {clearance:.3f} from a fiber")
-    c1 = PolylineCurve3(stereographic(w0a, w1a, pole))
+    c1 = PolylineCurve3(stereographic(w0a, w1a))
     if _self_link:
         c2 = c1.translated((10.0, 0.0, 0.0))
     else:
-        c2 = PolylineCurve3(stereographic(w0b, w1b, pole))
+        c2 = PolylineCurve3(stereographic(w0b, w1b))
     return gauss_linking(c1, c2)
 
 

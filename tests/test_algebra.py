@@ -159,11 +159,14 @@ def test_inverse_identity_random_mus(mesh9):
     assert worst <= 1e-10
 
 
-def test_inverse_identity_sweep_guards_conditioned_lanes(mesh9):
+def test_inverse_identity_sweep_guards_conditioned_lanes(mesh9, monkeypatch):
+    from expspec import algebra
+
     # with no conditioning cut the singular equator ring at mu = 1 is a
     # conditioned lane, so the singularity guard must fire
+    monkeypatch.setattr(algebra, "COND_LIMIT", np.inf)
     with pytest.raises(SingularMatrix):
-        inverse_identity_sweep(mesh9, (1.0,), cond_limit=np.inf)
+        inverse_identity_sweep(mesh9, (1.0,))
 
 
 def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
@@ -229,7 +232,7 @@ def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     z0_nan[n + 5] = np.nan
     cases = (
         (_identity_chunk, _IDENTITY_PLANES, ()),
-        (_inverse_identity_chunk, _INVERSE_PLANES, (MU_PROBES, 1e6)),
+        (_inverse_identity_chunk, _INVERSE_PLANES, (MU_PROBES,)),
     )
     for chunk, planes, args in cases:
         work = np.empty((planes, full), dtype=np.complex128)

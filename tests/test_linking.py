@@ -11,7 +11,7 @@ from expspec.linking import (
     LinkingResult,
     NearPole,
     PolylineCurve3,
-    _gauss_sum,
+    _pair_pass,
     curve_separation,
     fiber_to_csv,
     gauss_linking,
@@ -165,12 +165,14 @@ def test_hopf_invariant_regular_value_independence():
     assert abs(a.rounded) == abs(b.rounded) == 1
 
 
-def test_projection_pole_clearance_enforced():
+def test_projection_pole_clearance_enforced(monkeypatch):
+    from expspec import linking
     from expspec.sphere import SpherePoint3
 
     # a pole sitting on the first fiber must be rejected
+    monkeypatch.setattr(linking, "DEFAULT_POLE", SpherePoint3(1.0 + 0j, 0j))
     with pytest.raises(NearPole):
-        hopf_invariant_of_h(64, pole=SpherePoint3(1.0 + 0j, 0j))
+        hopf_invariant_of_h(64)
 
 
 def test_segment_floor():
@@ -212,6 +214,11 @@ def reference_gauss_raw(c1, c2):
     return math.fsum(rows.tolist()) / (4.0 * math.pi)
 
 
+def unguarded_raw(c1, c2):
+    # the Gauss sum of the pass, merged as gauss_linking merges it, without the guard
+    return math.fsum(_pair_pass(c1, c2)[1]) / (4.0 * math.pi)
+
+
 def hopf_fiber_pair(segments, values=((0.0, 1.0), (0.0, -1.0))):
     w = hopf_fiber(values[0], segments)
     v = hopf_fiber(values[1], segments)
@@ -244,14 +251,14 @@ def test_blocked_kernels_match_reference_bitwise(case):
         c2 = c1.translated((10.0, 0.0, 0.0))
     assert curve_separation(c1, c2) == reference_pair_terms(c1, c2).min()
     assert curve_separation(c2, c1) == reference_pair_terms(c2, c1).min()
-    assert _gauss_sum(c1, c2).raw == reference_gauss_raw(c1, c2)
-    assert _gauss_sum(c2, c1).raw == reference_gauss_raw(c2, c1)
+    assert unguarded_raw(c1, c2) == reference_gauss_raw(c1, c2)
+    assert unguarded_raw(c2, c1) == reference_gauss_raw(c2, c1)
     if case == "unequal_300_517":
         # the loops come within 0.0022 of each other; the bound reads -0.185
         with pytest.raises(CurvesTooClose):
             gauss_linking(c1, c2)
     else:
-        assert gauss_linking(c1, c2) == _gauss_sum(c1, c2)
+        assert gauss_linking(c1, c2).raw == reference_gauss_raw(c1, c2)
 
 
 def test_curves_too_close_in_last_partial_block():
@@ -313,11 +320,24 @@ def test_x_shaped_near_miss_raises():
         assert vertex_distance(a.points, b) >= 0.5
     assert curve_separation(c1, c2) == pytest.approx(1e-4 - 1.0)
     # unguarded, the midpoint rule turns the near miss into a huge "linking number"
-    assert abs(_gauss_sum(c1, c2).raw) > 1e6
+    assert abs(unguarded_raw(c1, c2)) > 1e6
     with pytest.raises(CurvesTooClose):
         gauss_linking(c1, c2)
     with pytest.raises(CurvesTooClose):
         gauss_linking(c2, c1)
+
+
+def test_exactly_crossing_curves_raise():
+    # The two middle segments cross at their common midpoint: that pair's
+    # Gauss term is 0/0. The guard must raise before the sum is merged or
+    # rounded, and the division must not warn (a RuntimeWarning is an error
+    # under pytest's filterwarnings).
+    c1, c2 = x_shaped_squares(0.0)
+    assert np.array_equal(c1.points[1] + c1.points[2], c2.points[1] + c2.points[2])
+    assert curve_separation(c1, c2) == curve_separation(c2, c1) == -1.0
+    for a, b in ((c1, c2), (c2, c1)):
+        with pytest.raises(CurvesTooClose):
+            gauss_linking(a, b)
 
 
 def vertex_distance(points, curve):
