@@ -319,7 +319,8 @@ def run_generalize(cfg):
         "points_n2": len(mesh2),
         "family_n3": family_n3,
         "points_n3": len(mesh3),
-        "n2_bit_difference": max(a_diff, b_diff),
+        # np.maximum, unlike max(), keeps a nan in either difference
+        "n2_bit_difference": np.maximum(a_diff, b_diff),
     }
     rep = Report("generalize", asdict(cfg), check_records(GENERALIZE_CHECKS, evidence))
     rep.notes.append(

@@ -15,6 +15,10 @@ cloud values land exactly on C, which is what makes the commutativity
 comparison (nonzero spectrum of ab versus ba) essentially exact; the
 genuinely different behaviour of the two elements only appears in the
 exponential spectrum, certified in the homotopy module.
+
+The nearest-point searches of the Hausdorff distances run in row blocks
+of BLOCK_ELEMENTS pair distances, so their memory is bounded at any mesh;
+a min or max is exact in any order, so the blocks change no value.
 """
 
 from dataclasses import dataclass
@@ -42,6 +46,9 @@ __all__ = [
 DEDUP_DECIMALS = 12      # cloud values are rounded to this many decimals and deduplicated
 ZERO_DROP_TOL = 1e-10    # |lambda| below this counts as the removable zero eigenvalue
 TARGET_SAMPLES = 4096    # boundary discretization for target-to-cloud distances
+# Pair distances per row block of the nearest-point search: 512 KiB of
+# complex128 differences, the same block size as linking.BLOCK_ELEMENTS.
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,13 @@ def drop_zeros(cloud):
 
 
 def _farthest_nearest(a, b):
-    """Max over a of the distance to the nearest point of b, in 4096-row blocks."""
-    worst = [np.abs(a[i : i + 4096, None] - b[None, :]).min(axis=1).max()
-             for i in range(0, a.size, 4096)]
+    """Max over a of the distance to the nearest point of b.
+
+    Walks a in blocks of BLOCK_ELEMENTS // b.size rows, at least one row.
+    """
+    step = max(1, BLOCK_ELEMENTS // b.size)
+    worst = [np.abs(a[i : i + step, None] - b[None, :]).min(axis=1).max()
+             for i in range(0, a.size, step)]
     # np.maximum, unlike max(), keeps a nan from any block
     return np.maximum.reduce(worst)
 

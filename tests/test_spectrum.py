@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from expspec import spectrum
 from expspec.spectrum import (
+    BLOCK_ELEMENTS,
     CIRCLE_C,
     UNIT_CIRCLE_T,
     TargetSet,
@@ -115,6 +119,60 @@ def test_hausdorff_keeps_nan():
     assert np.isnan(cloud_hausdorff(np.array([0.0, np.nan]), np.array([0j])))
     assert np.isnan(cloud_hausdorff(np.array([0j]), np.array([0.0, np.nan])))
     assert np.isnan(hausdorff_to_target(np.array([0.5, np.nan]), CIRCLE_C))
+
+
+def _one_block_farthest_nearest(a, b):
+    """Max over a of the distance to the nearest point of b, all pairs at once."""
+    return np.abs(a[:, None] - b[None, :]).min(axis=1).max()
+
+
+def _cloud(rng, size):
+    return 0.5 + rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+@pytest.mark.parametrize("na, nb", [
+    (7, 9),        # one block each way
+    (33, 1000),    # 32- and 992-row blocks: both last blocks are partial
+    (5, 40000),    # b.size > BLOCK_ELEMENTS: one row per block
+])
+def test_blocked_cloud_hausdorff_matches_one_block_reference(na, nb):
+    rng = np.random.default_rng(na)
+    a, b = _cloud(rng, na), _cloud(rng, nb)
+    expected = np.maximum(_one_block_farthest_nearest(a, b), _one_block_farthest_nearest(b, a))
+    assert cloud_hausdorff(a, b) == float(expected)
+    assert cloud_hausdorff(b, a) == float(expected)
+
+
+@pytest.mark.parametrize("block, size", [
+    (BLOCK_ELEMENTS, 7),      # 4681-row blocks: the 4096 target samples in one
+    (BLOCK_ELEMENTS, 33),     # 992-row blocks: the last has 128 rows
+    (64, 100),                # cloud larger than the block: one row per block
+])
+def test_blocked_hausdorff_to_target_matches_one_block_reference(monkeypatch, block, size):
+    monkeypatch.setattr(spectrum, "BLOCK_ELEMENTS", block)
+    cloud = _cloud(np.random.default_rng(size), size)
+    for target in (CIRCLE_C, UNIT_CIRCLE_T):
+        farthest = _one_block_farthest_nearest(target.samples(), cloud)
+        expected = np.maximum(target.distance(cloud).max(), farthest)
+        assert hausdorff_to_target(cloud, target) == float(expected)
+
+
+def test_hausdorff_memory_stays_bounded():
+    # the 2048-point clouds of the largest spectrum mesh: comparing all 4096
+    # target samples in one block traced 192 MiB
+    mesh = mesh_s4(2049, 8)
+    ab = drop_zeros(sample_spectrum("ab", mesh))
+    ba = drop_zeros(sample_spectrum("ba", mesh))
+    assert ab.size > 2000
+    tracemalloc.start()
+    try:
+        to_target = hausdorff_to_target(ab, CIRCLE_C)
+        between = cloud_hausdorff(ab, ba)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert to_target < 2e-3 and between == 0.0
+    assert peak < 4 << 20
 
 
 def test_exports(tmp_path, mesh9):
