@@ -254,25 +254,29 @@ ELEMENTS = {
 }
 
 
-def _inverse_identity_residual(a, b, ba, u, mu, out=None, work=None):
+def _inverse_identity_residual(a, b, ba, u, mu, z, out=None, work=None):
     """Pointwise ||(I - mu ba)(I + mu b u a) - I|| with u = (I - mu ab)^{-1}.
 
-    out and work (14 planes) as in linalg2.
+    Overwrites u with I + mu b u a and writes (I - mu ba)(I + mu b u a)
+    into the Field z, which may alias none of the other arguments. out and
+    work (6 planes) as in linalg2.
     """
-    work = workspace(work, 14, u.shape[1:])
-    x, y, z = fields(work[:12])
-    scratch = work[12:]
+    work = workspace(work, 6, u.shape[1:])
+    (x,) = fields(work[:4])
+    scratch = work[4:]
     eye = eye_like(u)
-    mat_mul(b, mat_mul(u, a, out=x, work=scratch), out=y, work=scratch)
-    np.add(eye, np.multiply(mu, y, out=y), out=y)
+    # u is dead once u a is formed, so b (u a) goes into its planes
+    mat_mul(b, mat_mul(u, a, out=x, work=scratch), out=u, work=scratch)
+    np.add(eye, np.multiply(mu, u, out=u), out=u)
     np.subtract(eye, np.multiply(mu, ba, out=x), out=x)
-    lhs = mat_mul(x, y, out=z, work=scratch)
+    lhs = mat_mul(x, u, out=z, work=scratch)
     return op_norm(np.subtract(lhs, eye, out=lhs), out=out, work=scratch)
 
 
 # workspace planes of one inverse-identity chunk: six Fields (a, b, ab, ba,
-# m, u), the masks, the residual, and the residual's own 14 planes
-_INVERSE_PLANES = 24 + 1 + 1 + 14
+# m, u), the masks, the residual, and the residual's own 6 planes, whose
+# first 4 are also mat_inv's scratch
+_INVERSE_PLANES = 24 + 1 + 1 + 6
 
 
 def _inverse_identity_chunk(z0, z1, z2, work, mus):
@@ -296,7 +300,8 @@ def _inverse_identity_chunk(z0, z1, z2, work, mus):
             skipped += int(np.count_nonzero(np.logical_not(ok, out=skip)))
             if not np.any(ok):
                 continue
-            _inverse_identity_residual(a, b, ba, u, mu, out=res, work=scratch)
+            # m is dead after mat_inv, so the residual's product goes into it
+            _inverse_identity_residual(a, b, ba, u, mu, m, out=res, work=scratch)
             np.copyto(res, 0.0, where=skip)
             # np.maximum, unlike max(), keeps a nan from a conditioned lane
             worst = np.maximum(worst, res.max())

@@ -509,11 +509,12 @@ def path_invertibility(mesh):
     """Check |det H| = 1 at PATH_T_COUNT t-values along the path, and the endpoint identities.
 
     H(x, t) depends on x only through z2, so the det sweep over the
-    unique latitude values times the t-grid covers the full mesh exactly;
-    the endpoint residual at t = 0 is a genuine full-mesh product sweep.
+    mesh's latitude values (mesh.z2_values, one per latitude) times the
+    t-grid covers the full mesh exactly; the endpoint residual at t = 0 is
+    a genuine full-mesh product sweep.
     """
     ts = np.linspace(0.0, 1.0, PATH_T_COUNT)
-    z2s = np.unique(mesh.z2_values)
+    z2s = mesh.z2_values
     dets = phi((1.0 - ts[:, None]) * z2s[None, :] + ts[:, None])
     max_det_dev = float(np.abs(np.abs(dets) - 1.0).max())
 

@@ -77,18 +77,27 @@ UNIT_CIRCLE_T = TargetSet(0.0 + 0.0j, 1.0)
 
 
 def _dedup(values):
+    """The distinct values on the 1e-12 grid, sorted by (re, im), any nan last.
+
+    Every value with a nan part collapses onto the first such value in
+    input order, as np.unique(equal_nan=True) collapses them.
+    """
     q = np.round(values.real, DEDUP_DECIMALS) + 1j * np.round(values.imag, DEDUP_DECIMALS)
-    # + 0.0 turns a part rounded to -0.0 into 0.0: np.unique keeps either of
+    # + 0.0 turns a part rounded to -0.0 into 0.0: the sort keeps either of
     # two equal zeros, so a signed one would make the cloud depend on chunking
-    return np.unique(q + 0.0)  # sorts by (re, im)
+    q += 0.0
+    nan = np.isnan(q)
+    s = np.sort(q[~nan])  # by (re, im)
+    # the first of each run of equal values, then the first nan lane
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]], q[nan][:1]))
 
 
 def sample_spectrum(element, mesh):
     """Eigenvalue cloud of a built-in element over a mesh.
 
     `element` is a name from algebra.ELEMENTS. The cloud is every pointwise
-    eigenvalue, rounded to the 1e-12 grid and deduplicated (np.unique
-    order: lexicographic by real then imaginary part).
+    eigenvalue, rounded to the 1e-12 grid and deduplicated, in
+    lexicographic order by real then imaginary part (see _dedup).
     """
     field = ELEMENTS[element]
     if len(mesh) == 0:

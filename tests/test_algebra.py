@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from expspec.algebra import (
+    CHUNK,
     DomainError,
     IdentityResiduals,
     MU_PROBES,
@@ -17,6 +20,7 @@ from expspec.algebra import (
     product_eigenvalue,
 )
 from expspec.linalg2 import SingularMatrix, eig2, eye_like, mat_inv, mat_mul, op_norm
+from expspec.sphere import mesh_s4
 
 from conftest import as_field, as_stack
 
@@ -157,6 +161,22 @@ def test_inverse_identity_random_mus(mesh9):
     mus = tuple(rng.uniform(-2, 2, 4) + 1j * rng.uniform(-2, 2, 4))
     worst, _ = inverse_identity_sweep(mesh9, mus)
     assert worst <= 1e-10
+
+
+def test_inverse_identity_sweep_memory_stays_bounded():
+    # 32 workspace planes of CHUNK points are 4 MiB; the mesh's chunk buffers
+    # (0.3 MiB) and a ufunc's float-to-complex cast buffers (0.25 MiB) come on
+    # top. With 40 planes the sweep traced 5.7 MiB.
+    mesh = mesh_s4(9, 32)
+    assert len(mesh) > CHUNK
+    tracemalloc.start()
+    try:
+        worst, _ = inverse_identity_sweep(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst <= 1e-10
+    assert peak < 5 << 20
 
 
 def test_inverse_identity_sweep_guards_conditioned_lanes(mesh9, monkeypatch):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +330,22 @@ def test_spectrum_one_record_definitions(capsys):
     assert _rows(json.loads(out)) == [
         ("cloud_is_one", "the spectrum of the identity element is {1}", 1e-12, "<="),
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report-all", "--lat", "9", "--shell", "16"], ["certify", "--lat", "9", "--shell", "16"], ["spectrum", "ab"]],
+)
+def test_run_path_does_not_import_numpy_ma(argv, tmp_path):
+    # np.unique imports numpy.ma on its first call: 1.25 MiB of resident
+    # memory and 10-13 ms per process. A fresh process shows what the run loaded.
+    script = (
+        "import sys\n"
+        "from expspec import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.exit(3 if 'numpy.ma' in sys.modules else code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,13 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from expspec import cli, report
-from expspec.algebra import field_a, field_b, phi
+from expspec.algebra import DomainError, field_a, field_b, phi
 from expspec.generalize import (
     BLOCK_POINTS,
     UnsupportedN,
@@ -157,3 +158,23 @@ def test_nan_lane_fails_the_generalize_record(monkeypatch, tmp_path, capsys):
     assert records["family_identities_n2"]["passed"]
     for name in ("family_identities_n3", "n2_bit_identity"):
         assert np.isnan(records[name]["value"]) and not records[name]["passed"]
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf)])
+def test_infinite_z_gives_nan_without_a_warning(value):
+    # inf * 0 in the block's matmuls warned "invalid value encountered in matmul"
+    mesh = mesh_s2n(3, 9, 3, 6)
+    mesh.z[5, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(family_identity_check(3, mesh))
+
+
+def test_infinite_zn_raises_domain_error():
+    # an infinite latitude coordinate is outside phi's domain [-1, 1]
+    mesh = mesh_s2n(3, 9, 3, 6)
+    mesh.zn[5] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            family_identity_check(3, mesh)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from expspec.algebra import field_c, field_one_minus_2ba
+from expspec.algebra import field_c, field_one_minus_2ba, phi
 from expspec.homotopy import (
+    PATH_T_COUNT,
     CertificateFailure,
     FREUDENTHAL_SUSPENSION,
     HomotopyCertificate,
@@ -17,6 +18,7 @@ from expspec.homotopy import (
     path_invertibility,
     suspension_eh,
 )
+from expspec.linalg2 import eye_like, op_norm
 from expspec.sphere import mesh_s4
 
 from conftest import as_stack, equator_ring, hopf
@@ -250,6 +252,25 @@ def test_path_invertibility(mesh9):
     assert p.max_det_deviation <= 1e-13
     assert p.endpoint_start <= 1e-13
     assert p.endpoint_end == 0.0
+
+
+def unique_latitude_path(mesh):
+    """path_invertibility's det deviation and end residual over np.unique(mesh.z2_values): the oracle."""
+    ts = np.linspace(0.0, 1.0, PATH_T_COUNT)
+    z2s = np.unique(mesh.z2_values)
+    dets = phi((1.0 - ts[:, None]) * z2s[None, :] + ts[:, None])
+    h1 = null_homotopy_ba(z2s, 1.0)
+    return float(np.abs(np.abs(dets) - 1.0).max()), float(op_norm(h1 - eye_like(h1)).max())
+
+
+@pytest.mark.parametrize("lat", [3, 33, 2049])
+def test_path_invertibility_matches_the_unique_latitude_sweep(lat):
+    # the latitude values in mesh order give the same maxima, bit for bit
+    mesh = mesh_s4(lat, 8)
+    got = path_invertibility(mesh)
+    det_dev, end = unique_latitude_path(mesh)
+    assert got.max_det_deviation.hex() == det_dev.hex()
+    assert got.endpoint_end.hex() == end.hex()
 
 
 def test_certificates(mesh33):

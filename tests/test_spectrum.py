@@ -7,6 +7,7 @@ from expspec import spectrum
 from expspec.spectrum import (
     BLOCK_ELEMENTS,
     CIRCLE_C,
+    DEDUP_DECIMALS,
     UNIT_CIRCLE_T,
     TargetSet,
     _dedup,
@@ -46,10 +47,53 @@ def test_cloud_is_deterministic_and_sorted(mesh9):
 
 
 def test_dedup_drops_the_sign_of_zero():
-    # np.unique keeps either of two equal zeros, so a -0.0 from rounding
+    # the sort keeps either of two equal zeros, so a -0.0 from rounding
     # would make the cloud depend on the chunk boundaries
     q = _dedup(np.array([complex(-1e-15, -1e-15), complex(1e-15, 1e-15)]))
     assert q.size == 1 and not np.signbit(q.real).any() and not np.signbit(q.imag).any()
+
+
+def unique_dedup(values):
+    """The deduplication as np.unique forms it: the oracle for _dedup."""
+    q = np.round(values.real, DEDUP_DECIMALS) + 1j * np.round(values.imag, DEDUP_DECIMALS)
+    return np.unique(q + 0.0)
+
+
+def _cloud(rng, size):
+    """Values on a coarse grid (many duplicates), with 1e-13 noise, signed zeros and nan lanes."""
+    re = rng.integers(-2, 3, size) + rng.choice([0.0, 1e-13, -1e-13], size)
+    im = rng.integers(-2, 3, size) + rng.choice([0.0, 1e-13, -1e-13], size)
+    pick = rng.random(size)
+    re[pick < 0.1] = -0.0
+    im[(pick > 0.05) & (pick < 0.15)] = -0.0
+    re[(pick > 0.2) & (pick < 0.22)] = np.nan
+    im[(pick > 0.21) & (pick < 0.23)] = np.nan
+    # re + 1j * im would lose a -0.0 imaginary part
+    values = np.empty(size, np.complex128)
+    values.real, values.imag = re, im
+    return values
+
+
+NAN_LANES = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.nan, np.nan)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([], np.complex128),
+        np.array([1 + 1j, 1 + 1j, complex(-0.0, -0.0), 0j, complex(-0.0, 1.0), complex(0.0, -0.0)]),
+        np.array(NAN_LANES + [2.0, 2.0]),
+        np.array([3.0] + NAN_LANES[::-1] + [-1.0]),
+        np.array([complex(1.0, np.nan)] + NAN_LANES),
+        *(_cloud(np.random.default_rng(seed), size) for seed, size in ((0, 1), (1, 50), (2, 20000))),
+    ],
+)
+def test_dedup_matches_np_unique_bit_for_bit(values):
+    # every nan lane collapses onto the first in input order, as in np.unique
+    want = unique_dedup(values)
+    got = _dedup(values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_hausdorff_two_point_cloud_vs_circle():

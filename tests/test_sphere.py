@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from expspec.algebra import CHUNK
+from expspec.report import MAX_LAT
 from expspec.sphere import (
     InvalidResolution,
     mesh_s4,
@@ -59,6 +60,12 @@ def test_equator_submesh_matches_equator_mesh():
 def test_latitude_snapping():
     m = mesh_s4(5, 8)
     assert set(np.unique(m.arrays()[2])) >= {-1.0, 0.0, 1.0}
+
+
+@pytest.mark.parametrize("lat", [3, 65, MAX_LAT])
+def test_latitude_values_strictly_decrease(lat):
+    # one distinct z2 per latitude: path_invertibility sweeps them as they are
+    assert np.all(np.diff(mesh_s4(lat, 8).z2_values) < 0)
 
 
 def test_invalid_resolutions():
