@@ -29,6 +29,8 @@ can be exercised. All evaluators broadcast over arrays of coordinates and
 return linalg2 Fields.
 """
 
+import os
+import pickle
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -69,6 +71,7 @@ __all__ = [
     "ELEMENTS",
     "MU_PROBES",
     "CHUNK",
+    "SPLIT_POINTS",
     "sweep",
 ]
 
@@ -86,6 +89,18 @@ COND_LIMIT = 1e6
 # into one workspace allocated per sweep: a fresh 128 KiB temporary per step
 # sits at glibc's mmap threshold and is zero-filled again on first touch.
 CHUNK = 1 << 13
+
+# a sweep of at least this many points runs its back half in one forked
+# helper process. A forked sweep costs about 10 ms on a 2-vCPU VM (fork and
+# wait 1.5-2.5 ms, then copy-on-write faults and the two CPUs slowing each
+# other). The cheapest kernels (path start, f/Eh) lost at 224,194 points
+# (path 32 -> 43 ms, gap 25 -> 30 ms) and won from 339,906 (path 54 -> 34 ms,
+# gap 43 -> 28 ms); a 3-chunk spectrum sweep lost 9.0 -> 13.7 ms.
+SPLIT_POINTS = 1 << 18
+
+# signal.SIGKILL on every POSIX system; importing the signal module would
+# add about 90 KiB to the RSS of every process for this one number
+_SIGKILL = 9
 
 
 class DomainError(ValueError):
@@ -105,9 +120,105 @@ def sweep(kernel, mesh, planes=0):
     workspace for the whole sweep: `planes` complex planes of CHUNK points
     (fewer for a shorter sweep). It holds the previous chunk's values, so a
     kernel slices it to its own chunk's length and writes every lane it reads.
+
+    A sweep of at least SPLIT_POINTS points and two chunks, where
+    os.sched_getaffinity(0) offers two or more CPUs, is cut at the chunk
+    boundary (count // 2) * CHUNK. One helper forked with os.fork runs the
+    back half and pickles its results through a pipe while this process
+    runs the front half. Processes, not threads: the GIL changes hands at every ufunc call,
+    and at CHUNK points a call is too short to pay for that, so two threads
+    measured no faster than one. The chunks, the kernel arithmetic and the
+    fold order are those of one process, so every result is bit for bit the
+    same, and so is the exception a failing sweep raises: the front half's
+    first, else the back half's, with its type and message. Each process
+    holds one workspace, and the max RSS that wait4 reports for this
+    process is the larger of its own and its reaped helper's, not their
+    sum. The helper exits once its parent is gone, and any error here, a
+    KeyboardInterrupt included, kills and reaps it first. Where the helper
+    cannot be forked, or delivers nothing, this process runs the back half
+    itself. A helper's side effects stay in the helper: its warnings print
+    there, and a tracer in this process sees only the front half.
     """
-    work = (np.empty((planes, min(len(mesh), CHUNK)), np.complex128),) if planes else ()
-    return [kernel(*chunk, *work) for chunk in mesh.chunks(CHUNK)]
+    count = -(-len(mesh) // CHUNK)
+    if len(mesh) < SPLIT_POINTS or count < 2 or _cpus() < 2:
+        return _sweep_range(kernel, mesh, planes, 0, len(mesh))
+    cut = count // 2 * CHUNK
+    pid, pipe = _fork_helper(kernel, mesh, planes, cut)
+    try:
+        front = _sweep_range(kernel, mesh, planes, 0, cut)
+        data = pipe.read() if pid else b""
+    except BaseException:
+        if pid:
+            os.kill(pid, _SIGKILL)
+        raise
+    finally:
+        if pid:
+            pipe.close()
+            os.waitpid(pid, 0)
+    try:
+        done, back = pickle.loads(data)
+    except Exception:
+        # no helper, or one that delivered nothing readable
+        return front + _sweep_range(kernel, mesh, planes, cut, len(mesh))
+    if not done:
+        raise back
+    return front + back
+
+
+def _cpus():
+    """The CPUs this process may run on; 1 where that is unknown."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _sweep_range(kernel, mesh, planes, start, stop, parent=None):
+    """The results of kernel over the chunks of [start, stop), in one workspace.
+
+    With a parent pid, exits the process before a chunk once its parent
+    has changed: a helper whose parent died sweeps no further.
+    """
+    work = (np.empty((planes, min(stop - start, CHUNK)), np.complex128),) if planes else ()
+    parts = []
+    for chunk in mesh.chunks(CHUNK, start, stop):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        parts.append(kernel(*chunk, *work))
+    return parts
+
+
+def _fork_helper(kernel, mesh, planes, cut):
+    """Fork the helper that sweeps [cut, len(mesh)); (pid, read end of its pipe).
+
+    (0, None) when the pipe or the fork fails. The helper writes one pickle,
+    (True, results) or (False, exception), which the parent cannot read if
+    it does not pickle whole, and always leaves by os._exit: it runs no exit
+    handlers and flushes no buffer it inherited.
+    """
+    parent = os.getpid()
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return 0, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return 0, None
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    try:
+        os.close(r)
+        try:
+            payload = (True, _sweep_range(kernel, mesh, planes, cut, len(mesh), parent))
+        except BaseException as exc:
+            payload = (False, exc)
+        with os.fdopen(w, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
 
 
 def _coords(z0, z1, z2):
@@ -117,9 +228,21 @@ def _coords(z0, z1, z2):
     return z0, z1, z2
 
 
+def _times_i(x, out):
+    """i x for a float x, written into the complex out; returns out.
+
+    The complex product 1j * x has the parts 0 * x and 0 + x, bit for bit
+    (nan, inf and signed zeros included); float ufuncs write them in place,
+    where 1j * x would first cast x to complex in a temporary buffer.
+    """
+    np.multiply(0.0, x, out=out.real)
+    np.add(0.0, x, out=out.imag)
+    return out
+
+
 def _reciprocal(z2, out):
     """w = 1/(1 + i z2), written into out."""
-    return np.divide(1.0, np.add(1.0, np.multiply(1j, z2, out=out), out=out), out=out)
+    return np.divide(1.0, np.add(1.0, _times_i(z2, out), out=out), out=out)
 
 
 def phi(z2, out=None, work=None):
@@ -137,7 +260,7 @@ def phi(z2, out=None, work=None):
     big = carve(t, bool)[0]
     if np.any(np.greater(np.abs(z2, out=x), 1.0 + 1e-12, out=big)):
         raise DomainError("phi requires z2 in [-1, 1]")
-    iz = np.multiply(1j, np.clip(z2, -1.0, 1.0, out=x), out=t)
+    iz = _times_i(np.clip(z2, -1.0, 1.0, out=x), t)
     # w = (1 - i z2)/(1 + i z2), phi = -(w w)
     w = np.divide(np.subtract(1.0, iz, out=out), np.add(1.0, iz, out=iz), out=out)
     return np.negative(np.multiply(w, w, out=w), out=w)

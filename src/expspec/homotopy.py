@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linking
-from .algebra import _coords, _reciprocal, field_one_minus_2ba, phi, sweep
+from .algebra import _coords, _reciprocal, _times_i, field_one_minus_2ba, phi, sweep
 from .linalg2 import buffer, carve, eye_like, field_buffer, fields, op_norm, planar, workspace
 
 __all__ = [
@@ -213,9 +213,9 @@ def suspension_eh(z0, z1, z2, out=None, work=None):
     np.divide(e0, root, out=e0)
     np.copyto(e0, 0.0, where=pole)
     np.divide(h1, root, out=x)
-    np.add(x, np.multiply(1j, z2, out=e1), out=e1)
+    np.add(x, _times_i(z2, e1), out=e1)
     sign = carve(a, np.float64)[0]
-    np.copyto(e1, np.multiply(1j, np.sign(z2, out=sign), out=b), where=pole)
+    np.copyto(e1, _times_i(np.sign(z2, out=sign), b), where=pole)
     return out
 
 

@@ -68,9 +68,11 @@ __all__ = [
 MIN_CURVE_SEPARATION = 1e-3
 MIN_POLE_DISTANCE = 1e-6
 FIBER_POLE_CLEARANCE = 0.2  # required distance from projection pole to each fiber
-# Pair terms per row block of the O(n m) pass: 256 KiB per float64
-# plane, so a block's working set stays in a core's L2 cache.
-BLOCK_ELEMENTS = 2**15
+# Pair terms per row block of the O(n m) pass: 128 KiB per float64
+# plane, so the 6-plane workspace (0.75 MiB) stays in a core's L2 cache.
+# At 2^15 that workspace was 1.5 MiB, and with it the linking pass set
+# certify's peak RSS, by an amount that moved with the heap's layout.
+BLOCK_ELEMENTS = 2**14
 
 # fixed projection pole, distance sqrt(2 - sqrt(2)) ~ 0.765 from both pole fibers
 DEFAULT_POLE = SpherePoint3(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))

@@ -47,7 +47,7 @@ DEDUP_DECIMALS = 12      # cloud values are rounded to this many decimals and de
 ZERO_DROP_TOL = 1e-10    # |lambda| below this counts as the removable zero eigenvalue
 TARGET_SAMPLES = 4096    # boundary discretization for target-to-cloud distances
 # Pair distances per row block of the nearest-point search: 512 KiB of
-# complex128 differences, the same block size as linking.BLOCK_ELEMENTS.
+# complex128 differences.
 BLOCK_ELEMENTS = 2**15
 
 

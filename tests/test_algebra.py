@@ -1,14 +1,25 @@
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from contextlib import suppress
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from expspec import algebra, homotopy, spectrum
 from expspec.algebra import (
     CHUNK,
     DomainError,
     IdentityResiduals,
     MU_PROBES,
+    _reciprocal,
+    _times_i,
     field_a,
     field_b,
     field_c,
@@ -180,8 +191,6 @@ def test_inverse_identity_sweep_memory_stays_bounded():
 
 
 def test_inverse_identity_sweep_guards_conditioned_lanes(mesh9, monkeypatch):
-    from expspec import algebra
-
     # with no conditioning cut the singular equator ring at mu = 1 is a
     # conditioned lane, so the singularity guard must fire
     monkeypatch.setattr(algebra, "COND_LIMIT", np.inf)
@@ -190,8 +199,6 @@ def test_inverse_identity_sweep_guards_conditioned_lanes(mesh9, monkeypatch):
 
 
 def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
-    from expspec import algebra, homotopy, spectrum
-
     def run_all_sweeps():
         return repr(
             (
@@ -226,9 +233,11 @@ class _Arrays:
     def __len__(self):
         return len(self.z2)
 
-    def chunks(self, size):
-        for i in range(0, len(self), size):
-            yield self.z0[i : i + size], self.z1[i : i + size], self.z2[i : i + size]
+    def chunks(self, size, start=0, stop=None):
+        stop = len(self) if stop is None else stop
+        for i in range(start, stop, size):
+            j = min(i + size, stop)
+            yield self.z0[i:j], self.z1[i:j], self.z2[i:j]
 
 
 def test_inverse_identity_sweep_keeps_nan_lanes(mesh9):
@@ -261,3 +270,266 @@ def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
         stale = chunk(z0[:n], z1[:n], z2[:n], work, *args)
         fresh = chunk(z0[:n], z1[:n], z2[:n], np.empty((planes, full), dtype=np.complex128), *args)
         assert repr(stale) == repr(fresh)
+
+
+# -------------------------------------------------------------- split sweeps
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every sweep of two or more chunks, and record each os.fork call."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(algebra, "SPLIT_POINTS", 0)
+    monkeypatch.setattr(algebra, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def assert_no_child_left():
+    # every helper is reaped, so this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _bits(part):
+    """A per-chunk sweep result with every float as its hex and every array as bytes."""
+    if isinstance(part, np.ndarray):
+        return part.tobytes()
+    if isinstance(part, tuple):
+        return tuple(_bits(p) for p in part)
+    return part if isinstance(part, int) else float(part).hex()
+
+
+SWEEP_RUNS = {
+    "identity": identity_residuals,
+    "inverse": inverse_identity_sweep,
+    "path start": homotopy.path_invertibility,
+    "f/Eh": homotopy._f_eh_pass,
+    "f/Eh flipped": lambda mesh: homotopy._f_eh_pass(mesh, flip_equator=True),
+    "spectrum": lambda mesh: spectrum.sample_spectrum("ab", mesh),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", SWEEP_RUNS)
+def test_split_sweep_matches_one_process_bit_for_bit(name, chunk, forks, monkeypatch):
+    # at CHUNK = 7 the 562-point mesh is cut at point 280, inside its equator
+    # latitude (points 241 to 320); at the default CHUNK the 50,626-point
+    # mesh is 7 chunks, cut after the third
+    mesh = mesh_s4(9, 8 if chunk else 32)
+    if chunk:
+        monkeypatch.setattr(algebra, "CHUNK", chunk)
+    sweep, parts = algebra.sweep, []
+
+    def recording(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        parts.append([_bits(p) for p in result])
+        return result
+
+    for module in (algebra, homotopy, spectrum):
+        monkeypatch.setattr(module, "sweep", recording)
+
+    def run(split_points):
+        monkeypatch.setattr(algebra, "SPLIT_POINTS", split_points)
+        parts.clear()
+        SWEEP_RUNS[name](mesh)
+        return list(parts)
+
+    one = run(len(mesh) + 1)
+    assert not forks and one
+    split = run(0)
+    assert len(forks) == len(split)
+    assert split == one
+    assert_no_child_left()
+
+
+def test_failed_fork_runs_the_back_half_here(forks, monkeypatch, mesh9):
+    # a fork that raises OSError leaves the whole sweep to this process
+    monkeypatch.setattr(algebra, "CHUNK", 7)
+    want = repr(inverse_identity_sweep(mesh9))
+    assert forks
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert repr(inverse_identity_sweep(mesh9)) == want
+    assert_no_child_left()
+
+
+def test_one_cpu_sweeps_in_one_process(forks, monkeypatch, mesh9):
+    monkeypatch.setattr(algebra, "CHUNK", 7)
+    monkeypatch.setattr(algebra, "_cpus", lambda: 1)
+    identity_residuals(mesh9)
+    assert not forks
+
+
+def test_split_threshold_forks_only_large_meshes(forks, monkeypatch):
+    monkeypatch.setattr(algebra, "SPLIT_POINTS", 1 << 18)
+    count = lambda *chunk: None  # noqa: E731
+    algebra.sweep(count, mesh_s4(33, 32))  # 224,194 points
+    assert not forks
+    algebra.sweep(count, mesh_s4(97, 32))  # 687,042 points
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def _index_mesh(n):
+    """n points whose z2 (and Re z0) is the point's index."""
+    z2 = np.arange(n, dtype=np.float64)
+    return _Arrays(z2.astype(np.complex128), np.zeros(n, np.complex128), z2)
+
+
+def _singular_at(*points):
+    """A kernel that raises SingularMatrix on the chunk holding any of points."""
+
+    def kernel(z0, z1, z2):
+        for i in points:
+            if z2[0] <= i <= z2[-1]:
+                raise SingularMatrix(f"singular at point {i}")
+        return float(z2.sum())
+
+    return kernel
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [((100,), "singular at point 100"), ((5,), "singular at point 5"), ((5, 100), "singular at point 5")],
+    ids=["back half", "front half", "both halves"],
+)
+def test_split_sweep_raises_what_one_process_raises(points, message, forks, monkeypatch):
+    # ten chunks of 16 points, cut at point 80; an error in the front half wins
+    monkeypatch.setattr(algebra, "CHUNK", 16)
+    with pytest.raises(SingularMatrix) as err:
+        algebra.sweep(_singular_at(*points), _index_mesh(160))
+    assert type(err.value) is SingularMatrix and str(err.value) == message
+    assert forks
+    assert_no_child_left()
+    assert algebra.sweep(_singular_at(), _index_mesh(160)) == [float(sum(range(i, i + 16))) for i in range(0, 160, 16)]
+    assert_no_child_left()
+
+
+def test_helper_error_reaches_the_parent(forks, monkeypatch):
+    # an error only the helper meets: the parent must raise it, not redo
+    # the back half itself
+    monkeypatch.setattr(algebra, "CHUNK", 16)
+    main = os.getpid()
+
+    def kernel(z0, z1, z2):
+        if os.getpid() != main:
+            raise SingularMatrix(f"singular in the helper at point {z2[0]:.0f}")
+
+    with pytest.raises(SingularMatrix, match="^singular in the helper at point 80$"):
+        algebra.sweep(kernel, _index_mesh(160))
+    assert_no_child_left()
+
+
+def test_unreadable_helper_results_are_swept_here(forks, monkeypatch):
+    # a result that does not pickle reaches the parent as nothing readable,
+    # so the parent sweeps the back half itself
+    monkeypatch.setattr(algebra, "CHUNK", 16)
+    parts = algebra.sweep(lambda z0, z1, z2: (lambda: float(z2[0])), _index_mesh(160))
+    assert [p() for p in parts] == [float(i) for i in range(0, 160, 16)]
+    assert forks
+    assert_no_child_left()
+
+
+def test_interrupted_sweep_kills_its_helper(forks, monkeypatch):
+    # the helper would sleep 10 s; the parent's KeyboardInterrupt must kill
+    # and reap it at once
+    monkeypatch.setattr(algebra, "CHUNK", 16)
+
+    def kernel(z0, z1, z2):
+        if z2[0] >= 80:
+            time.sleep(2.0)
+        else:
+            raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        algebra.sweep(kernel, _index_mesh(160))
+    assert time.monotonic() - start < 5.0
+    assert forks
+    assert_no_child_left()
+
+
+ORPHAN_SCRIPT = """
+import os, sys, time
+from expspec import algebra, mesh_s4
+algebra.CHUNK, algebra.SPLIT_POINTS = 7, 0
+algebra._cpus = lambda: 2
+fd, main = int(sys.argv[1]), os.getpid()
+
+def kernel(z0, z1, z2):
+    if os.getpid() != main:
+        os.write(fd, b"x")
+    time.sleep(0.2)
+
+algebra.sweep(kernel, mesh_s4(9, 8))
+"""
+
+
+def test_helper_stops_when_its_parent_dies():
+    # the helper's 41 chunks take 8 s; once its parent is killed it must exit
+    # before its next chunk. It holds the write end of a pipe, so the read
+    # end sees EOF when it exits, whoever reaps it.
+    env = {**os.environ, "PYTHONPATH": str(Path(algebra.__file__).resolve().parents[1])}
+    r, w = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT, str(w)], env=env, pass_fds=(w,),
+                            start_new_session=True)
+    os.close(w)
+    try:
+        assert select.select([r], [], [], 60)[0] and os.read(r, 1) == b"x"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 3.0
+        while select.select([r], [], [], max(deadline - time.monotonic(), 0))[0]:
+            if not os.read(r, 4096):
+                break
+        else:
+            pytest.fail("the helper outlived its parent by 3 s")
+    finally:
+        os.close(r)
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+# ---------------------------------------------------------------- i * z2
+
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])
+
+
+def test_times_i_is_the_complex_product_bit_for_bit():
+    x = np.concatenate([SPECIAL, np.random.RandomState(3).uniform(-1.0, 1.0, CHUNK)])
+    with np.errstate(invalid="ignore"):
+        want = np.multiply(1j, x)
+        got = _times_i(x, np.empty_like(want))
+        assert got.tobytes() == want.tobytes()
+        recip = np.divide(1.0, np.add(1.0, np.multiply(1j, x)))
+        assert _reciprocal(x, np.empty_like(want)).tobytes() == recip.tobytes()
+    z2 = np.concatenate([SPECIAL[np.abs(SPECIAL) <= 1.0], np.linspace(-1.0, 1.0, 1001)])
+    iz = np.multiply(1j, z2)
+    assert phi(z2).tobytes() == np.negative(np.square((1.0 - iz) / (1.0 + iz))).tobytes()
+    assert _times_i(np.float64(0.5), np.empty((), np.complex128)) == 0.5j
+
+
+def test_times_i_allocates_no_cast_buffer():
+    # 1j * x casts the float plane to complex in a 128 KiB buffer per call
+    x = np.random.RandomState(4).uniform(-1.0, 1.0, CHUNK)
+    out, work = np.empty(CHUNK, np.complex128), np.empty((1, CHUNK), np.complex128)
+    tracemalloc.start()
+    try:
+        _reciprocal(x, out)
+        phi(x, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10

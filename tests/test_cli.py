@@ -91,6 +91,49 @@ def test_certify_memory_stays_bounded(lat, shell):
     assert peak < 8 << 20
 
 
+@pytest.mark.parametrize("lat, shell", [(97, 32), (65, 64)])
+def test_certify_memory_stays_bounded_in_the_back_half(lat, shell, monkeypatch):
+    # these meshes are large enough that each sweep forks a helper for its
+    # back half, which tracemalloc here cannot see; a fork that fails runs
+    # that back half's range in this process, under the same bound
+    import tracemalloc
+
+    from expspec import algebra
+    from expspec.report import run_certify
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("fork refused")
+
+    forks = []
+    monkeypatch.setattr(algebra, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = RunConfig(lat=lat, shell=shell).validate()
+    tracemalloc.start()
+    try:
+        rep = run_certify(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forks
+    assert all(c.passed for c in rep.checks)
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("argv, code", [([], 0), (["--sabotage", "fiber"], 1)], ids=["pass", "fail"])
+def test_certify_leaves_no_process_running(argv, code, tmp_path):
+    # 687,042 points: every mesh sweep forks a helper; none may outlive the run
+    script = "import sys\nfrom expspec import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", script, "certify", "--lat", "97", "--shell", "32", *argv],
+                            cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == code, err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
 CERTIFY_RECORDS = [
     "ba_path_invertibility",
     "ba_endpoint_start",
