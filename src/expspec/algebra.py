@@ -86,7 +86,7 @@ COND_LIMIT = 1e6
 # 512 KiB, so the planes a kernel hands from one ufunc step to the next stay in
 # a 2 MiB L2 cache. The value came from a scan of 2^11 to 2^19 (CHANGES.md);
 # results do not depend on CHUNK. The algebra sweeps write every such plane
-# into one workspace allocated per sweep: a fresh 128 KiB temporary per step
+# into one workspace per sweep and process: a fresh 128 KiB temporary per step
 # sits at glibc's mmap threshold and is zero-filled again on first touch.
 CHUNK = 1 << 13
 
@@ -117,35 +117,59 @@ def sweep(kernel, mesh, planes=0):
     pointwise, so the folded results do not depend on CHUNK.
 
     With planes > 0 the kernel also gets, as its last argument, one
-    workspace for the whole sweep: `planes` complex planes of CHUNK points
+    workspace per process: `planes` complex planes of CHUNK points
     (fewer for a shorter sweep). It holds the previous chunk's values, so a
     kernel slices it to its own chunk's length and writes every lane it reads.
 
-    A sweep of at least SPLIT_POINTS points and two chunks, where
-    os.sched_getaffinity(0) offers two or more CPUs, is cut at the chunk
-    boundary (count // 2) * CHUNK. One helper forked with os.fork runs the
-    back half and pickles its results through a pipe while this process
-    runs the front half. Processes, not threads: the GIL changes hands at every ufunc call,
-    and at CHUNK points a call is too short to pay for that, so two threads
-    measured no faster than one. The chunks, the kernel arithmetic and the
-    fold order are those of one process, so every result is bit for bit the
-    same, and so is the exception a failing sweep raises: the front half's
-    first, else the back half's, with its type and message. Each process
-    holds one workspace, and the max RSS that wait4 reports for this
-    process is the larger of its own and its reaped helper's, not their
-    sum. The helper exits once its parent is gone, and any error here, a
-    KeyboardInterrupt included, kills and reaps it first. Where the helper
-    cannot be forked, or delivers nothing, this process runs the back half
-    itself. A helper's side effects stay in the helper: its warnings print
-    there, and a tracer in this process sees only the front half.
+    A sweep of at least SPLIT_POINTS points runs its back half in a forked
+    helper (see _two_halves), cut at the chunk boundary (count // 2) * CHUNK.
+    The chunks, the kernel arithmetic and the fold order are those of one
+    process, so every result is bit for bit the same. A helper's side
+    effects stay in the helper: its warnings print there, and a tracer in
+    this process sees only the front half.
     """
-    count = -(-len(mesh) // CHUNK)
-    if len(mesh) < SPLIT_POINTS or count < 2 or _cpus() < 2:
-        return _sweep_range(kernel, mesh, planes, 0, len(mesh))
-    cut = count // 2 * CHUNK
-    pid, pipe = _fork_helper(kernel, mesh, planes, cut)
+
+    def run(start, stop):
+        work = (np.empty((planes, min(stop - start, CHUNK)), np.complex128),) if planes else ()
+        for chunk in mesh.chunks(CHUNK, start, stop):
+            yield kernel(*chunk, *work)
+
+    return list(_two_halves(len(mesh), CHUNK, run, len(mesh) >= SPLIT_POINTS))
+
+
+def _two_halves(length, block, run, split):
+    """The results of run(0, length), in order, its back half run by a forked helper.
+
+    run(start, stop) yields one result per `block`-long range of [start,
+    stop), in order, the last range shorter. This generator yields them as
+    they come. With split, where the range is two blocks or more and
+    os.sched_getaffinity(0) offers two or more CPUs, the range is cut at
+    the block boundary (count // 2) * block. One helper forked with os.fork
+    runs the back half and pickles its results through a pipe while this
+    process runs the front half; the back half's results follow the front
+    half's. Processes, not threads: the GIL changes hands at every ufunc
+    call, and at a block's size a call is too short to pay for that, so
+    two threads measured no faster than one.
+
+    A failing run raises what one process raises: the front half's error
+    first, else the back half's, with its type and message. Each process
+    holds its own run's buffers, and the max RSS that wait4 reports for
+    this process is the larger of its own and its reaped helper's, not
+    their sum. The helper checks before each block it pulls that its parent
+    is alive, and exits if not; any error here, a KeyboardInterrupt or a
+    consumer that closes this generator included, kills and reaps it
+    first. Where the helper cannot be forked, or delivers nothing readable,
+    this process runs the back half itself. sweep and linking's pair pass
+    are the callers.
+    """
+    count = -(-length // block)
+    if not split or count < 2 or _cpus() < 2:
+        yield from run(0, length)
+        return
+    cut = count // 2 * block
+    pid, pipe = _fork_helper(run, cut, length, count - count // 2)
     try:
-        front = _sweep_range(kernel, mesh, planes, 0, cut)
+        yield from run(0, cut)
         data = pipe.read() if pid else b""
     except BaseException:
         if pid:
@@ -159,10 +183,11 @@ def sweep(kernel, mesh, planes=0):
         done, back = pickle.loads(data)
     except Exception:
         # no helper, or one that delivered nothing readable
-        return front + _sweep_range(kernel, mesh, planes, cut, len(mesh))
+        yield from run(cut, length)
+        return
     if not done:
         raise back
-    return front + back
+    yield from back
 
 
 def _cpus():
@@ -172,28 +197,15 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _sweep_range(kernel, mesh, planes, start, stop, parent=None):
-    """The results of kernel over the chunks of [start, stop), in one workspace.
+def _fork_helper(run, cut, length, blocks):
+    """Fork the helper that pulls the `blocks` results of run(cut, length).
 
-    With a parent pid, exits the process before a chunk once its parent
-    has changed: a helper whose parent died sweeps no further.
-    """
-    work = (np.empty((planes, min(stop - start, CHUNK)), np.complex128),) if planes else ()
-    parts = []
-    for chunk in mesh.chunks(CHUNK, start, stop):
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
-        parts.append(kernel(*chunk, *work))
-    return parts
-
-
-def _fork_helper(kernel, mesh, planes, cut):
-    """Fork the helper that sweeps [cut, len(mesh)); (pid, read end of its pipe).
-
-    (0, None) when the pipe or the fork fails. The helper writes one pickle,
-    (True, results) or (False, exception), which the parent cannot read if
-    it does not pickle whole, and always leaves by os._exit: it runs no exit
-    handlers and flushes no buffer it inherited.
+    Returns (pid, read end of its pipe), or (0, None) when the pipe or the
+    fork fails. Before each block the helper exits if its parent has
+    changed: a helper whose parent died runs no further. It writes one
+    pickle, (True, results) or (False, exception), which the parent cannot
+    read if it does not pickle whole, and always leaves by os._exit: it
+    runs no exit handlers and flushes no buffer it inherited.
     """
     parent = os.getpid()
     try:
@@ -212,7 +224,12 @@ def _fork_helper(kernel, mesh, planes, cut):
     try:
         os.close(r)
         try:
-            payload = (True, _sweep_range(kernel, mesh, planes, cut, len(mesh), parent))
+            results, back = run(cut, length), []
+            for _ in range(blocks):
+                if os.getppid() != parent:
+                    os._exit(1)
+                back.append(next(results))
+            payload = (True, back)
         except BaseException as exc:
             payload = (False, exc)
         with os.fdopen(w, "wb") as pipe:

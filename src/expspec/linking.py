@@ -21,23 +21,27 @@ double integral
 
 is discretized with the midpoint rule per segment pair: second-order,
 and empirically 5.1e-5 from the integer at 256 segments, 3.2e-6 at 1024
-and 2.0e-7 at 4096 for the default fiber pair. Accumulation is
-deterministic: one numpy row sum per outer segment, then math.fsum over
-the rows (exact compensated merge in fixed order).
+and 2.0e-7 at 4096 for the default fiber pair.
 
 One O(n m) pass over the segment pairs yields both the Gauss sum and
 the curve separation, which share each pair's midpoint distance. It
 walks the outer curve in row blocks of BLOCK_ELEMENTS // m rows, on
 planar x/y/z arrays of shape (rows, m), so peak memory is
 O(n + m + BLOCK_ELEMENTS) rather than O(n m) at every segment count.
-Blocking changes no value: each pair term is computed with the same
-roundings as the (n, m, 3) formulation (length-3 dot products grouped
-(x + z) + y, squared norms (x + y) + z, as numpy's einsum and norm group
-them on x86-64), each row sum is still one numpy sum over a full row,
-and a minimum is exact in any order. The separation is a proven lower
-bound on the distance between the curves, one midpoint-to-midpoint norm
-per pair less the two half lengths; see curve_separation for the proof
-and its rounding slack.
+A pass of at least SPLIT_PAIRS pairs, on two or more CPUs, runs the
+row blocks before the cut (count // 2) * (rows per block) in this
+process and the rest in one forked helper (algebra._two_halves), each
+with its own workspace. Where a row runs changes no value, and neither
+does blocking: each pair term is computed with the same roundings as
+the (n, m, 3) formulation (length-3 dot products grouped (x + z) + y,
+squared norms (x + y) + z, as numpy's einsum and norm group them on
+x86-64); each row sum is one numpy sum over a full row, in whichever
+process ran it; the row sums are stored in row order and merged by
+math.fsum, which is exact before its one rounding, so no merge order
+can show; and a minimum is exact in any order. The separation is a
+proven lower bound on the distance between the curves, one
+midpoint-to-midpoint norm per pair less the two half lengths; see
+curve_separation for the proof and its rounding slack.
 
 Orientation convention: increasing theta on both fibers and a
 right-handed frame in R^3. With DEFAULT_POLE this yields -1 for the
@@ -49,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _two_halves
 from .sphere import SpherePoint3
 
 __all__ = [
@@ -73,6 +78,16 @@ FIBER_POLE_CLEARANCE = 0.2  # required distance from projection pole to each fib
 # At 2^15 that workspace was 1.5 MiB, and with it the linking pass set
 # certify's peak RSS, by an amount that moved with the heap's layout.
 BLOCK_ELEMENTS = 2**14
+
+# a pass over at least this many segment pairs runs the back half of its
+# row blocks in a forked helper. In-process _pair_pass on the Hopf fiber
+# pair, 2-vCPU VM, 40 alternating runs per size and scan: 724 segments
+# (~2^19 pairs) lost in two scans of four (14.8 -> 21.9 ms) and won in
+# two; 1024 (2^20) won in three of four (31.6 -> 20.7 ms, faster in 28 of
+# 40 runs; up to 40 of 40); from 1448 on every scan won (4096 segments:
+# 247 -> 149 ms). So the 256-segment pass of report-all and certify never
+# forks.
+SPLIT_PAIRS = 2**20
 
 # fixed projection pole, distance sqrt(2 - sqrt(2)) ~ 0.765 from both pole fibers
 DEFAULT_POLE = SpherePoint3(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
@@ -214,46 +229,67 @@ def _pair_pass(c1, c2):
     Returns (separation, partials): partials[i] is the numpy sum over c2's
     segments of the midpoint-rule Gauss terms of c1's segment i. The pass
     walks c1 in blocks of BLOCK_ELEMENTS // m rows against c2's m segments,
-    in one 6-plane workspace allocated up front, so no block allocates a
-    temporary: a fresh 256 KiB temporary per block lands in heap holes or
-    grows the heap, and peak RSS then depends on the layout. The
-    separation folds each block's midpoint distances right
-    after their square root, where the sum's scratch plane t is free. A
-    pair at distance 0, which only curves that fail the guard have, makes
-    its term nan or inf; that division and the row sums run without a
-    floating-point warning, and gauss_linking raises before it merges them.
+    each process in one 6-plane workspace allocated up front, so no block
+    allocates a temporary: a fresh 256 KiB temporary per block lands in heap
+    holes or grows the heap, and peak RSS then depends on the layout. From
+    SPLIT_PAIRS pairs on, a forked helper runs the back half of the row
+    blocks (algebra._two_halves). The blocks' minima fold with np.minimum
+    and their row sums join in row order, as in one process.
     """
     m1, d1, h1 = _segments(c1.points)
-    (nx, ny, nz), (ux, uy, uz), h2 = _segments(c2.points)
-    n, m = len(h1), len(h2)
+    seg2 = _segments(c2.points)
+    n, m = len(h1), len(seg2[2])
     step = max(1, BLOCK_ELEMENTS // m)
-    work = np.empty((6, min(n, step), m))
-    partials = np.empty(n)
-    separation = np.inf
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        (mx, my, mz), (ax, ay, az) = m1[:, rows, None], d1[:, rows, None]
-        rx, ry, rz, num, den, t = work[:, : len(mx)]
-        np.subtract(mx, nx, out=rx)
-        np.subtract(my, ny, out=ry)
-        np.subtract(mz, nz, out=rz)
-        # r . (d1 x d2): np.cross's products, einsum's (x + z) + y grouping;
-        # den and t are scratch until den is computed
-        np.subtract(np.multiply(ay, uz, out=den), np.multiply(az, uy, out=t), out=den)
-        np.multiply(rx, den, out=num)
-        np.subtract(np.multiply(ax, uy, out=den), np.multiply(ay, ux, out=t), out=den)
-        num += np.multiply(rz, den, out=den)
-        np.subtract(np.multiply(az, ux, out=den), np.multiply(ax, uz, out=t), out=den)
-        num += np.multiply(ry, den, out=den)
-        np.multiply(rx, rx, out=den)
-        den += np.multiply(ry, ry, out=t)
-        den += np.multiply(rz, rz, out=t)
-        np.sqrt(den, out=den)
-        separation = np.minimum(separation, (np.subtract(den, h2, out=t).min(axis=1) - h1[rows]).min())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num /= np.power(den, 3, out=den)
-            partials[rows] = num.sum(axis=1)
+
+    def run(start, stop):
+        work = np.empty((6, min(stop - start, step), m))
+        for first in range(start, stop, step):
+            rows = slice(first, min(first + step, stop))
+            yield _pair_rows(m1[:, rows, None], d1[:, rows, None], h1[rows], seg2, work)
+
+    blocks = _two_halves(n, step, run, n * m >= SPLIT_PAIRS)
+    separation, partials = np.inf, np.empty(n)
+    for (block_separation, sums), first in zip(blocks, range(0, n, step)):
+        separation = np.minimum(separation, block_separation)
+        partials[first : first + step] = np.frombuffer(sums)
     return float(separation), partials
+
+
+def _pair_rows(m1, d1, h1, seg2, work):
+    """The separation bound and the Gauss row sums of one row block.
+
+    m1 and d1 are the block's midpoint and direction rows, (3, rows, 1);
+    h1 its half lengths; seg2 the other curve's _segments. Returns the
+    block's separation as a float and its row sums as float64 bytes, which
+    a forked helper pickles in a fraction of an array's time. The separation
+    folds the block's midpoint distances right after their square root,
+    where the sum's scratch plane t is free. A pair at distance 0, which
+    only curves that fail the guard have, makes its term nan or inf; that
+    division and the row sums run without a floating-point warning, and
+    gauss_linking raises before it merges them.
+    """
+    (mx, my, mz), (ax, ay, az) = m1, d1
+    (nx, ny, nz), (ux, uy, uz), h2 = seg2
+    rx, ry, rz, num, den, t = work[:, : len(h1)]
+    np.subtract(mx, nx, out=rx)
+    np.subtract(my, ny, out=ry)
+    np.subtract(mz, nz, out=rz)
+    # r . (d1 x d2): np.cross's products, einsum's (x + z) + y grouping;
+    # den and t are scratch until den is computed
+    np.subtract(np.multiply(ay, uz, out=den), np.multiply(az, uy, out=t), out=den)
+    np.multiply(rx, den, out=num)
+    np.subtract(np.multiply(ax, uy, out=den), np.multiply(ay, ux, out=t), out=den)
+    num += np.multiply(rz, den, out=den)
+    np.subtract(np.multiply(az, ux, out=den), np.multiply(ax, uz, out=t), out=den)
+    num += np.multiply(ry, den, out=den)
+    np.multiply(rx, rx, out=den)
+    den += np.multiply(ry, ry, out=t)
+    den += np.multiply(rz, rz, out=t)
+    np.sqrt(den, out=den)
+    separation = (np.subtract(den, h2, out=t).min(axis=1) - h1).min()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num /= np.power(den, 3, out=den)
+        return float(separation), num.sum(axis=1).tobytes()
 
 
 def curve_separation(c1, c2):

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from expspec import mesh_s4
+from expspec import algebra, linking, mesh_s4
 from expspec.linalg2 import planar
 
 
@@ -48,3 +50,26 @@ def mesh9():
 def mesh33():
     """Mid-resolution mesh: covering radius small enough to certify the antipodal gap."""
     return mesh_s4(33, 32)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every sweep and linking pass of two or more blocks, and record each os.fork call."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(algebra, "SPLIT_POINTS", 0)
+    monkeypatch.setattr(linking, "SPLIT_PAIRS", 0)
+    monkeypatch.setattr(algebra, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def assert_no_child_left():
+    # every helper is reaped, so this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

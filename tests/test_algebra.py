@@ -33,7 +33,7 @@ from expspec.algebra import (
 from expspec.linalg2 import SingularMatrix, eig2, eye_like, mat_inv, mat_mul, op_norm
 from expspec.sphere import mesh_s4
 
-from conftest import as_field, as_stack
+from conftest import as_field, as_stack, assert_no_child_left
 
 S = 1 / np.sqrt(2)
 
@@ -275,28 +275,6 @@ def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
 # -------------------------------------------------------------- split sweeps
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Split every sweep of two or more chunks, and record each os.fork call."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(algebra, "SPLIT_POINTS", 0)
-    monkeypatch.setattr(algebra, "_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
-def assert_no_child_left():
-    # every helper is reaped, so this process has no child at all
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _bits(part):
     """A per-chunk sweep result with every float as its hex and every array as bytes."""
     if isinstance(part, np.ndarray):
@@ -454,6 +432,24 @@ def test_interrupted_sweep_kills_its_helper(forks, monkeypatch):
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         algebra.sweep(kernel, _index_mesh(160))
+    assert time.monotonic() - start < 5.0
+    assert forks
+    assert_no_child_left()
+
+
+def test_closed_two_halves_kills_its_helper(forks):
+    # a consumer that stops after the first result closes the generator; the
+    # helper, whose every block would sleep 2 s, must be killed and reaped
+    def run(start, stop):
+        for _ in range(start, stop, 16):
+            if start:
+                time.sleep(2.0)
+            yield start
+
+    start = time.monotonic()
+    halves = algebra._two_halves(160, 16, run, True)
+    assert next(halves) == 0
+    halves.close()
     assert time.monotonic() - start < 5.0
     assert forks
     assert_no_child_left()

@@ -120,9 +120,14 @@ def test_certify_memory_stays_bounded_in_the_back_half(lat, shell, monkeypatch):
     assert peak < 8 << 20
 
 
-@pytest.mark.parametrize("argv, code", [([], 0), (["--sabotage", "fiber"], 1)], ids=["pass", "fail"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [([], 0), (["--sabotage", "fiber"], 1), (["--segments", "4096"], 0)],
+    ids=["pass", "fail", "linking"],
+)
 def test_certify_leaves_no_process_running(argv, code, tmp_path):
-    # 687,042 points: every mesh sweep forks a helper; none may outlive the run
+    # 687,042 points: every mesh sweep forks a helper, and at 4096 segments so
+    # does the linking pass; none may outlive the run
     script = "import sys\nfrom expspec import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.Popen([sys.executable, "-c", script, "certify", "--lat", "97", "--shell", "32", *argv],

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from expspec import algebra
 from expspec.algebra import field_c, field_one_minus_2ba, phi
 from expspec.homotopy import (
+    _f_eh_pass,
     PATH_T_COUNT,
     CertificateFailure,
     FREUDENTHAL_SUSPENSION,
@@ -19,6 +21,7 @@ from expspec.homotopy import (
     suspension_eh,
 )
 from expspec.linalg2 import eye_like, op_norm
+from expspec.report import RunConfig, run_certify
 from expspec.sphere import mesh_s4
 
 from conftest import as_stack, equator_ring, hopf
@@ -131,6 +134,19 @@ def test_hemisphere_sample_point():
 
 def test_hemisphere_preservation(mesh9):
     assert hemisphere_preservation(mesh9) >= -1e-13
+
+
+@pytest.mark.parametrize("lat, shell, chunk", [(9, 16, None), (9, 16, 7), (33, 32, None)])
+def test_hemisphere_minimum_is_a_positive_zero(lat, shell, chunk, monkeypatch):
+    # The minimum is an exact zero on these meshes, met as both 0.0 and -0.0.
+    # Which of them a min over ties keeps depends on the order it meets them,
+    # so the reported value must be 0.0 whatever the chunking.
+    if chunk:
+        monkeypatch.setattr(algebra, "CHUNK", chunk)
+    assert _f_eh_pass(mesh_s4(lat, shell))[1].hex() == "0x0.0p+0"
+    report = run_certify(RunConfig(lat=lat, shell=shell).validate())
+    record = next(c for c in report.checks if c.name == "ab_hemisphere_preservation")
+    assert float(record.value).hex() == "0x0.0p+0"
 
 
 def test_self_gap_is_two(mesh9, monkeypatch):

@@ -1,11 +1,15 @@
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from expspec import linking
 from expspec.linking import (
     BLOCK_ELEMENTS,
+    SPLIT_PAIRS,
     DEFAULT_POLE,
     CurvesTooClose,
     LinkingResult,
@@ -20,7 +24,7 @@ from expspec.linking import (
     stereographic,
 )
 
-from conftest import hopf
+from conftest import assert_no_child_left, hopf
 
 
 def circle(radius=1.0, n=64, center=(0, 0, 0), plane="xy"):
@@ -238,17 +242,24 @@ def noisy_loops(n1, n2, seed=1):
     return loops
 
 
-@pytest.mark.parametrize("case", ["unequal_300_517", "hopf_fibers_1024", "translated_unlink"])
-def test_blocked_kernels_match_reference_bitwise(case):
+PAIR_CASES = ["unequal_300_517", "hopf_fibers_1024", "translated_unlink"]
+
+
+def pair_case(case):
     if case == "unequal_300_517":
         c1, c2 = noisy_loops(300, 517)
         # several row blocks in both directions, the last one partial
         assert 300 % (BLOCK_ELEMENTS // 517) and 517 % (BLOCK_ELEMENTS // 300)
-    elif case == "hopf_fibers_1024":
-        c1, c2 = hopf_fiber_pair(1024)
-    else:
-        c1, _ = hopf_fiber_pair(256)
-        c2 = c1.translated((10.0, 0.0, 0.0))
+        return c1, c2
+    if case == "hopf_fibers_1024":
+        return hopf_fiber_pair(1024)
+    c1, _ = hopf_fiber_pair(256)
+    return c1, c1.translated((10.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_blocked_kernels_match_reference_bitwise(case):
+    c1, c2 = pair_case(case)
     assert curve_separation(c1, c2) == reference_pair_terms(c1, c2).min()
     assert curve_separation(c2, c1) == reference_pair_terms(c2, c1).min()
     assert unguarded_raw(c1, c2) == reference_gauss_raw(c1, c2)
@@ -261,7 +272,7 @@ def test_blocked_kernels_match_reference_bitwise(case):
         assert gauss_linking(c1, c2).raw == reference_gauss_raw(c1, c2)
 
 
-def test_curves_too_close_in_last_partial_block():
+def near_miss_at_the_last_vertex():
     c1 = circle(n=300)
     last = 299
     # A 6 x 5 rectangle in the vertical plane through c1's vertex `last`. Its
@@ -280,7 +291,12 @@ def test_curves_too_close_in_last_partial_block():
         outer + np.outer(np.linspace(3, -3, 157, endpoint=False), up),
         outer - 3 * up + np.outer(np.linspace(0, 1, 120, endpoint=False), inner - outer),
     ]
-    c2 = PolylineCurve3(np.concatenate(sides))
+    return c1, PolylineCurve3(np.concatenate(sides))
+
+
+def test_curves_too_close_in_last_partial_block():
+    c1, c2 = near_miss_at_the_last_vertex()
+    last = len(c1) - 1
     step = BLOCK_ELEMENTS // len(c2)
     tail = len(c1) - len(c1) % step
     assert len(c1) % step and tail <= 298
@@ -394,9 +410,10 @@ def test_separation_margin_at_the_lowest_segment_count(values):
     assert abs(gauss_linking(c1, c2).rounded) == 1
 
 
-def test_linking_memory_is_bounded():
+def test_linking_memory_is_bounded(monkeypatch):
     # The (n, n, 3) formulation peaked near 500 MB at 2048 segments; the row
-    # blocks need about 3 MiB.
+    # blocks need about 3 MiB. One process, so tracemalloc sees the whole pass.
+    monkeypatch.setattr(linking, "SPLIT_PAIRS", 2048**2 + 1)
     tracemalloc.start()
     try:
         res = hopf_invariant_of_h(2048)
@@ -405,3 +422,93 @@ def test_linking_memory_is_bounded():
         tracemalloc.stop()
     assert abs(res.rounded) == 1
     assert peak < 8 * 2**20
+
+
+def test_forked_linking_memory_is_bounded(forks):
+    # the helper runs the back half of the row blocks; this process holds its
+    # own workspace and the helper's results, under the same bound
+    tracemalloc.start()
+    try:
+        res = hopf_invariant_of_h(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(res.rounded) == 1
+    assert peak < 8 * 2**20
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+# ------------------------------------------------------- two-process pass
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_split_pair_pass_matches_one_process_bit_for_bit(case, forks, monkeypatch):
+    c1, c2 = pair_case(case)
+    monkeypatch.setattr(linking, "SPLIT_PAIRS", len(c1) * len(c2) + 1)
+    one = [_pair_pass(a, b) for a, b in ((c1, c2), (c2, c1))]
+    assert not forks
+    monkeypatch.setattr(linking, "SPLIT_PAIRS", 0)
+    split = [_pair_pass(a, b) for a, b in ((c1, c2), (c2, c1))]
+    assert len(forks) == 2
+    for (separation, partials), (want_separation, want_partials) in zip(split, one):
+        assert float(separation).hex() == float(want_separation).hex()
+        assert partials.tobytes() == want_partials.tobytes()
+    assert_no_child_left()
+
+
+def test_split_pass_raises_for_a_near_miss_in_the_back_half(forks):
+    c1, c2 = near_miss_at_the_last_vertex()
+    step = BLOCK_ELEMENTS // len(c2)
+    cut = -(-len(c1) // step) // 2 * step
+    # the two close rows, 298 and 299, are the helper's
+    assert cut <= 298
+    with pytest.raises(CurvesTooClose):
+        gauss_linking(c1, c2)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_split_pairs_forks_only_large_passes(forks, monkeypatch):
+    monkeypatch.setattr(linking, "SPLIT_PAIRS", SPLIT_PAIRS)
+    assert abs(hopf_invariant_of_h(256).rounded) == 1
+    assert not forks
+    assert abs(hopf_invariant_of_h(4096).rounded) == 1
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_pair_pass_helper_error_reaches_the_parent(forks, monkeypatch):
+    # an error only the helper meets: the parent must raise it, not redo
+    # the back half itself
+    main, rows = os.getpid(), linking._pair_rows
+
+    def failing(m1, d1, h1, seg2, work):
+        if os.getpid() != main:
+            raise FloatingPointError(f"helper block of {len(h1)} rows")
+        return rows(m1, d1, h1, seg2, work)
+
+    monkeypatch.setattr(linking, "_pair_rows", failing)
+    with pytest.raises(FloatingPointError, match="^helper block of 16 rows$"):
+        hopf_invariant_of_h(1024)
+    assert forks
+    assert_no_child_left()
+
+
+def test_interrupted_pair_pass_kills_its_helper(forks, monkeypatch):
+    # each of the helper's blocks would sleep 2 s; the parent's
+    # KeyboardInterrupt must kill and reap it at once
+    main = os.getpid()
+
+    def rows(*args):
+        if os.getpid() == main:
+            raise KeyboardInterrupt
+        time.sleep(2.0)
+
+    monkeypatch.setattr(linking, "_pair_rows", rows)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        hopf_invariant_of_h(1024)
+    assert time.monotonic() - start < 5.0
+    assert forks
+    assert_no_child_left()
