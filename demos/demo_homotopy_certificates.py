@@ -11,12 +11,16 @@ equator, both maps preserve hemispheres, they are never antipodal (so f
 is homotopic to Eh), and the Hopf map itself has linking number +-1.
 One classical step (suspension preserves essentialness) is carried as
 the certificate's single explicit assumption.
+
+build_certificates returns one check record per bound of the evidence
+and, only when every record passes, the two certificates (None
+otherwise).
 """
 
 from expspec import build_certificates, mesh_s4
 
 mesh = mesh_s4(33, 32)
-ba_cert, ab_cert = build_certificates(mesh, segments=256)
+records, (ba_cert, ab_cert) = build_certificates(mesh, segments=256)
 
 print("certificate for 1-2ba:")
 print(ba_cert.to_json())

@@ -35,6 +35,10 @@ that evaluates f and Eh once per mesh point, the equator included: the
 mesh's own equator latitude is the ring the coincidence is measured on
 (see antipodal_gap).
 
+build_certificates gathers all of this evidence, evaluates every bound of
+CERTIFICATE_CHECKS on it once, and returns those records together with
+the two certificates, or with None in their place when a bound fails.
+
 The one step that is cited rather than computed -- essentialness of h
 forces essentialness of its suspension Eh -- is the Freudenthal
 suspension theorem, and it is carried on the certificate as its single
@@ -58,7 +62,6 @@ from .linalg2 import buffer, carve, eye_like, field_buffer, fields, op_norm, pla
 
 __all__ = [
     "DegenerateProjection",
-    "CertificateFailure",
     "CheckRecord",
     "Check",
     "check_records",
@@ -93,15 +96,6 @@ FREUDENTHAL_SUSPENSION = (
 
 class DegenerateProjection(ArithmeticError):
     """The projected column had norm below threshold (must never happen)."""
-
-
-class CertificateFailure(AssertionError):
-    """Evidence bounds of the certificates failed: the message names every failing
-    evidence key, and `evidence` holds all the evidence gathered."""
-
-    def __init__(self, message, evidence):
-        super().__init__(message)
-        self.evidence = evidence
 
 
 _COMPARE = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
@@ -152,8 +146,9 @@ def check_records(checks, evidence):
     return records
 
 
-# Every bound of the two certificates: build_certificates and the certify report
-# both evaluate this table, on the evidence plus the linking segment count.
+# Every bound of the two certificates: build_certificates evaluates this table
+# once, on the evidence plus the linking segment count, and the certify report
+# lists the records it returns.
 CERTIFICATE_CHECKS = (
     Check("ba_path_invertibility", "path_max_abs_det_deviation",
           f"|det| = 1 along the explicit null homotopy of 1 - 2ba (latitudes x {PATH_T_COUNT} "
@@ -563,17 +558,17 @@ class HomotopyCertificate:
 
 
 def build_certificates(mesh, segments=256, sabotage=None):
-    """Assemble the two homotopy certificates over a mesh.
+    """Evaluate every bound of the two homotopy certificates over a mesh.
 
-    Returns (certificate for 1-2ba, certificate for 1-2ab). Gathers all the
-    evidence first, then evaluates every bound of CERTIFICATE_CHECKS; if any
-    fails it raises CertificateFailure, which names every failing evidence
-    key and carries the whole evidence dict. f and Eh are evaluated once
-    per mesh point, the equator included, in antipodal_gap's one pass. The
-    sabotage hook, one of SABOTAGE_TAGS ("flip-f" negates f on the equator
-    through antipodal_gap's _flip_equator, "fiber" links a fiber with a
-    translate of itself), exists for negative-control tests and must make
-    this function fail.
+    Returns (records, certificates). records holds one CheckRecord per row
+    of CERTIFICATE_CHECKS, in table order, each evaluated once on the whole
+    evidence; certificates is (certificate for 1-2ba, certificate for 1-2ab)
+    when every record passes, and None otherwise. f and Eh are evaluated
+    once per mesh point, the equator included, in antipodal_gap's one pass.
+    The sabotage hook, one of SABOTAGE_TAGS ("flip-f" negates f on the
+    equator through antipodal_gap's _flip_equator, "fiber" links a fiber
+    with a translate of itself), exists for negative-control tests and must
+    leave certificates None.
     """
     if sabotage not in (None, *SABOTAGE_TAGS):
         raise ValueError(f"unknown sabotage tag: {sabotage!r}")
@@ -596,15 +591,9 @@ def build_certificates(mesh, segments=256, sabotage=None):
         "hopf_linking_residual": link.residual,
     }
 
-    evidence = {**ba_evidence, **ab_evidence}
-    records = check_records(CERTIFICATE_CHECKS, {**evidence, "segments": segments})
-    failed = [
-        f"{c.key}: {r.name} measured {r.value!r}, needs {r.comparison} {r.threshold!r}"
-        for c, r in zip(CERTIFICATE_CHECKS, records)
-        if not r.passed
-    ]
-    if failed:
-        raise CertificateFailure("; ".join(failed), evidence)
+    records = check_records(CERTIFICATE_CHECKS, {**ba_evidence, **ab_evidence, "segments": segments})
+    if not all(r.passed for r in records):
+        return records, None
 
     ba_cert = HomotopyCertificate(
         subject="ONE_MINUS_2BA",
@@ -625,4 +614,4 @@ def build_certificates(mesh, segments=256, sabotage=None):
             % (ANTIPODAL_LIPSCHITZ, gap.covering_radius, ANTIPODAL_LIPSCHITZ),
         ],
     )
-    return ba_cert, ab_cert
+    return records, (ba_cert, ab_cert)

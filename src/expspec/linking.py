@@ -360,6 +360,24 @@ def residual_tolerance(segments):
     return 0.05 if segments >= 256 else 0.2
 
 
+def _fiber_curves(segments, values, self_link):
+    """The two projected fiber curves of hopf_invariant_of_h.
+
+    Their S^3 coordinates die on return, before the Gauss sum runs.
+    """
+    w0a, w1a = hopf_fiber(values[0], segments)
+    w0b, w1b = hopf_fiber(values[1], segments)
+    q = _pole_vector()
+    for w0, w1 in ((w0a, w1a), (w0b, w1b)):
+        clearance = float(np.linalg.norm(_to_r4(w0, w1) - q, axis=1).min())
+        if clearance < FIBER_POLE_CLEARANCE:
+            raise NearPole(f"projection pole only {clearance:.3f} from a fiber")
+    c1 = PolylineCurve3(stereographic(w0a, w1a))
+    if self_link:
+        return c1, c1.translated((10.0, 0.0, 0.0))
+    return c1, PolylineCurve3(stereographic(w0b, w1b))
+
+
 def hopf_invariant_of_h(segments=256, values=((0.0, 1.0), (0.0, -1.0)), _self_link=False):
     """Hopf invariant of h as the linking number of two fiber circles.
 
@@ -372,19 +390,7 @@ def hopf_invariant_of_h(segments=256, values=((0.0, 1.0), (0.0, -1.0)), _self_li
     """
     if segments < 64:
         raise ValueError("segments must be >= 64")
-    w0a, w1a = hopf_fiber(values[0], segments)
-    w0b, w1b = hopf_fiber(values[1], segments)
-    q = _pole_vector()
-    for w0, w1 in ((w0a, w1a), (w0b, w1b)):
-        clearance = float(np.linalg.norm(_to_r4(w0, w1) - q, axis=1).min())
-        if clearance < FIBER_POLE_CLEARANCE:
-            raise NearPole(f"projection pole only {clearance:.3f} from a fiber")
-    c1 = PolylineCurve3(stereographic(w0a, w1a))
-    if _self_link:
-        c2 = c1.translated((10.0, 0.0, 0.0))
-    else:
-        c2 = PolylineCurve3(stereographic(w0b, w1b))
-    return gauss_linking(c1, c2)
+    return gauss_linking(*_fiber_curves(segments, values, _self_link))
 
 
 def fiber_to_csv(curve, path):

@@ -9,6 +9,7 @@ configuration.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from operator import itemgetter
 
@@ -17,14 +18,7 @@ import numpy as np
 from . import __version__
 from .algebra import field_a, field_b, identity_residuals, inverse_identity_sweep
 from .generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
-from .homotopy import (
-    CERTIFICATE_CHECKS,
-    SABOTAGE_TAGS,
-    CertificateFailure,
-    Check,
-    build_certificates,
-    check_records,
-)
+from .homotopy import SABOTAGE_TAGS, Check, build_certificates, check_records
 from .sphere import InvalidResolution, mesh_s4
 from .spectrum import (
     CIRCLE_C,
@@ -93,8 +87,9 @@ class RunConfig:
             raise UsageError(f"spectrum --shell must lie in [8, {MAX_SHELL}]")
         if not (64 <= self.segments <= MAX_SEGMENTS):
             raise UsageError(f"--segments must lie in [64, {MAX_SEGMENTS}]")
-        if not (self.tol_identity > 0 and self.tol_hausdorff > 0):
-            raise UsageError("tolerances must be positive")
+        # an infinite tolerance passes every check it bounds, and JSON has no Infinity
+        if not all(t > 0 and math.isfinite(t) for t in (self.tol_identity, self.tol_hausdorff)):
+            raise UsageError("tolerances must be positive and finite")
         if self.fmt not in ("json", "csv-summary"):
             raise UsageError("--format must be json or csv-summary")
         if self.sabotage not in (None, *SABOTAGE_TAGS):
@@ -269,18 +264,13 @@ def run_spectrum(cfg, element):
 def run_certify(cfg, mesh=None):
     """Report every certificate bound, a headline derived from them, and the deduction chain.
 
-    Every row of CERTIFICATE_CHECKS becomes a record, also when a bound
-    fails; the notes and the certificates are written only when all hold.
+    The records are build_certificates' own, one per row of
+    CERTIFICATE_CHECKS, also when a bound fails; the notes and the
+    certificates are written only when build_certificates returns them.
     """
     mesh = mesh if mesh is not None else _mesh_from(cfg)
-    try:
-        certs = build_certificates(mesh, segments=cfg.segments, sabotage=cfg.sabotage)
-        evidence = {**certs[0].evidence, **certs[1].evidence}
-    except CertificateFailure as exc:
-        certs, evidence = None, exc.evidence
-    records = check_records(CERTIFICATE_CHECKS, {**evidence, "segments": cfg.segments})
-    records += check_records(CERTIFY_HEADLINE, {"records": records})
-    rep = Report("certify", asdict(cfg), records)
+    records, certs = build_certificates(mesh, segments=cfg.segments, sabotage=cfg.sabotage)
+    rep = Report("certify", asdict(cfg), records + check_records(CERTIFY_HEADLINE, {"records": records}))
     if certs is None:
         return rep
     ba_cert, ab_cert = certs

@@ -19,7 +19,7 @@ from expspec.algebra import (
     inverse_identity_sweep,
 )
 from expspec.generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
-from expspec.homotopy import CertificateFailure, build_certificates
+from expspec.homotopy import build_certificates
 from expspec.linalg2 import op_norm
 from expspec.linking import hopf_invariant_of_h
 from expspec.report import RunConfig, run_certify
@@ -173,11 +173,9 @@ def test_criterion_11_conditional_obstruction(certify_report):
     # negative controls must flip the outcome
     mesh = mesh_s4(33, 32)
     flips = 0
-    for sabotage in ("flip-f", "fiber"):
-        try:
-            build_certificates(mesh, sabotage=sabotage)
-        except CertificateFailure:
-            flips += 1
+    for sabotage, blamed in (("flip-f", "ab_equator_coincidence"), ("fiber", "ab_hopf_linking_magnitude")):
+        records, certificates = build_certificates(mesh, sabotage=sabotage)
+        flips += certificates is None and [r.name for r in records if not r.passed] == [blamed]
     ok = ok and flips == 2
     report(11, ok, "conditional obstruction certificate",
            f"verdict {ab['verdict']}, {len(ab['assumptions'])} assumption(s), "

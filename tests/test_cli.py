@@ -170,13 +170,14 @@ def test_certify_rejects_linking_number_two(monkeypatch, capsys, mesh33):
     # |lk| = 2 is not the Hopf invariant of h; the report must not pass what
     # the certificate rejects
     from expspec import linking
-    from expspec.homotopy import CertificateFailure, build_certificates
+    from expspec.homotopy import build_certificates
 
     monkeypatch.setattr(
         linking, "hopf_invariant_of_h", lambda *a, **k: linking.LinkingResult(2.0, 2, 0.0)
     )
-    with pytest.raises(CertificateFailure, match="hopf_linking_rounded"):
-        build_certificates(mesh33)
+    records, certificates = build_certificates(mesh33)
+    assert certificates is None
+    assert [r.name for r in records if not r.passed] == ["ab_hopf_linking_magnitude"]
     code, out, _ = run(["certify", *CERT], capsys)
     assert code == 1
     assert json.loads(out)["overall_pass"] is False
@@ -262,6 +263,20 @@ def test_flag_a_subcommand_ignores_exits_2(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", *FAST, "--tol-identity"],
+    ["spectrum", "ab", *FAST, "--tol-hausdorff"],
+])
+def test_tolerance_must_be_positive_and_finite(argv, value, capsys):
+    # an infinite tolerance would pass its checks vacuously and write Infinity,
+    # which is not JSON
+    code, out, err = run([*argv, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "expspec: tolerances must be positive and finite\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,8 +8,8 @@ from expspec import algebra
 from expspec.algebra import field_c, field_one_minus_2ba, phi
 from expspec.homotopy import (
     _f_eh_pass,
+    CERTIFICATE_CHECKS,
     PATH_T_COUNT,
-    CertificateFailure,
     FREUDENTHAL_SUSPENSION,
     HomotopyCertificate,
     antipodal_gap,
@@ -289,8 +289,13 @@ def test_path_invertibility_matches_the_unique_latitude_sweep(lat):
     assert got.endpoint_end.hex() == end.hex()
 
 
+def failing(records):
+    return [r.name for r in records if not r.passed]
+
+
 def test_certificates(mesh33):
-    ba, ab = build_certificates(mesh33)
+    records, (ba, ab) = build_certificates(mesh33)
+    assert failing(records) == []
     assert ba.subject == "ONE_MINUS_2BA" and ba.verdict == "NULL_HOMOTOPIC"
     assert ab.subject == "ONE_MINUS_2AB" and ab.verdict == "OBSTRUCTED_MODULO_SUSPENSION"
     assert ba.assumptions == []
@@ -309,18 +314,53 @@ def test_certificate_invariants():
 
 
 def test_sabotaged_f_fails_equator(mesh9):
-    with pytest.raises(CertificateFailure, match="equator_max_deviation"):
-        build_certificates(mesh9, sabotage="flip-f")
+    records, certificates = build_certificates(mesh9, sabotage="flip-f")
+    assert certificates is None
+    # 9x8 is also too coarse to certify the antipodal gap; 9x16 is not
+    assert failing(records) == ["ab_equator_coincidence", "ab_antipodal_certified"]
+    records, certificates = build_certificates(mesh_s4(9, 16), sabotage="flip-f")
+    assert certificates is None
+    assert failing(records) == ["ab_equator_coincidence"]
 
 
 def test_sabotaged_fiber_fails_linking(mesh33):
-    with pytest.raises(CertificateFailure, match="hopf_linking"):
-        build_certificates(mesh33, sabotage="fiber")
+    records, certificates = build_certificates(mesh33, sabotage="fiber")
+    assert certificates is None
+    assert failing(records) == ["ab_hopf_linking_magnitude"]
 
 
 def test_unknown_sabotage_rejected(mesh9):
     with pytest.raises(ValueError):
         build_certificates(mesh9, sabotage="nope")
+
+
+def record_fields(r):
+    return r.name, r.claim, r.value.hex(), r.threshold.hex(), r.comparison, r.passed
+
+
+@pytest.mark.parametrize("sabotage", [None, "flip-f", "fiber"])
+def test_certify_reports_the_records_of_one_evaluation(sabotage, mesh33, monkeypatch):
+    from expspec import homotopy, report
+
+    tables, evaluate = [], homotopy.check_records
+
+    def recording(checks, evidence):
+        tables.append(checks)
+        return evaluate(checks, evidence)
+
+    cfg = RunConfig(lat=33, shell=32, sabotage=sabotage)
+    with monkeypatch.context() as m:
+        m.setattr(homotopy, "check_records", recording)
+        m.setattr(report, "check_records", recording)
+        rep = run_certify(cfg, mesh=mesh33)
+    # the certificate table once, then the headline derived from its records
+    assert [t is CERTIFICATE_CHECKS for t in tables] == [True, False]
+    assert rep.checks[-1].name == "headline"
+
+    records, certificates = build_certificates(mesh33, segments=cfg.segments, sabotage=sabotage)
+    assert (certificates is None) == (sabotage is not None)
+    assert ("certificates" in rep.artifacts) == (certificates is not None)
+    assert [record_fields(r) for r in rep.checks[:-1]] == [record_fields(r) for r in records]
 
 
 # The former two-pass hemisphere, gap and equator code, kept as the reference
@@ -426,8 +466,9 @@ def test_certificates_evaluate_f_and_eh_once_per_point(mesh9, monkeypatch):
     for name in seen:
         monkeypatch.setattr(homotopy, name, recording(name, getattr(homotopy, name)))
     # mesh9 is too coarse to certify the antipodal gap; the evaluations still count
-    with pytest.raises(CertificateFailure):
-        build_certificates(mesh9, segments=64)
+    records, certificates = build_certificates(mesh9, segments=64)
+    assert certificates is None
+    assert failing(records) == ["ab_antipodal_certified"]
 
     # each mesh point exactly once: the equator record reads the same pass
     expected = _sorted_rows(*mesh9.arrays())
