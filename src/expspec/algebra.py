@@ -317,26 +317,43 @@ def field_b(z0, z1, z2, out=None):
     return out
 
 
+def _beta(z2, out):
+    """beta = 1/(1 + i z2)^2, written into out."""
+    w = _reciprocal(z2, out=out)
+    return np.multiply(w, w, out=w)
+
+
+def _c_column(x0, x1, beta, p0, p1, conj):
+    """One column of c, each entry multiplied left to right, into p0 and p1.
+
+    p1 = 1 - ((2 beta) x1) conj(x1) is the diagonal entry and
+    p0 = ((-2 beta) x0) conj(x1) the other one: (x0, x1) = (z0, z1) gives
+    c's second column (c01, c11), and (z1, z0) its first (c10, c00). conj
+    receives conj(x1). p1 is written before p0, so p0 may alias beta; no
+    other buffers may alias.
+    """
+    np.conjugate(x1, out=conj)
+    np.multiply(np.multiply(2.0, beta, out=p1), x1, out=p1)
+    np.subtract(1.0, np.multiply(p1, conj, out=p1), out=p1)
+    np.multiply(np.multiply(np.multiply(-2.0, beta, out=p0), x0, out=p0), conj, out=p0)
+
+
 def field_c(z0, z1, z2, out=None, work=None):
     """The closed-form unitary map c (oracle for 1 - 2ab, never its computation path).
 
     c = I - 2 beta [[z0 conj z0, z0 conj z1], [z1 conj z0, z1 conj z1]] with
-    beta = 1/(1 + i z2)^2, each entry multiplied left to right. out and
-    work (1 plane) as in linalg2.
+    beta = 1/(1 + i z2)^2, each entry multiplied left to right. Both columns
+    come from _c_column, the one place that arithmetic is written, which
+    homotopy.f_map shares for the second. out and work (1 plane) as in
+    linalg2.
     """
     z0, z1, z2 = _coords(z0, z1, z2)
     out, (c00, c01, c10, c11) = _field_out(out, z0, z1, z2)
     conj = workspace(work, 1, c00.shape)[0, ...]
-    beta = _reciprocal(z2, out=c11)
-    np.multiply(beta, beta, out=beta)
-    two_beta = np.multiply(2.0, beta, out=c00)
-    minus_two_beta = np.multiply(-2.0, beta, out=c01)
-    # c11 = 1 - 2 beta z1 conj(z1), c10 = -2 beta z1 conj(z0), then the z0 row
-    np.conjugate(z1, out=conj)
-    np.subtract(1.0, np.multiply(np.multiply(two_beta, z1, out=c11), conj, out=c11), out=c11)
-    np.multiply(np.multiply(minus_two_beta, z1, out=c10), np.conjugate(z0, out=conj), out=c10)
-    np.subtract(1.0, np.multiply(np.multiply(two_beta, z0, out=c00), conj, out=c00), out=c00)
-    np.multiply(np.multiply(minus_two_beta, z0, out=c01), np.conjugate(z1, out=conj), out=c01)
+    # beta in the bytes of c01, which the second column writes last
+    beta = _beta(z2, out=c01)
+    _c_column(z1, z0, beta, c10, c00, conj)
+    _c_column(z0, z1, beta, c01, c11, conj)
     return out
 
 

@@ -4,7 +4,9 @@
 H(x, t) = diag(phi((1-t) z2 + t), 1) slides the latitude argument to 1,
 where phi equals 1; |det H| = |phi| = 1 along the whole path, so
 invertibility never degenerates. That is a complete, unconditional
-machine check.
+machine check. null_homotopy_ba is the one definition of H: the det grid
+of path_invertibility is |det| of its Fields, and both endpoint residuals
+read its Fields at t = 0 and t = 1.
 
 1 - 2ab = c is obstructed. The chain certified here:
 
@@ -52,12 +54,12 @@ extension Eh(0, 0, +-1) := (0, +-i) is used, justified by the bounds
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import linking
-from .algebra import _coords, _reciprocal, _times_i, field_one_minus_2ba, phi, sweep
+from .algebra import _beta, _c_column, _coords, _times_i, field_one_minus_2ba, phi, sweep
 from .linalg2 import buffer, carve, eye_like, field_buffer, fields, op_norm, planar, workspace
 
 __all__ = [
@@ -218,11 +220,12 @@ def f_map(z0, z1, z2, out=None, work=None):
     """The second column of c, normalized to unit Euclidean norm (a map S^4 -> S^3).
 
     The column is pc = (-2 z0 conj(z1)/(1+i z2)^2, 1 - 2|z1|^2/(1+i z2)^2),
-    computed in field_c's operation order, so it is bitwise the second column
-    of field_c. c is unitary, so the norm is 1 up to rounding; if it ever drops
-    below 1e-13 this raises DegenerateProjection, and any such firing is a
-    verification failure upstream. Returns a complex array (2, ...); out and
-    work (2 planes) as in linalg2.
+    written by algebra._c_column, the helper field_c builds its columns
+    with, so pc is bitwise the second column of field_c. c is unitary, so
+    the norm is 1 up to rounding; if it ever drops below 1e-13 this raises
+    DegenerateProjection, and any such firing is a verification failure
+    upstream. Returns a complex array (2, ...); out and work (2 planes) as
+    in linalg2.
     """
     z0, z1, z2 = _coords(z0, z1, z2)
     shape = np.broadcast(z0, z1, z2).shape
@@ -230,13 +233,7 @@ def f_map(z0, z1, z2, out=None, work=None):
     p0, p1 = out[0, ...], out[1, ...]
     work = workspace(work, 2, shape)
     beta, conj = work[0, ...], work[1, ...]
-    _reciprocal(z2, out=beta)
-    np.multiply(beta, beta, out=beta)
-    # p0 = ((-2 beta) z0) conj(z1), p1 = 1 - ((2 beta) z1) conj(z1)
-    np.conjugate(z1, out=conj)
-    np.multiply(np.multiply(np.multiply(-2.0, beta, out=p0), z0, out=p0), conj, out=p0)
-    np.multiply(np.multiply(2.0, beta, out=p1), z1, out=p1)
-    np.subtract(1.0, np.multiply(p1, conj, out=p1), out=p1)
+    _c_column(z0, z1, _beta(z2, out=beta), p0, p1, conj)
     # n = sqrt(|p0|^2 + |p1|^2), in the bytes of beta
     n, t = carve(beta, np.float64)
     np.add(np.square(np.abs(p0, out=n), out=n), np.square(np.abs(p1, out=t), out=t), out=n)
@@ -318,20 +315,25 @@ def hemisphere_preservation(mesh):
 
 @dataclass(frozen=True)
 class AntipodalGap:
-    """Evidence that f and Eh are never antipodal."""
+    """Evidence that f and Eh are never antipodal, from one f/Eh pass.
 
-    min_gap: float
-    covering_radius: float
-    certified_lower_bound: float
-    hemisphere_worst_violation: float  # from the same f/Eh pass, see hemisphere_preservation
-    equator_max_deviation: float  # max |f - Eh| on the equator, from the same pass
+    The fields are the 1 - 2ab certificate's evidence keys, in its order.
+    """
+
+    equator_max_deviation: float  # max |f - Eh| on the equator
+    hemisphere_worst_violation: float  # see hemisphere_preservation
+    antipodal_min_gap: float  # min |f + Eh| over the mesh
+    antipodal_certified_lower_bound: float  # on all of S^4, see antipodal_gap
 
 
 def antipodal_gap(mesh, _flip_equator=False):
     """Measured minimum of |f + Eh| over the mesh plus a certified lower bound on all of S^4.
 
-        certified_lower_bound = min_gap - ANTIPODAL_LIPSCHITZ * covering_radius
-                                - ROUNDING_PER_LATITUDE * lat_count.
+        antipodal_certified_lower_bound = antipodal_min_gap
+                                          - ANTIPODAL_LIPSCHITZ * covering_radius
+                                          - ROUNDING_PER_LATITUDE * lat_count,
+
+    with the mesh's covering_radius and lat_count.
 
     Every point x of S^4 lies within geodesic distance covering_radius of a
     mesh point m (proved in the sphere module), and G = |f + Eh| is
@@ -448,13 +450,12 @@ def antipodal_gap(mesh, _flip_equator=False):
     """
     min_gap, hemisphere, equator = _f_eh_pass(mesh, _flip_equator)
     return AntipodalGap(
-        min_gap=min_gap,
-        covering_radius=mesh.covering_radius,
-        certified_lower_bound=min_gap
+        equator_max_deviation=equator,
+        hemisphere_worst_violation=hemisphere,
+        antipodal_min_gap=min_gap,
+        antipodal_certified_lower_bound=min_gap
         - ANTIPODAL_LIPSCHITZ * mesh.covering_radius
         - ROUNDING_PER_LATITUDE * mesh.lat_count,
-        hemisphere_worst_violation=hemisphere,
-        equator_max_deviation=equator,
     )
 
 
@@ -477,11 +478,14 @@ def null_homotopy_ba(z2, t, out=None, work=None):
 
 @dataclass(frozen=True)
 class PathInvertibility:
-    """Invertibility along the ba null homotopy and its endpoint residuals."""
+    """Invertibility along the ba null homotopy and its endpoint residuals.
 
-    max_det_deviation: float   # max ||det H(x,t)| - 1| over latitudes x t-grid
-    endpoint_start: float      # max ||H(x,0) - (1-2ba)(x)|| over the mesh
-    endpoint_end: float        # max ||H(x,1) - I|| over the mesh
+    The fields are the 1 - 2ba certificate's evidence keys, in its order.
+    """
+
+    path_max_abs_det_deviation: float  # max ||det H(x,t)| - 1| over latitudes x t-grid
+    endpoint_residual_start: float     # max ||H(x,0) - (1-2ba)(x)|| over the mesh
+    endpoint_residual_end: float       # max ||H(x,1) - I|| over the mesh
 
 
 # workspace planes of one path chunk: the Fields 1 - 2ba and H(x, 0), the
@@ -503,20 +507,22 @@ def _start_residual_chunk(x0, x1, x2, work):
 def path_invertibility(mesh):
     """Check |det H| = 1 at PATH_T_COUNT t-values along the path, and the endpoint identities.
 
-    H(x, t) depends on x only through z2, so the det sweep over the
-    mesh's latitude values (mesh.z2_values, one per latitude) times the
-    t-grid covers the full mesh exactly; the endpoint residual at t = 0 is
-    a genuine full-mesh product sweep.
+    The det grid is |det| of the Fields null_homotopy_ba(mesh.z2_values, t),
+    one t at a time, so the record measures the same H that the endpoints
+    are checked against. H(x, t) depends on x only through z2, so the
+    mesh's latitude values (one per latitude) times the t-grid cover the
+    full mesh exactly. The end residual reads the loop's last Field, at
+    t = 1; the residual at t = 0 is a genuine full-mesh product sweep.
     """
-    ts = np.linspace(0.0, 1.0, PATH_T_COUNT)
-    z2s = mesh.z2_values
-    dets = phi((1.0 - ts[:, None]) * z2s[None, :] + ts[:, None])
-    max_det_dev = float(np.abs(np.abs(dets) - 1.0).max())
+    det_dev = 0.0
+    for t in np.linspace(0.0, 1.0, PATH_T_COUNT):
+        h00, h01, h10, h11 = h = null_homotopy_ba(mesh.z2_values, t)
+        # np.maximum, unlike max(), keeps a nan from any t
+        det_dev = np.maximum(det_dev, np.abs(np.abs(h00 * h11 - h01 * h10) - 1.0).max())
 
     start_res = float(np.maximum.reduce(sweep(_start_residual_chunk, mesh, planes=_PATH_PLANES)))
-    h1 = null_homotopy_ba(z2s, 1.0)
-    end_res = float(op_norm(h1 - eye_like(h1)).max())
-    return PathInvertibility(max_det_dev, start_res, end_res)
+    end_res = float(op_norm(h - eye_like(h)).max())
+    return PathInvertibility(float(det_dev), start_res, end_res)
 
 
 @dataclass(frozen=True)
@@ -544,17 +550,8 @@ class HomotopyCertificate:
         ):
             raise ValueError("an obstructed verdict must cite exactly the suspension theorem")
 
-    def to_json_dict(self):
-        return {
-            "subject": self.subject,
-            "verdict": self.verdict,
-            "evidence": dict(self.evidence),
-            "assumptions": list(self.assumptions),
-            "notes": list(self.notes),
-        }
-
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def build_certificates(mesh, segments=256, sabotage=None):
@@ -573,23 +570,10 @@ def build_certificates(mesh, segments=256, sabotage=None):
     if sabotage not in (None, *SABOTAGE_TAGS):
         raise ValueError(f"unknown sabotage tag: {sabotage!r}")
 
-    path = path_invertibility(mesh)
-    ba_evidence = {
-        "path_max_abs_det_deviation": path.max_det_deviation,
-        "endpoint_residual_start": path.endpoint_start,
-        "endpoint_residual_end": path.endpoint_end,
-    }
+    ba_evidence = asdict(path_invertibility(mesh))
     gap = antipodal_gap(mesh, _flip_equator=(sabotage == "flip-f"))
     link = linking.hopf_invariant_of_h(segments, _self_link=(sabotage == "fiber"))
-    ab_evidence = {
-        "equator_max_deviation": gap.equator_max_deviation,
-        "hemisphere_worst_violation": gap.hemisphere_worst_violation,
-        "antipodal_min_gap": gap.min_gap,
-        "antipodal_certified_lower_bound": gap.certified_lower_bound,
-        "hopf_linking_raw": link.raw,
-        "hopf_linking_rounded": link.rounded,
-        "hopf_linking_residual": link.residual,
-    }
+    ab_evidence = {**asdict(gap), **{f"hopf_linking_{k}": v for k, v in asdict(link).items()}}
 
     records = check_records(CERTIFICATE_CHECKS, {**ba_evidence, **ab_evidence, "segments": segments})
     if not all(r.passed for r in records):
@@ -611,7 +595,7 @@ def build_certificates(mesh, segments=256, sabotage=None):
             "antipodal certification: mesh minimum of |f + Eh| minus %g x covering radius "
             "%.6f minus rounding; the Lipschitz constant %g of |f + Eh| holds on all of S^4, "
             "so there is no band/cap split"
-            % (ANTIPODAL_LIPSCHITZ, gap.covering_radius, ANTIPODAL_LIPSCHITZ),
+            % (ANTIPODAL_LIPSCHITZ, mesh.covering_radius, ANTIPODAL_LIPSCHITZ),
         ],
     )
     return records, (ba_cert, ab_cert)

@@ -289,7 +289,7 @@ def run_certify(cfg, mesh=None):
         "lies in the spectrum, which lies in the exponential spectrum); it is not a "
         "separate computation"
     )
-    rep.artifacts["certificates"] = [ba_cert.to_json_dict(), ab_cert.to_json_dict()]
+    rep.artifacts["certificates"] = [asdict(ba_cert), asdict(ab_cert)]
     return rep
 
 

@@ -206,7 +206,9 @@ def test_criterion_13_determinism(tmp_path):
     identical = out.read_bytes() == first
     ok = code1 == 0 and code2 == 0 and identical
     doc = json.loads(first)
-    report(13, ok and doc["overall_pass"],
+    prefixes = {c["name"].split(".")[0] for c in doc["checks"]}
+    every_suite = prefixes == {"identities", "spectrum", "commutativity", "certify", "generalize"}
+    report(13, ok and doc["overall_pass"] and every_suite,
            "report-all determinism",
            f"two runs byte-identical: {identical}, exit codes {code1}/{code2}, "
-           f"{len(doc['checks'])} checks all passing")
+           f"{len(doc['checks'])} checks all passing, suites {sorted(prefixes)}")

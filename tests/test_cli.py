@@ -190,19 +190,6 @@ def test_generalize(capsys):
     assert names == ["family_identities_n2", "family_identities_n3", "n2_bit_identity"]
 
 
-def test_report_all_deterministic(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    args = ["report-all", *CERT, "--segments", "64", "--out", str(out)]
-    assert cli.main(args) == 0
-    first = out.read_bytes()
-    assert cli.main(args) == 0
-    assert out.read_bytes() == first
-    doc = json.loads(out.read_text())
-    assert doc["overall_pass"] is True
-    prefixes = {c["name"].split(".")[0] for c in doc["checks"]}
-    assert prefixes == {"identities", "spectrum", "commutativity", "certify", "generalize"}
-
-
 def test_csv_summary_format(capsys):
     code, out, _ = run(["verify-identities", *FAST, "--format", "csv-summary"], capsys)
     assert code == 0

@@ -153,7 +153,7 @@ def test_self_gap_is_two(mesh9, monkeypatch):
     from expspec import homotopy
 
     monkeypatch.setattr(homotopy, "suspension_eh", f_map)
-    assert antipodal_gap(mesh9).min_gap == pytest.approx(2.0)
+    assert antipodal_gap(mesh9).antipodal_min_gap == pytest.approx(2.0)
 
 
 def test_antipode_gap_is_zero(mesh9, monkeypatch):
@@ -166,20 +166,19 @@ def test_antipode_gap_is_zero(mesh9, monkeypatch):
 
     monkeypatch.setattr(homotopy, "suspension_eh", neg_f)
     gap = antipodal_gap(mesh9)
-    assert gap.min_gap == pytest.approx(0.0, abs=1e-15)
+    assert gap.antipodal_min_gap == pytest.approx(0.0, abs=1e-15)
     # negative control: an antipodal pair must not certify
-    assert gap.certified_lower_bound <= 0
+    assert gap.antipodal_certified_lower_bound <= 0
 
 
 def test_antipodal_gap_certificate(mesh33):
     gap = antipodal_gap(mesh33)
-    assert gap.min_gap > 0.1
-    assert gap.min_gap == pytest.approx(1.2346, abs=2e-3)
-    assert gap.covering_radius == mesh33.covering_radius
-    assert gap.certified_lower_bound == (
-        gap.min_gap - 2.0 * mesh33.covering_radius - 1e-13 * mesh33.lat_count
+    assert gap.antipodal_min_gap > 0.1
+    assert gap.antipodal_min_gap == pytest.approx(1.2346, abs=2e-3)
+    assert gap.antipodal_certified_lower_bound == (
+        gap.antipodal_min_gap - 2.0 * mesh33.covering_radius - 1e-13 * mesh33.lat_count
     )
-    assert gap.certified_lower_bound == pytest.approx(0.8587, abs=1e-3)
+    assert gap.antipodal_certified_lower_bound == pytest.approx(0.8587, abs=1e-3)
 
 
 @pytest.mark.parametrize("lat, shell", [(9, 16), (33, 32)])
@@ -196,7 +195,7 @@ def test_certified_bound_is_below_the_exact_minimum(lat, shell):
     e0, e1 = suspension_eh(0.0, np.sin(psi), np.cos(psi))
     assert np.hypot(abs(f0 + e0), abs(f1 + e1)) == pytest.approx(exact_min, abs=1e-15)
     gap = antipodal_gap(mesh_s4(lat, shell))
-    assert 0.0 < gap.certified_lower_bound < exact_min <= gap.min_gap
+    assert 0.0 < gap.antipodal_certified_lower_bound < exact_min <= gap.antipodal_min_gap
 
 
 def _geodesic_pairs(n, seed):
@@ -265,9 +264,9 @@ def test_null_homotopy_det_has_unit_modulus(mesh9):
 
 def test_path_invertibility(mesh9):
     p = path_invertibility(mesh9)
-    assert p.max_det_deviation <= 1e-13
-    assert p.endpoint_start <= 1e-13
-    assert p.endpoint_end == 0.0
+    assert p.path_max_abs_det_deviation <= 1e-13
+    assert p.endpoint_residual_start <= 1e-13
+    assert p.endpoint_residual_end == 0.0
 
 
 def unique_latitude_path(mesh):
@@ -285,12 +284,31 @@ def test_path_invertibility_matches_the_unique_latitude_sweep(lat):
     mesh = mesh_s4(lat, 8)
     got = path_invertibility(mesh)
     det_dev, end = unique_latitude_path(mesh)
-    assert got.max_det_deviation.hex() == det_dev.hex()
-    assert got.endpoint_end.hex() == end.hex()
+    assert got.path_max_abs_det_deviation.hex() == det_dev.hex()
+    assert got.endpoint_residual_end.hex() == end.hex()
 
 
 def failing(records):
     return [r.name for r in records if not r.passed]
+
+
+def test_a_singular_midpath_fails_the_path_record(monkeypatch):
+    # h11 = 1 - 4t(1 - t) is singular at t = 1/2 and leaves both endpoints
+    # unchanged, so only the det grid can see it: it must read |det H| of
+    # null_homotopy_ba itself, not a copy of H's argument
+    from expspec import cli, homotopy
+
+    def singular_midpath(z2, t, out=None, work=None):
+        h = null_homotopy_ba(z2, t, out=out, work=work)
+        h[3] *= 1.0 - 4.0 * t * (1.0 - t)
+        return h
+
+    monkeypatch.setattr(homotopy, "null_homotopy_ba", singular_midpath)
+    records, certificates = build_certificates(mesh_s4(9, 16))
+    assert certificates is None
+    assert failing(records) == ["ba_path_invertibility"]
+    assert records[0].name == "ba_path_invertibility" and records[0].value == 1.0
+    assert cli.main(["certify", "--lat", "9", "--shell", "16"]) == 1
 
 
 def test_certificates(mesh33):
@@ -415,9 +433,8 @@ def _reference_antipodal_gap(mesh):
     _chunked(fill, gaps, z0, z1, z2)
     min_gap = float(gaps.min())
     return dict(
-        min_gap=min_gap,
-        covering_radius=mesh.covering_radius,
-        certified_lower_bound=min_gap
+        antipodal_min_gap=min_gap,
+        antipodal_certified_lower_bound=min_gap
         - homotopy.ANTIPODAL_LIPSCHITZ * mesh.covering_radius
         - homotopy.ROUNDING_PER_LATITUDE * mesh.lat_count,
         hemisphere_worst_violation=_reference_hemisphere(mesh),
@@ -512,10 +529,13 @@ def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
     monkeypatch.setattr(homotopy, "phi", phi_nan_at_south_pole)
     monkeypatch.setattr(homotopy, "suspension_eh", eh_nan_at_lane)
     assert np.isnan(identity_residuals(mesh9).ba_vs_diag)
-    assert np.isnan(path_invertibility(mesh9).endpoint_start)
+    path = path_invertibility(mesh9)
+    # the det grid's nan is at t = 0 only, so later t-values must keep it
+    assert np.isnan(path.path_max_abs_det_deviation)
+    assert np.isnan(path.endpoint_residual_start)
     gap = antipodal_gap(mesh9)
     assert np.isnan(gap.hemisphere_worst_violation)
-    assert np.isnan(gap.min_gap) and np.isnan(gap.certified_lower_bound)
+    assert np.isnan(gap.antipodal_min_gap) and np.isnan(gap.antipodal_certified_lower_bound)
     assert np.isnan(gap.equator_max_deviation)
 
 
