@@ -116,10 +116,11 @@ def sweep(kernel, mesh, planes=0):
     Returns the per-chunk results in mesh order. Every kernel given here is
     pointwise, so the folded results do not depend on CHUNK.
 
-    With planes > 0 the kernel also gets, as its last argument, one
-    workspace per process: `planes` complex planes of CHUNK points
-    (fewer for a shorter sweep). It holds the previous chunk's values, so a
-    kernel slices it to its own chunk's length and writes every lane it reads.
+    With planes > 0 the kernel also gets, as its last argument, its
+    workspace: `planes` complex planes of the chunk's length, cut from one
+    workspace per process. The planes still hold the previous chunk's
+    values, so a kernel writes every lane it reads. A kernel of a sweep
+    without planes gets (z0, z1, z2) only.
 
     A sweep of at least SPLIT_POINTS points runs its back half in a forked
     helper (see _two_halves), cut at the chunk boundary (count // 2) * CHUNK.
@@ -130,9 +131,9 @@ def sweep(kernel, mesh, planes=0):
     """
 
     def run(start, stop):
-        work = (np.empty((planes, min(stop - start, CHUNK)), np.complex128),) if planes else ()
-        for chunk in mesh.chunks(CHUNK, start, stop):
-            yield kernel(*chunk, *work)
+        work = np.empty((planes, min(stop - start, CHUNK)), np.complex128)
+        for z0, z1, z2 in mesh.chunks(CHUNK, start, stop):
+            yield kernel(z0, z1, z2, work[:, : len(z2)]) if planes else kernel(z0, z1, z2)
 
     return list(_two_halves(len(mesh), CHUNK, run, len(mesh) >= SPLIT_POINTS))
 
@@ -411,37 +412,26 @@ ELEMENTS = {
 }
 
 
-def _inverse_identity_residual(a, b, ba, u, mu, z, out=None, work=None):
-    """Pointwise ||(I - mu ba)(I + mu b u a) - I|| with u = (I - mu ab)^{-1}.
-
-    Overwrites u with I + mu b u a and writes (I - mu ba)(I + mu b u a)
-    into the Field z, which may alias none of the other arguments. out and
-    work (6 planes) as in linalg2.
-    """
-    work = workspace(work, 6, u.shape[1:])
-    (x,) = fields(work[:4])
-    scratch = work[4:]
-    eye = eye_like(u)
-    # u is dead once u a is formed, so b (u a) goes into its planes
-    mat_mul(b, mat_mul(u, a, out=x, work=scratch), out=u, work=scratch)
-    np.add(eye, np.multiply(mu, u, out=u), out=u)
-    np.subtract(eye, np.multiply(mu, ba, out=x), out=x)
-    lhs = mat_mul(x, u, out=z, work=scratch)
-    return op_norm(np.subtract(lhs, eye, out=lhs), out=out, work=scratch)
-
-
 # workspace planes of one inverse-identity chunk: six Fields (a, b, ab, ba,
-# m, u), the masks, the residual, and the residual's own 6 planes, whose
-# first 4 are also mat_inv's scratch
+# m, u), the masks, the residual, and 6 scratch planes, whose first 4 are
+# mat_inv's scratch and then the residual's Field x
 _INVERSE_PLANES = 24 + 1 + 1 + 6
 
 
 def _inverse_identity_chunk(z0, z1, z2, work, mus):
-    work = work[:, : len(z2)]
+    """The inverse-identity residual on one chunk, max over the probes.
+
+    For each mu in mus, with u = (I - mu ab)^{-1}, the residual is
+    ||(I - mu ba)(I + mu b u a) - I|| on the lanes that mat_inv conditions.
+    work holds _INVERSE_PLANES planes. Returns (max residual, skipped
+    count); see inverse_identity_sweep.
+    """
     a, b, ab, ba, m, u = fields(work[:24])
     ok, skip = carve(work[24], bool)[:2]
     res = carve(work[25], np.float64)[0]
     scratch = work[26:]
+    (x,) = fields(scratch[:4])
+    rest = scratch[4:]
     field_a(z0, z1, z2, out=a)
     field_b(z0, z1, z2, out=b)
     mat_mul(a, b, out=ab, work=scratch)
@@ -457,8 +447,13 @@ def _inverse_identity_chunk(z0, z1, z2, work, mus):
             skipped += int(np.count_nonzero(np.logical_not(ok, out=skip)))
             if not np.any(ok):
                 continue
-            # m is dead after mat_inv, so the residual's product goes into it
-            _inverse_identity_residual(a, b, ba, u, mu, m, out=res, work=scratch)
+            # u is dead once u a is formed, so b (u a) goes into its planes
+            mat_mul(b, mat_mul(u, a, out=x, work=rest), out=u, work=rest)
+            np.add(eye, np.multiply(mu, u, out=u), out=u)
+            np.subtract(eye, np.multiply(mu, ba, out=x), out=x)
+            # m is dead after mat_inv, so (I - mu ba)(I + mu b u a) goes into it
+            lhs = mat_mul(x, u, out=m, work=rest)
+            op_norm(np.subtract(lhs, eye, out=lhs), out=res, work=rest)
             np.copyto(res, 0.0, where=skip)
             # np.maximum, unlike max(), keeps a nan from a conditioned lane
             worst = np.maximum(worst, res.max())
@@ -503,7 +498,7 @@ _IDENTITY_PLANES = 20 + 1 + 1 + 1 + 4
 
 
 def _identity_chunk(x0, x1, x2, work):
-    work = work[:, : len(x2)]
+    """identity_residuals' six maxima on one chunk; work holds _IDENTITY_PLANES planes."""
     t_planes, c_planes = work[12:16], work[16:20]
     a, b, ab, t, c = fields(work[:20])
     w, s = work[20], work[21]

@@ -63,8 +63,6 @@ class GenMesh:
 
 def _moduli_rows(n, moduli_count):
     """Radius vectors (rho_1..rho_n) from half-offset spherical angles."""
-    if n == 1:
-        return np.ones((1, 1))
     angles = (np.arange(moduli_count) + 0.5) * (np.pi / 2) / moduli_count
     rows = []
     for combo in product(range(moduli_count), repeat=n - 1):
@@ -117,16 +115,13 @@ def eval_a_n(z, zn):
 def eval_b_n(z, zn, _conjugate=True):
     """Stack of n x n matrices with first row conj(z)/(1 + i zn), other rows zero.
 
-    `_conjugate=False` is a sabotage hook for negative-control tests.
+    The transpose of eval_a_n(conj(z), zn), so its row conj(z) w is the
+    product that forms a_n's column. The copy keeps b @ a on the matmul
+    path of a C-contiguous b. `_conjugate=False` is a sabotage hook for
+    negative-control tests.
     """
     z = np.asarray(z, dtype=np.complex128)
-    zn = np.asarray(zn, dtype=np.float64)
-    n = z.shape[-1]
-    w = 1.0 / (1.0 + 1j * zn)
-    out = np.zeros(z.shape[:-1] + (n, n), dtype=np.complex128)
-    row = np.conj(z) if _conjugate else z
-    out[..., 0, :] = row * w[..., None]
-    return out
+    return np.ascontiguousarray(eval_a_n(np.conj(z) if _conjugate else z, zn).swapaxes(-1, -2))
 
 
 def _finite_lanes(fn, m):

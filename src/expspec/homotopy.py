@@ -255,9 +255,9 @@ def _f_eh_chunk(x0, x1, x2, work, flip_equator=False):
     See _f_eh_pass. z2 falls through the mesh order, so the chunk's equator
     lanes (z2 = 0) are one run, read as slices of the workspace planes; a
     chunk without them gives -inf. With flip_equator, f is negated on that
-    run, where |(-f) - Eh| is the |f + Eh| already at hand.
+    run, where |(-f) - Eh| is the |f + Eh| already at hand. work holds
+    _F_EH_PLANES planes.
     """
-    work = work[:, : len(x2)]
     fx = f_map(x0, x1, x2, out=work[:2], work=work[4:])
     ex = suspension_eh(x0, x1, x2, out=work[2:4], work=work[4:])
     t = work[4]
@@ -494,8 +494,7 @@ _PATH_PLANES = 4 + 4 + 1 + 9
 
 
 def _start_residual_chunk(x0, x1, x2, work):
-    """max ||(1 - 2ba)(x) - H(x, 0)|| over one chunk."""
-    work = work[:, : len(x2)]
+    """max ||(1 - 2ba)(x) - H(x, 0)|| over one chunk; work holds _PATH_PLANES planes."""
     d, h = fields(work[:8])
     r = carve(work[8], np.float64)[0]
     scratch = work[9:]

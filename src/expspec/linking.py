@@ -245,7 +245,7 @@ def _pair_pass(c1, c2):
         work = np.empty((6, min(stop - start, step), m))
         for first in range(start, stop, step):
             rows = slice(first, min(first + step, stop))
-            yield _pair_rows(m1[:, rows, None], d1[:, rows, None], h1[rows], seg2, work)
+            yield _pair_rows(m1[:, rows, None], d1[:, rows, None], h1[rows], seg2, work[:, : rows.stop - first])
 
     blocks = _two_halves(n, step, run, n * m >= SPLIT_PAIRS)
     separation, partials = np.inf, np.empty(n)
@@ -259,7 +259,8 @@ def _pair_rows(m1, d1, h1, seg2, work):
     """The separation bound and the Gauss row sums of one row block.
 
     m1 and d1 are the block's midpoint and direction rows, (3, rows, 1);
-    h1 its half lengths; seg2 the other curve's _segments. Returns the
+    h1 its half lengths; seg2 the other curve's _segments; work the
+    block's 6 float64 planes of (rows, m), cut by _pair_pass. Returns the
     block's separation as a float and its row sums as float64 bytes, which
     a forked helper pickles in a fraction of an array's time. The separation
     folds the block's midpoint distances right after their square root,
@@ -270,7 +271,7 @@ def _pair_rows(m1, d1, h1, seg2, work):
     """
     (mx, my, mz), (ax, ay, az) = m1, d1
     (nx, ny, nz), (ux, uy, uz), h2 = seg2
-    rx, ry, rz, num, den, t = work[:, : len(h1)]
+    rx, ry, rz, num, den, t = work
     np.subtract(mx, nx, out=rx)
     np.subtract(my, ny, out=ry)
     np.subtract(mz, nz, out=rz)

@@ -251,25 +251,28 @@ def test_inverse_identity_sweep_keeps_nan_lanes(mesh9):
 
 
 def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
-    # a partial last chunk reuses the workspace of a full one; the lanes past
-    # its length still hold the full chunk's values, here a nan
+    # sweep hands a partial last chunk work[:, :n] of the workspace a full
+    # chunk used, so its lanes still hold that chunk's values, here a nan;
+    # a fresh nan-filled workspace turns any lane read before it is written
+    # into a nan result
     from expspec.algebra import _IDENTITY_PLANES, _INVERSE_PLANES, _identity_chunk, _inverse_identity_chunk
 
     full, n = 300, 100
     z0, z1, z2 = (x[:full] for x in mesh9.arrays())
     z0_nan = z0.copy()
-    z0_nan[n + 5] = np.nan
+    z0_nan[5] = np.nan
     cases = (
         (_identity_chunk, _IDENTITY_PLANES, ()),
         (_inverse_identity_chunk, _INVERSE_PLANES, (MU_PROBES,)),
     )
     for chunk, planes, args in cases:
-        work = np.empty((planes, full), dtype=np.complex128)
+        work = np.full((planes, full), complex(np.nan, np.nan))
         with np.errstate(invalid="ignore"):
             assert np.isnan(chunk(z0_nan, z1, z2, work, *args)[0])
-        stale = chunk(z0[:n], z1[:n], z2[:n], work, *args)
-        fresh = chunk(z0[:n], z1[:n], z2[:n], np.empty((planes, full), dtype=np.complex128), *args)
+        stale = chunk(z0[:n], z1[:n], z2[:n], work[:, :n], *args)
+        fresh = chunk(z0[:n], z1[:n], z2[:n], np.full((planes, n), complex(np.nan, np.nan)), *args)
         assert repr(stale) == repr(fresh)
+        assert not np.isnan(fresh).any()
 
 
 # -------------------------------------------------------------- split sweeps
@@ -362,6 +365,20 @@ def _index_mesh(n):
     """n points whose z2 (and Re z0) is the point's index."""
     z2 = np.arange(n, dtype=np.float64)
     return _Arrays(z2.astype(np.complex128), np.zeros(n, np.complex128), z2)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
+def test_sweep_cuts_the_workspace_to_each_chunk(split, forks, monkeypatch):
+    # 170 points at CHUNK = 16: ten full chunks and a last one of 10 points,
+    # forked at point 80; the shapes come back as the kernel's results
+    monkeypatch.setattr(algebra, "CHUNK", 16)
+    if not split:
+        monkeypatch.setattr(algebra, "SPLIT_POINTS", 171)
+    parts = algebra.sweep(lambda z0, z1, z2, work: (work.shape, len(z2)), _index_mesh(170), planes=3)
+    assert [n for _, n in parts] == [16] * 10 + [10]
+    assert all(shape == (3, n) for shape, n in parts)
+    assert len(forks) == split
+    assert_no_child_left()
 
 
 def _singular_at(*points):

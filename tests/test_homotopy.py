@@ -642,8 +642,10 @@ def test_f_map_raises_on_a_nan_lane_with_and_without_buffers():
 
 
 def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
-    # a partial last chunk reuses the workspace of a full one; the lanes past
-    # its length still hold the full chunk's values, here a nan
+    # sweep hands a partial last chunk work[:, :n] of the workspace a full
+    # chunk used, so its lanes still hold that chunk's values, here a nan;
+    # a fresh nan-filled workspace turns any lane read before it is written
+    # into a nan result
     from expspec.homotopy import (
         DegenerateProjection,
         _F_EH_PLANES,
@@ -657,7 +659,7 @@ def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     z0, z1, z2 = (x[200 : 200 + full] for x in mesh9.arrays())
     assert np.count_nonzero(z2[:n] == 0.0) > 0
     z0_nan = z0.copy()
-    z0_nan[n + 5] = np.nan
+    z0_nan[5] = np.nan
     for chunk, planes in ((_f_eh_chunk, _F_EH_PLANES), (_start_residual_chunk, _PATH_PLANES)):
         work = np.full((planes, full), complex(np.nan, np.nan))
         with np.errstate(invalid="ignore"):
@@ -666,7 +668,7 @@ def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
                     chunk(z0_nan, z1, z2, work)
             else:
                 assert np.isnan(chunk(z0_nan, z1, z2, work))
-        stale = chunk(z0[:n], z1[:n], z2[:n], work)
-        fresh = chunk(z0[:n], z1[:n], z2[:n], np.full((planes, full), complex(np.nan, np.nan)))
+        stale = chunk(z0[:n], z1[:n], z2[:n], work[:, :n])
+        fresh = chunk(z0[:n], z1[:n], z2[:n], np.full((planes, n), complex(np.nan, np.nan)))
         assert repr(stale) == repr(fresh)
         assert not np.isnan(np.asarray(fresh, dtype=float)).any()
