@@ -31,5 +31,5 @@ print(f"n = 2 evaluators bit-identical to the 2x2 construction: a={same_a}, b={s
 
 # negative control: dropping the conjugation in b must wreck the identities
 mesh3 = mesh_s2n(3, 9, 3, 6)
-bad = family_identity_check(3, mesh3, _sabotage="drop-conjugate")
+bad = family_identity_check(3, mesh3, _conjugate=False)
 print(f"sabotaged b (missing conjugate): residual {bad:.3f} -- detected")

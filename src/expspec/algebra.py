@@ -159,31 +159,31 @@ def _two_halves(length, block, run, split):
     their sum. The helper checks before each block it pulls that its parent
     is alive, and exits if not; any error here, a KeyboardInterrupt or a
     consumer that closes this generator included, kills and reaps it
-    first. Where the helper cannot be forked, or delivers nothing readable,
-    this process runs the back half itself. sweep and linking's pair pass
-    are the callers.
+    first. Where the helper cannot be forked, this process runs
+    run(0, length) as it does without split; where a helper delivers
+    nothing readable, this process runs the back half itself. sweep and
+    linking's pair pass are the callers.
     """
     count = -(-length // block)
-    if not split or count < 2 or _cpus() < 2:
+    cut = count // 2 * block
+    helper = split and count >= 2 and _cpus() >= 2 and _fork_helper(run, cut, length, count - count // 2)
+    if not helper:
         yield from run(0, length)
         return
-    cut = count // 2 * block
-    pid, pipe = _fork_helper(run, cut, length, count - count // 2)
+    pid, pipe = helper
     try:
         yield from run(0, cut)
-        data = pipe.read() if pid else b""
+        data = pipe.read()
     except BaseException:
-        if pid:
-            os.kill(pid, _SIGKILL)
+        os.kill(pid, _SIGKILL)
         raise
     finally:
-        if pid:
-            pipe.close()
-            os.waitpid(pid, 0)
+        pipe.close()
+        os.waitpid(pid, 0)
     try:
         done, back = pickle.loads(data)
     except Exception:
-        # no helper, or one that delivered nothing readable
+        # a helper that delivered nothing readable
         yield from run(cut, length)
         return
     if not done:
@@ -201,8 +201,8 @@ def _cpus():
 def _fork_helper(run, cut, length, blocks):
     """Fork the helper that pulls the `blocks` results of run(cut, length).
 
-    Returns (pid, read end of its pipe), or (0, None) when the pipe or the
-    fork fails. Before each block the helper exits if its parent has
+    Returns (pid, read end of its pipe), or None when the pipe or the fork
+    fails. Before each block the helper exits if its parent has
     changed: a helper whose parent died runs no further. It writes one
     pickle, (True, results) or (False, exception), which the parent cannot
     read if it does not pickle whole, and always leaves by os._exit: it
@@ -212,13 +212,13 @@ def _fork_helper(run, cut, length, blocks):
     try:
         r, w = os.pipe()
     except OSError:
-        return 0, None
+        return None
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        return 0, None
+        return None
     if pid:
         os.close(w)
         return pid, os.fdopen(r, "rb")
@@ -465,8 +465,11 @@ def inverse_identity_sweep(mesh, mus=MU_PROBES):
 
     Points where cond(I - mu ab) exceeds COND_LIMIT are skipped; a point
     whose condition number is nan is not, so its nan reaches the maximum.
-    A conditioned point below the singularity threshold still raises
-    SingularMatrix. Returns (max_residual, skipped_count).
+    mat_inv's SingularMatrix guard cannot fire here: a lane kept at
+    cond = smax^2 / |det| <= COND_LIMIT = 1e6 has |det| >= 1e-6 smax^2,
+    while the guard fires only at |det| <= 1e-14 smax^2 (SINGULARITY_RTOL),
+    eight orders lower, and a nan lane fails the guard's <=. Returns
+    (max_residual, skipped_count).
     """
     parts = sweep(
         lambda z0, z1, z2, work: _inverse_identity_chunk(z0, z1, z2, work, mus),
@@ -549,4 +552,4 @@ def identity_residuals(mesh):
     """
     parts = sweep(_identity_chunk, mesh, planes=_IDENTITY_PLANES)
     # np.maximum, unlike max(), keeps a nan from any chunk
-    return IdentityResiduals(*(float(np.maximum.reduce(column)) for column in zip(*parts)))
+    return IdentityResiduals(*map(float, np.maximum.reduce(parts)))

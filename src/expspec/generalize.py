@@ -77,7 +77,7 @@ def _moduli_rows(n, moduli_count):
     return np.array(rows)
 
 
-def mesh_s2n(n, lat_count=9, moduli_count=3, phase_count=6):
+def mesh_s2n(n, lat_count, moduli_count, phase_count):
     """Deterministic product mesh on S^{2n} (poles stored once)."""
     if lat_count < 3:
         raise ValueError("lat_count must be >= 3")
@@ -170,25 +170,24 @@ def _block_residuals(z, zn, conjugate):
     return np.array([r1, r2, r3])
 
 
-def family_identity_check(n, mesh, _sabotage=None):
+def family_identity_check(n, mesh, _conjugate=True):
     """Max deviation over the mesh of the three closed-form identities.
 
     Verifies 1-2ba against diag(phi, 1, ..., 1), 1-2ab against the
     rank-one closed form, and the eigenvalues of ab against
-    {(1-zn^2)/(1+i zn)^2, 0, ...}. `_sabotage="drop-conjugate"` builds b
-    without the conjugation, which must push the residual above 0.1. A
-    point with a non-finite z coordinate makes the result nan, with no
-    floating-point warning; a zn outside [-1, 1], an infinite one
-    included, raises DomainError from phi.
+    {(1-zn^2)/(1+i zn)^2, 0, ...}. `_conjugate=False`, eval_b_n's
+    sabotage hook, builds b without the conjugation, which must push the
+    residual above 0.1. A point with a non-finite z coordinate makes the
+    result nan, with no floating-point warning; a zn outside [-1, 1], an
+    infinite one included, raises DomainError from phi.
     """
     if n not in SUPPORTED_N:
         raise UnsupportedN(f"n must be one of {SUPPORTED_N}")
     if mesh.n != n:
         raise ValueError("mesh dimension does not match n")
-    conjugate = _sabotage != "drop-conjugate"
     blocks = [slice(i, i + BLOCK_POINTS) for i in range(0, len(mesh), BLOCK_POINTS)]
     # inf * 0 and inf - inf in a block's products give the nan lanes that the fold keeps
     with np.errstate(invalid="ignore", over="ignore"):
-        worst = [_block_residuals(mesh.z[rows], mesh.zn[rows], conjugate) for rows in blocks]
+        worst = [_block_residuals(mesh.z[rows], mesh.zn[rows], _conjugate) for rows in blocks]
     # np.maximum, unlike max(), keeps a nan from any block and any residual
     return float(np.maximum.reduce(worst).max())

@@ -249,14 +249,17 @@ def f_map(z0, z1, z2, out=None, work=None):
 _F_EH_PLANES = 2 + 2 + 3
 
 
-def _f_eh_chunk(x0, x1, x2, work, flip_equator=False):
-    """min |f + Eh|, the hemisphere minimum and max |f - Eh| on the equator, on one chunk.
+def _f_eh_chunk(x0, x1, x2, work):
+    """min |f + Eh|, the hemisphere minimum and both equator maxima on one chunk.
 
-    See _f_eh_pass. z2 falls through the mesh order, so the chunk's equator
-    lanes (z2 = 0) are one run, read as slices of the workspace planes; a
-    chunk without them gives -inf. With flip_equator, f is negated on that
-    run, where |(-f) - Eh| is the |f + Eh| already at hand. work holds
-    _F_EH_PLANES planes.
+    Returns (min |f + Eh|, hemisphere minimum, max |f + Eh| on the equator,
+    max |f - Eh| on the equator); see antipodal_gap. z2 falls through the
+    mesh order, so the chunk's equator lanes (z2 = 0) are one run, read as
+    slices of the workspace planes; a chunk without them gives -inf for
+    both equator maxima. The first equator maximum is read from the gap
+    plane before the equator step overwrites that run with |f - Eh|, so
+    every run computes both, and the flip-f control only picks the first.
+    work holds _F_EH_PLANES planes.
     """
     fx = f_map(x0, x1, x2, out=work[:2], work=work[4:])
     ex = suspension_eh(x0, x1, x2, out=work[2:4], work=work[4:])
@@ -270,11 +273,10 @@ def _f_eh_chunk(x0, x1, x2, work, flip_equator=False):
     # the equator run: after the z2 > 0 lanes, before the z2 < 0 ones
     start = np.count_nonzero(np.greater(x2, 0.0, out=keep))
     eq = slice(start, np.count_nonzero(np.greater_equal(x2, 0.0, out=keep)))
-    if not flip_equator:
-        np.square(np.abs(np.subtract(fx[0][eq], ex[0][eq], out=t[eq]), out=d[eq]), out=d[eq])
-        np.square(np.abs(np.subtract(fx[1][eq], ex[1][eq], out=t[eq]), out=d1[eq]), out=d1[eq])
-        np.sqrt(np.add(d[eq], d1[eq], out=d[eq]), out=d[eq])
-    equator = d[eq].max(initial=-np.inf)
+    flipped = d[eq].max(initial=-np.inf)
+    np.square(np.abs(np.subtract(fx[0][eq], ex[0][eq], out=t[eq]), out=d[eq]), out=d[eq])
+    np.square(np.abs(np.subtract(fx[1][eq], ex[1][eq], out=t[eq]), out=d1[eq]), out=d1[eq])
+    equator = np.sqrt(np.add(d[eq], d1[eq], out=d[eq]), out=d[eq]).max(initial=-np.inf)
     # min(sign(z2) Im f1, sign(z2) Im Eh1), inf on the equator and at the poles
     s, v = carve(work[6], np.float64)
     np.sign(x2, out=s)
@@ -283,34 +285,18 @@ def _f_eh_chunk(x0, x1, x2, work, flip_equator=False):
     np.copyto(signed, np.inf, where=np.logical_not(keep, out=keep))
     # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
     # depends on the order it meets them, so the chunking would show in the sign
-    return min_gap, signed.min() + 0.0, equator
-
-
-def _f_eh_pass(mesh, flip_equator=False):
-    """One sweep evaluating f and Eh once per mesh point, the equator included.
-
-    Returns (min_gap, hemisphere, equator): the minimum of |f + Eh| over the
-    mesh; the minimum over both maps of sign(z2) * Im(second coordinate) on
-    the off-equator, off-pole points (inf when there are none); and the
-    maximum of |f - Eh| over the equator points, or of |(-f) - Eh| with
-    flip_equator (-inf when there are none). The sweep reads the mesh in
-    its own order, north to south, which _f_eh_chunk's equator run needs.
-    """
-    folds = np.array(sweep(lambda *chunk: _f_eh_chunk(*chunk, flip_equator), mesh, planes=_F_EH_PLANES))
-    # np.minimum and np.maximum, unlike min() and max(), keep a nan from any chunk
-    min_gap, hemisphere = np.minimum.reduce(folds[:, :2])
-    return float(min_gap), float(hemisphere), float(np.maximum.reduce(folds[:, 2]))
+    return min_gap, signed.min() + 0.0, flipped, equator
 
 
 def hemisphere_preservation(mesh):
     """Worst signed violation of hemisphere preservation for f and Eh.
 
     Equator points (z2 = 0) and poles are excluded; the certificate bounds
-    the returned minimum from below (ab_hemisphere_preservation). It comes
-    from the single f/Eh pass that antipodal_gap runs, so build_certificates
-    reads it from AntipodalGap.hemisphere_worst_violation instead.
+    the returned minimum from below (ab_hemisphere_preservation). It is
+    antipodal_gap's hemisphere_worst_violation, which build_certificates
+    reads directly.
     """
-    return _f_eh_pass(mesh)[1]
+    return antipodal_gap(mesh).hemisphere_worst_violation
 
 
 @dataclass(frozen=True)
@@ -441,16 +427,23 @@ def antipodal_gap(mesh, _flip_equator=False):
     points measured 4.6e-16 at 9 latitudes and 1.4e-14 at 2049.
 
     One pass: f and Eh are evaluated once per mesh point, the equator
-    included, in the sweep that also yields the hemisphere evidence
-    (hemisphere_worst_violation) and the equator coincidence
-    (equator_max_deviation, max |f - Eh| over the mesh's equator latitude);
-    the minima and the maximum fold per chunk. _flip_equator is the flip-f
-    negative control of build_certificates: it negates f on the equator
-    only, so equator_max_deviation reads max |f + Eh| there, about 2.
+    included, in one sweep of _f_eh_chunk that also yields the hemisphere
+    evidence (hemisphere_worst_violation, inf without off-equator, off-pole
+    points) and the equator coincidence (equator_max_deviation, max |f - Eh|
+    over the mesh's equator latitude, -inf without one); the minima and the
+    maxima fold per chunk. The sweep reads the mesh in its own order, north
+    to south, which _f_eh_chunk's equator run needs. The kernel measures
+    max |f + Eh| on the equator too, on every run: _flip_equator, the flip-f
+    negative control of build_certificates, reports that maximum as
+    equator_max_deviation (about 2, as if f were negated on the equator),
+    so the control runs the same kernel as the real run.
     """
-    min_gap, hemisphere, equator = _f_eh_pass(mesh, _flip_equator)
+    folds = np.array(sweep(_f_eh_chunk, mesh, planes=_F_EH_PLANES))
+    # np.minimum and np.maximum, unlike min() and max(), keep a nan from any chunk
+    min_gap, hemisphere = map(float, np.minimum.reduce(folds[:, :2]))
+    flipped, equator = map(float, np.maximum.reduce(folds[:, 2:]))
     return AntipodalGap(
-        equator_max_deviation=equator,
+        equator_max_deviation=flipped if _flip_equator else equator,
         hemisphere_worst_violation=hemisphere,
         antipodal_min_gap=min_gap,
         antipodal_certified_lower_bound=min_gap
@@ -561,10 +554,11 @@ def build_certificates(mesh, segments=256, sabotage=None):
     evidence; certificates is (certificate for 1-2ba, certificate for 1-2ab)
     when every record passes, and None otherwise. f and Eh are evaluated
     once per mesh point, the equator included, in antipodal_gap's one pass.
-    The sabotage hook, one of SABOTAGE_TAGS ("flip-f" negates f on the
-    equator through antipodal_gap's _flip_equator, "fiber" links a fiber
-    with a translate of itself), exists for negative-control tests and must
-    leave certificates None.
+    The sabotage hook, one of SABOTAGE_TAGS, exists for negative-control
+    tests and must leave certificates None: "flip-f" reports max |f + Eh|
+    on the equator as the equator deviation (antipodal_gap's
+    _flip_equator; the f/Eh sweep is the same kernel on every run), and
+    "fiber" links a fiber with a translate of itself.
     """
     if sabotage not in (None, *SABOTAGE_TAGS):
         raise ValueError(f"unknown sabotage tag: {sabotage!r}")

@@ -334,7 +334,7 @@ def run_all(cfg):
         rep.merge(_spectrum_report(cfg, element, spec_mesh, clouds[element]), f"spectrum.{element}")
 
     dist = cloud_hausdorff(drop_zeros(clouds["ab"]), drop_zeros(clouds["ba"]))
-    lip = eigenvalue_lipschitz(spec_mesh, "ab")
+    lip = eigenvalue_lipschitz(spec_mesh)
     worst, skipped = inverse_identity_sweep(mesh)
     evidence = {
         "nonzero_distance": dist,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ELEMENTS, sweep
+from .algebra import ELEMENTS, field_ab, sweep
 from .linalg2 import eig2
 
 __all__ = [
@@ -144,16 +144,18 @@ def cloud_hausdorff(a, b):
     return float(np.maximum(_farthest_nearest(a, b), _farthest_nearest(b, a)))
 
 
-def eigenvalue_lipschitz(mesh, element):
-    """Empirical eigenvalue continuity factor of an element across latitudes.
+def eigenvalue_lipschitz(mesh):
+    """Empirical eigenvalue continuity factor of ab across latitudes.
 
+    The factor of ab's eigenvalue, the element the commutativity record
+    compares with ba (their nonzero eigenvalue is the same function of z2).
     Max over adjacent latitudes of the sorted-eigenvalue-pair deviation
     divided by the latitude arc spacing; reported so users can turn the
     covering radius into an outer error bar for the sampled spectrum.
     """
     # the first point of each latitude, (sin(psi_j), 0, cos(psi_j)), as in the sphere module
     reps = (mesh.lat_sines.astype(np.complex128), 0j, mesh.z2_values)
-    vals = eig2(ELEMENTS[element](*reps))
+    vals = eig2(field_ab(*reps))
     dpsi = np.pi / (mesh.lat_count - 1)
     diffs = np.abs(np.diff(vals, axis=1)).max(axis=0)
     return float(diffs.max() / dpsi)

@@ -291,8 +291,8 @@ SWEEP_RUNS = {
     "identity": identity_residuals,
     "inverse": inverse_identity_sweep,
     "path start": homotopy.path_invertibility,
-    "f/Eh": homotopy._f_eh_pass,
-    "f/Eh flipped": lambda mesh: homotopy._f_eh_pass(mesh, flip_equator=True),
+    "f/Eh": homotopy.antipodal_gap,
+    "f/Eh flipped": lambda mesh: homotopy.antipodal_gap(mesh, _flip_equator=True),
     "spectrum": lambda mesh: spectrum.sample_spectrum("ab", mesh),
 }
 
@@ -341,6 +341,23 @@ def test_failed_fork_runs_the_back_half_here(forks, monkeypatch, mesh9):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert repr(inverse_identity_sweep(mesh9)) == want
+    assert_no_child_left()
+
+
+def test_failed_fork_runs_the_whole_range_once(forks, monkeypatch):
+    # no helper: the same single run(0, length) as an unsplit range
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    calls = []
+
+    def run(start, stop):
+        calls.append((start, stop))
+        yield from range(start, stop, 16)
+
+    assert list(algebra._two_halves(160, 16, run, True)) == list(range(0, 160, 16))
+    assert calls == [(0, 160)]
     assert_no_child_left()
 
 

@@ -38,6 +38,9 @@ CASES = [
     # the equator record fails, and the headline with it
     ("certify_lat9_shell16_flip-f.json",
      ["certify", "--lat", "9", "--shell", "16", "--sabotage", "flip-f"], 1),
+    # the linking magnitude record fails, and the headline with it
+    ("certify_lat9_shell16_fiber.json",
+     ["certify", "--lat", "9", "--shell", "16", "--sabotage", "fiber"], 1),
     ("generalize.json", ["generalize"], 0),
     ("spectrum_ab.json", ["spectrum", "ab"], 0),
 ]

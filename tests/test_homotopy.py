@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from expspec import algebra
 from expspec.algebra import field_c, field_one_minus_2ba, phi
 from expspec.homotopy import (
-    _f_eh_pass,
     CERTIFICATE_CHECKS,
     PATH_T_COUNT,
     FREUDENTHAL_SUSPENSION,
@@ -143,7 +142,7 @@ def test_hemisphere_minimum_is_a_positive_zero(lat, shell, chunk, monkeypatch):
     # so the reported value must be 0.0 whatever the chunking.
     if chunk:
         monkeypatch.setattr(algebra, "CHUNK", chunk)
-    assert _f_eh_pass(mesh_s4(lat, shell))[1].hex() == "0x0.0p+0"
+    assert antipodal_gap(mesh_s4(lat, shell)).hemisphere_worst_violation.hex() == "0x0.0p+0"
     report = run_certify(RunConfig(lat=lat, shell=shell).validate())
     record = next(c for c in report.checks if c.name == "ab_hemisphere_preservation")
     assert float(record.value).hex() == "0x0.0p+0"
@@ -339,6 +338,25 @@ def test_sabotaged_f_fails_equator(mesh9):
     records, certificates = build_certificates(mesh_s4(9, 16), sabotage="flip-f")
     assert certificates is None
     assert failing(records) == ["ab_equator_coincidence"]
+
+
+def test_flip_f_sweeps_the_production_kernel(mesh9, monkeypatch):
+    # the flip-f control must run the kernel of the real run, not a variant
+    from expspec import homotopy
+
+    sweep, calls = homotopy.sweep, []
+
+    def recording(kernel, mesh, planes=0):
+        calls.append((kernel, planes))
+        return sweep(kernel, mesh, planes)
+
+    monkeypatch.setattr(homotopy, "sweep", recording)
+    build_certificates(mesh9)
+    real = list(calls)
+    calls.clear()
+    build_certificates(mesh9, sabotage="flip-f")
+    assert (homotopy._f_eh_chunk, homotopy._F_EH_PLANES) in real
+    assert calls == real
 
 
 def test_sabotaged_fiber_fails_linking(mesh33):

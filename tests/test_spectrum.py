@@ -143,7 +143,7 @@ def test_commutativity_check_coarse(mesh9):
     assert dist <= 0.15
     # discretization contract: within twice covering radius times the
     # reported continuity factor
-    lip = eigenvalue_lipschitz(mesh9, "ab")
+    lip = eigenvalue_lipschitz(mesh9)
     assert dist <= 2 * mesh9.covering_radius * lip
 
 
