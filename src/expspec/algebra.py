@@ -38,17 +38,24 @@ import numpy as np
 # cond2 is unused here but stays importable as expspec.algebra.cond2, a
 # kernel that perfbench/tracer.py wraps at this module
 from .linalg2 import (  # noqa: F401
+    FIELD,
+    FLOAT,
+    PLANE,
+    Layout,
+    _rows,
+    aligned,
     buffer,
     carve,
+    carved,
     cond2,
     eig2,
     eye_like,
     field_buffer,
-    fields,
     mat_inv,
     mat_mul,
     op_norm,
     planar,
+    planes,
     sort_pair,
     workspace,
 )
@@ -107,7 +114,7 @@ class DomainError(ValueError):
     """Argument outside the function's documented domain."""
 
 
-def sweep(kernel, mesh, planes=0):
+def sweep(kernel, mesh, layout=None):
     """Apply kernel to the consecutive CHUNK-long point ranges of a mesh.
 
     mesh is a sphere.SphereMesh4, read only through its chunks(): the
@@ -116,11 +123,12 @@ def sweep(kernel, mesh, planes=0):
     Returns the per-chunk results in mesh order. Every kernel given here is
     pointwise, so the folded results do not depend on CHUNK.
 
-    With planes > 0 the kernel also gets, as its last argument, its
-    workspace: `planes` complex planes of the chunk's length, cut from one
-    workspace per process. The planes still hold the previous chunk's
+    With a linalg2.Layout the kernel also gets, as its last argument, the
+    layout's named views of its workspace, cut to the chunk's length. Each
+    process allocates one workspace of layout.planes complex planes per
+    sweep, with linalg2.aligned. The planes still hold the previous chunk's
     values, so a kernel writes every lane it reads. A kernel of a sweep
-    without planes gets (z0, z1, z2) only.
+    without a layout gets (z0, z1, z2) only.
 
     A sweep of at least SPLIT_POINTS points runs its back half in a forked
     helper (see _two_halves), cut at the chunk boundary (count // 2) * CHUNK.
@@ -131,9 +139,9 @@ def sweep(kernel, mesh, planes=0):
     """
 
     def run(start, stop):
-        work = np.empty((planes, min(stop - start, CHUNK)), np.complex128)
+        work = aligned((layout.planes if layout else 0, min(stop - start, CHUNK)))
         for z0, z1, z2 in mesh.chunks(CHUNK, start, stop):
-            yield kernel(z0, z1, z2, work[:, : len(z2)]) if planes else kernel(z0, z1, z2)
+            yield kernel(z0, z1, z2, layout.cut(work[:, : len(z2)])) if layout else kernel(z0, z1, z2)
 
     return list(_two_halves(len(mesh), CHUNK, run, len(mesh) >= SPLIT_POINTS))
 
@@ -372,15 +380,18 @@ def field_one_minus_2ab(z0, z1, z2):
     return eye_like(ab) - 2.0 * ab
 
 
+# the workspace of field_one_minus_2ba, 9 planes: b, a and mat_mul's plane
+_ONE_MINUS_2BA_LAYOUT = Layout(b=FIELD, a=FIELD, t=planes(1))
+
+
 def field_one_minus_2ba(z0, z1, z2, out=None, work=None):
     """I - 2 b(x) a(x); equals diag(phi(z2), 1) pointwise.
 
-    out and work (9 planes) as in linalg2.
+    out and work (9 planes, _ONE_MINUS_2BA_LAYOUT) as in linalg2.
     """
     z0, z1, z2 = _coords(z0, z1, z2)
-    work = workspace(work, 9, np.broadcast(z0, z1, z2).shape)
-    b, a = fields(work[:8])
-    ba = mat_mul(field_b(z0, z1, z2, out=b), field_a(z0, z1, z2, out=a), out=out, work=work[8:])
+    ws = _ONE_MINUS_2BA_LAYOUT.cut(workspace(work, _ONE_MINUS_2BA_LAYOUT.planes, np.broadcast(z0, z1, z2).shape))
+    ba = mat_mul(field_b(z0, z1, z2, out=ws.b), field_a(z0, z1, z2, out=ws.a), out=out, work=ws.t)
     return np.subtract(eye_like(ba), np.multiply(2.0, ba, out=ba), out=ba)
 
 
@@ -391,13 +402,14 @@ def product_eigenvalue(z2, out=None, work=None):
     """
     z2 = np.asarray(z2, dtype=np.float64)
     out = buffer(out, z2.shape, np.complex128)
-    work = workspace(work, 2, z2.shape)
-    w, t = work[0, ...], work[1, ...]
+    w, t = _rows(workspace(work, 2, z2.shape))
     _reciprocal(z2, out=w)
     s = carve(t, np.float64)[0]
     np.subtract(1.0, np.multiply(z2, z2, out=s), out=s)
-    # ((1 - z2^2) w) w
-    return np.multiply(np.multiply(s, w, out=out), w, out=out)
+    # ((1 - z2^2) w) w; s is copied into out first, as the cast buffer of
+    # the mixed product would hold it, so no chunk-sized buffer is allocated
+    np.copyto(out, s)
+    return np.multiply(np.multiply(out, w, out=out), w, out=out)
 
 
 # the built-in elements of C(S^4, M2), by name, with their planar evaluators
@@ -412,51 +424,52 @@ ELEMENTS = {
 }
 
 
-# workspace planes of one inverse-identity chunk: six Fields (a, b, ab, ba,
-# m, u), the masks, the residual, and 6 scratch planes, whose first 4 are
-# mat_inv's scratch and then the residual's Field x
-_INVERSE_PLANES = 24 + 1 + 1 + 6
+# the workspace of one inverse-identity chunk, 32 planes. Within a probe, u
+# takes b (u a) once u is dead, and m the product (I - mu ba)(I + mu b u a)
+_INVERSE_LAYOUT = Layout(
+    a=FIELD, b=FIELD, ab=FIELD, ba=FIELD, m=FIELD, u=FIELD,
+    masks=carved(bool, 2),  # ok, skip
+    res=FLOAT,
+    x=FIELD,
+    rest=planes(2),
+    # the kernels' scratch: mat_inv's 4 planes are also the Field x
+    scratch=planes(6, over="x"),
+)
 
 
-def _inverse_identity_chunk(z0, z1, z2, work, mus):
+def _inverse_identity_chunk(z0, z1, z2, ws, mus):
     """The inverse-identity residual on one chunk, max over the probes.
 
     For each mu in mus, with u = (I - mu ab)^{-1}, the residual is
     ||(I - mu ba)(I + mu b u a) - I|| on the lanes that mat_inv conditions.
-    work holds _INVERSE_PLANES planes. Returns (max residual, skipped
+    ws is _INVERSE_LAYOUT cut to the chunk. Returns (max residual, skipped
     count); see inverse_identity_sweep.
     """
-    a, b, ab, ba, m, u = fields(work[:24])
-    ok, skip = carve(work[24], bool)[:2]
-    res = carve(work[25], np.float64)[0]
-    scratch = work[26:]
-    (x,) = fields(scratch[:4])
-    rest = scratch[4:]
-    field_a(z0, z1, z2, out=a)
-    field_b(z0, z1, z2, out=b)
-    mat_mul(a, b, out=ab, work=scratch)
-    mat_mul(b, a, out=ba, work=scratch)
-    eye = eye_like(ab)
-    worst = 0.0
-    skipped = 0
+    ok, skip = ws.masks
+    field_a(z0, z1, z2, out=ws.a)
+    field_b(z0, z1, z2, out=ws.b)
+    mat_mul(ws.a, ws.b, out=ws.ab, work=ws.scratch)
+    mat_mul(ws.b, ws.a, out=ws.ba, work=ws.scratch)
+    eye = eye_like(ws.ab)
+    worst, skipped = 0.0, 0
     for mu in mus:
-        np.subtract(eye, np.multiply(mu, ab, out=m), out=m)
+        np.subtract(eye, np.multiply(mu, ws.ab, out=ws.m), out=ws.m)
         # unconditioned lanes may overflow to inf or nan; the mask drops them
         with np.errstate(over="ignore", invalid="ignore"):
-            mat_inv(m, COND_LIMIT, out=u, ok=ok, work=scratch)
+            mat_inv(ws.m, COND_LIMIT, out=ws.u, ok=ok, work=ws.scratch)
             skipped += int(np.count_nonzero(np.logical_not(ok, out=skip)))
             if not np.any(ok):
                 continue
             # u is dead once u a is formed, so b (u a) goes into its planes
-            mat_mul(b, mat_mul(u, a, out=x, work=rest), out=u, work=rest)
-            np.add(eye, np.multiply(mu, u, out=u), out=u)
-            np.subtract(eye, np.multiply(mu, ba, out=x), out=x)
+            mat_mul(ws.b, mat_mul(ws.u, ws.a, out=ws.x, work=ws.rest), out=ws.u, work=ws.rest)
+            np.add(eye, np.multiply(mu, ws.u, out=ws.u), out=ws.u)
+            np.subtract(eye, np.multiply(mu, ws.ba, out=ws.x), out=ws.x)
             # m is dead after mat_inv, so (I - mu ba)(I + mu b u a) goes into it
-            lhs = mat_mul(x, u, out=m, work=rest)
-            op_norm(np.subtract(lhs, eye, out=lhs), out=res, work=rest)
-            np.copyto(res, 0.0, where=skip)
+            lhs = mat_mul(ws.x, ws.u, out=ws.m, work=ws.rest)
+            op_norm(np.subtract(lhs, eye, out=lhs), out=ws.res, work=ws.rest)
+            np.copyto(ws.res, 0.0, where=skip)
             # np.maximum, unlike max(), keeps a nan from a conditioned lane
-            worst = np.maximum(worst, res.max())
+            worst = np.maximum(worst, ws.res.max())
     return float(worst), skipped
 
 
@@ -474,7 +487,7 @@ def inverse_identity_sweep(mesh, mus=MU_PROBES):
     parts = sweep(
         lambda z0, z1, z2, work: _inverse_identity_chunk(z0, z1, z2, work, mus),
         mesh,
-        planes=_INVERSE_PLANES,
+        _INVERSE_LAYOUT,
     )
     return float(np.max([w for w, _ in parts])), sum(s for _, s in parts)
 
@@ -495,51 +508,53 @@ class IdentityResiduals:
         return float(np.maximum.reduce(astuple(self)))
 
 
-# workspace planes of one identity chunk: five Fields (a, b, ab and two
-# temporaries), w, one spare plane, the residual, and 4 kernel planes
-_IDENTITY_PLANES = 20 + 1 + 1 + 1 + 4
+# the workspace of one identity chunk, 27 planes
+_IDENTITY_LAYOUT = Layout(
+    a=FIELD, b=FIELD, ab=FIELD, t=FIELD, c=FIELD,
+    w=PLANE,
+    s=PLANE,
+    r=FLOAT,
+    scratch=planes(4),
+    # the eigenvalue pairs, expected and computed, in planes of c and t
+    lo_hi=planes(2, over="c"),
+    got=planes(2, over="t"),
+)
 
 
-def _identity_chunk(x0, x1, x2, work):
-    """identity_residuals' six maxima on one chunk; work holds _IDENTITY_PLANES planes."""
-    t_planes, c_planes = work[12:16], work[16:20]
-    a, b, ab, t, c = fields(work[:20])
-    w, s = work[20], work[21]
-    r = carve(work[22], np.float64)[0]
-    scratch = work[23:]
-    field_a(x0, x1, x2, out=a)
-    field_b(x0, x1, x2, out=b)
-    mat_mul(a, b, out=ab, work=scratch)
-    eye = eye_like(ab)
+def _identity_chunk(x0, x1, x2, ws):
+    """identity_residuals' six maxima on one chunk; ws is _IDENTITY_LAYOUT cut to the chunk."""
+    field_a(x0, x1, x2, out=ws.a)
+    field_b(x0, x1, x2, out=ws.b)
+    mat_mul(ws.a, ws.b, out=ws.ab, work=ws.scratch)
+    eye = eye_like(ws.ab)
 
     # 1 - 2ab = c
-    np.subtract(eye, np.multiply(2.0, ab, out=t), out=t)
-    np.subtract(t, field_c(x0, x1, x2, out=c, work=scratch), out=t)
-    r_ab = op_norm(t, out=r, work=scratch).max()
+    np.subtract(eye, np.multiply(2.0, ws.ab, out=ws.t), out=ws.t)
+    np.subtract(ws.t, field_c(x0, x1, x2, out=ws.c, work=ws.scratch), out=ws.t)
+    r_ab = op_norm(ws.t, out=ws.r, work=ws.scratch).max()
 
-    # 1 - 2ba = diag(phi, 1), and |phi| = 1
-    ph = phi(x2, out=c_planes[0], work=scratch)
-    planar(ph, 0.0, 0.0, 1.0, out=c)
-    np.subtract(eye, np.multiply(2.0, mat_mul(b, a, out=t, work=scratch), out=t), out=t)
-    r_ba = op_norm(np.subtract(t, c, out=t), out=r, work=scratch).max()
-    r_phi = np.abs(np.subtract(np.abs(ph, out=r), 1.0, out=r), out=r).max()
+    # 1 - 2ba = diag(phi, 1), and |phi| = 1; phi in w, which is free until
+    # w = 1/(1 + i z2) below
+    planar(phi(x2, out=ws.w, work=ws.scratch), 0.0, 0.0, 1.0, out=ws.c)
+    np.subtract(eye, np.multiply(2.0, mat_mul(ws.b, ws.a, out=ws.t, work=ws.scratch), out=ws.t), out=ws.t)
+    r_ba = op_norm(np.subtract(ws.t, ws.c, out=ws.t), out=ws.r, work=ws.scratch).max()
+    r_phi = np.abs(np.subtract(np.abs(ws.w, out=ws.r), 1.0, out=ws.r), out=ws.r).max()
 
     # a^2 = (z0 w) a and b^2 = (conj(z0) w) b, w = 1/(1 + i z2)
-    _reciprocal(x2, out=w)
-    np.multiply(np.multiply(x0, w, out=s), a, out=c)
-    mat_mul(a, a, out=t, work=scratch)
-    r_a2 = op_norm(np.subtract(t, c, out=t), out=r, work=scratch).max()
-    np.multiply(np.multiply(np.conjugate(x0, out=s), w, out=s), b, out=c)
-    mat_mul(b, b, out=t, work=scratch)
-    r_b2 = op_norm(np.subtract(t, c, out=t), out=r, work=scratch).max()
+    _reciprocal(x2, out=ws.w)
+    np.multiply(np.multiply(x0, ws.w, out=ws.s), ws.a, out=ws.c)
+    mat_mul(ws.a, ws.a, out=ws.t, work=ws.scratch)
+    r_a2 = op_norm(np.subtract(ws.t, ws.c, out=ws.t), out=ws.r, work=ws.scratch).max()
+    np.multiply(np.multiply(np.conjugate(x0, out=ws.s), ws.w, out=ws.s), ws.b, out=ws.c)
+    mat_mul(ws.b, ws.b, out=ws.t, work=ws.scratch)
+    r_b2 = op_norm(np.subtract(ws.t, ws.c, out=ws.t), out=ws.r, work=ws.scratch).max()
 
     # eig(ab) = {0, product eigenvalue}, both sorted
-    lam = product_eigenvalue(x2, out=w, work=scratch)
-    s.fill(0.0)
-    lo_hi = sort_pair(s, lam, out=c_planes[:2], work=scratch)
-    got = eig2(ab, out=t_planes[:2], work=scratch)
-    np.subtract(got, lo_hi, out=got)
-    r_eig = np.maximum(np.abs(got[0], out=r).max(), np.abs(got[1], out=r).max())
+    lam = product_eigenvalue(x2, out=ws.w, work=ws.scratch)
+    ws.s.fill(0.0)
+    lo_hi = sort_pair(ws.s, lam, out=ws.lo_hi, work=ws.scratch)
+    lo, hi = np.subtract(eig2(ws.ab, out=ws.got, work=ws.scratch), lo_hi, out=ws.got)
+    r_eig = np.maximum(np.abs(lo, out=ws.r).max(), np.abs(hi, out=ws.r).max())
     return tuple(float(v) for v in (r_ab, r_ba, r_phi, r_a2, r_b2, r_eig))
 
 
@@ -550,6 +565,6 @@ def identity_residuals(mesh):
     a^2 = (z0/(1+i z2)) a, b^2 = (conj z0/(1+i z2)) b (rank-one algebra),
     1-2ab = c, 1-2ba = diag(phi, 1), and eig(ab) = {product eigenvalue, 0}.
     """
-    parts = sweep(_identity_chunk, mesh, planes=_IDENTITY_PLANES)
+    parts = sweep(_identity_chunk, mesh, _IDENTITY_LAYOUT)
     # np.maximum, unlike max(), keeps a nan from any chunk
     return IdentityResiduals(*map(float, np.maximum.reduce(parts)))

@@ -59,8 +59,23 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import linking
-from .algebra import _beta, _c_column, _coords, _times_i, field_one_minus_2ba, phi, sweep
-from .linalg2 import buffer, carve, eye_like, field_buffer, fields, op_norm, planar, workspace
+from .algebra import _ONE_MINUS_2BA_LAYOUT, _beta, _c_column, _coords, _times_i, field_one_minus_2ba, phi, sweep
+from .linalg2 import (
+    FIELD,
+    FLOAT,
+    PLANE,
+    Layout,
+    _rows,
+    buffer,
+    carve,
+    carved,
+    eye_like,
+    field_buffer,
+    op_norm,
+    planar,
+    planes,
+    workspace,
+)
 
 __all__ = [
     "DegenerateProjection",
@@ -192,8 +207,7 @@ def suspension_eh(z0, z1, z2, out=None, work=None):
     shape = np.broadcast(z0, z1, z2).shape
     out = buffer(out, (2,) + shape, np.complex128)
     e0, e1 = out[0, ...], out[1, ...]
-    work = workspace(work, 3, shape)
-    a, b, c = work[0, ...], work[1, ...], work[2, ...]
+    a, b, c = _rows(workspace(work, 3, shape))
     # h0 = (-2 z0) conj(z1) in e0, h1 = Re(z0 conj(z0) - z1 conj(z1)) in a
     np.multiply(np.multiply(-2.0, z0, out=e0), np.conjugate(z1, out=a), out=e0)
     np.multiply(z0, np.conjugate(z0, out=a), out=a)
@@ -206,11 +220,17 @@ def suspension_eh(z0, z1, z2, out=None, work=None):
     np.less_equal(root, 0.0, out=pole)
     np.copyto(root, 1.0, where=pole)
     np.sqrt(root, out=root)
-    # e0 = h0/root, e1 = h1/root + i z2; (0, i sign(z2)) at the poles
-    np.divide(e0, root, out=e0)
+    # e0 = h0/root, e1 = h1/root + i z2; (0, i sign(z2)) at the poles. A
+    # float plane in a complex ufunc would be cast in a chunk-sized buffer:
+    # root is copied into e1 first, as that cast would, and the sum is the
+    # real part of the complex sum (x + 0i) + i z2, whose imaginary part
+    # 0 + (0 + z2) is the 0 + z2 that _times_i wrote (0 + v = v but for
+    # v = -0, and 0 + z2 is never -0)
+    np.copyto(e1, root)
+    np.divide(e0, e1, out=e0)
     np.copyto(e0, 0.0, where=pole)
     np.divide(h1, root, out=x)
-    np.add(x, _times_i(z2, e1), out=e1)
+    np.add(x, _times_i(z2, e1).real, out=e1.real)
     sign = carve(a, np.float64)[0]
     np.copyto(e1, _times_i(np.sign(z2, out=sign), b), where=pole)
     return out
@@ -231,8 +251,7 @@ def f_map(z0, z1, z2, out=None, work=None):
     shape = np.broadcast(z0, z1, z2).shape
     out = buffer(out, (2,) + shape, np.complex128)
     p0, p1 = out[0, ...], out[1, ...]
-    work = workspace(work, 2, shape)
-    beta, conj = work[0, ...], work[1, ...]
+    beta, conj = _rows(workspace(work, 2, shape))
     _c_column(z0, z1, _beta(z2, out=beta), p0, p1, conj)
     # n = sqrt(|p0|^2 + |p1|^2), in the bytes of beta
     n, t = carve(beta, np.float64)
@@ -240,16 +259,26 @@ def f_map(z0, z1, z2, out=None, work=None):
     np.sqrt(n, out=n)
     if not np.all(np.greater(n, 1e-13, out=carve(conj, bool)[0])):  # a nan norm fails too
         raise DegenerateProjection("projected column norm below 1e-13")
-    np.divide(p0, n, out=p0)
-    np.divide(p1, n, out=p1)
-    return out
+    # p0/n and p1/n, with n copied into the complex plane conj as the cast of
+    # a mixed division would, so no chunk-sized buffer is allocated
+    np.copyto(conj, n)
+    return np.divide(out, conj, out=out)
 
 
-# workspace planes of one f/Eh chunk: f, Eh and the 3 planes either one uses
-_F_EH_PLANES = 2 + 2 + 3
+# the workspace of one f/Eh chunk, 7 planes
+_F_EH_LAYOUT = Layout(
+    f=planes(2),
+    eh=planes(2),
+    t=PLANE,
+    d=carved(np.float64, 2),
+    s=carved(np.float64, 2),
+    # f_map's and suspension_eh's scratch, then the folds' planes
+    scratch=planes(3, over="t"),
+    keep=carved(bool, 2, over="t"),
+)
 
 
-def _f_eh_chunk(x0, x1, x2, work):
+def _f_eh_chunk(x0, x1, x2, ws):
     """min |f + Eh|, the hemisphere minimum and both equator maxima on one chunk.
 
     Returns (min |f + Eh|, hemisphere minimum, max |f + Eh| on the equator,
@@ -259,28 +288,25 @@ def _f_eh_chunk(x0, x1, x2, work):
     both equator maxima. The first equator maximum is read from the gap
     plane before the equator step overwrites that run with |f - Eh|, so
     every run computes both, and the flip-f control only picks the first.
-    work holds _F_EH_PLANES planes.
+    ws is _F_EH_LAYOUT cut to the chunk.
     """
-    fx = f_map(x0, x1, x2, out=work[:2], work=work[4:])
-    ex = suspension_eh(x0, x1, x2, out=work[2:4], work=work[4:])
-    t = work[4]
-    d, d1 = carve(work[5], np.float64)
-    keep, other = carve(t, bool)[:2]
-    np.square(np.abs(np.add(fx[0], ex[0], out=t), out=d), out=d)
-    np.square(np.abs(np.add(fx[1], ex[1], out=t), out=d1), out=d1)
+    f0, f1 = f_map(x0, x1, x2, out=ws.f, work=ws.scratch)
+    e0, e1 = suspension_eh(x0, x1, x2, out=ws.eh, work=ws.scratch)
+    t, (d, d1), (s, v), (keep, other) = ws.t, ws.d, ws.s, ws.keep
+    np.square(np.abs(np.add(f0, e0, out=t), out=d), out=d)
+    np.square(np.abs(np.add(f1, e1, out=t), out=d1), out=d1)
     gap = np.sqrt(np.add(d, d1, out=d), out=d)
     min_gap = gap.min()
     # the equator run: after the z2 > 0 lanes, before the z2 < 0 ones
     start = np.count_nonzero(np.greater(x2, 0.0, out=keep))
     eq = slice(start, np.count_nonzero(np.greater_equal(x2, 0.0, out=keep)))
     flipped = d[eq].max(initial=-np.inf)
-    np.square(np.abs(np.subtract(fx[0][eq], ex[0][eq], out=t[eq]), out=d[eq]), out=d[eq])
-    np.square(np.abs(np.subtract(fx[1][eq], ex[1][eq], out=t[eq]), out=d1[eq]), out=d1[eq])
+    np.square(np.abs(np.subtract(f0[eq], e0[eq], out=t[eq]), out=d[eq]), out=d[eq])
+    np.square(np.abs(np.subtract(f1[eq], e1[eq], out=t[eq]), out=d1[eq]), out=d1[eq])
     equator = np.sqrt(np.add(d[eq], d1[eq], out=d[eq]), out=d[eq]).max(initial=-np.inf)
     # min(sign(z2) Im f1, sign(z2) Im Eh1), inf on the equator and at the poles
-    s, v = carve(work[6], np.float64)
     np.sign(x2, out=s)
-    signed = np.minimum(np.multiply(s, fx[1].imag, out=d), np.multiply(s, ex[1].imag, out=d1), out=d)
+    signed = np.minimum(np.multiply(s, f1.imag, out=d), np.multiply(s, e1.imag, out=d1), out=d)
     np.logical_and(np.not_equal(x2, 0.0, out=keep), np.not_equal(np.abs(x2, out=v), 1.0, out=other), out=keep)
     np.copyto(signed, np.inf, where=np.logical_not(keep, out=keep))
     # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
@@ -438,7 +464,7 @@ def antipodal_gap(mesh, _flip_equator=False):
     equator_max_deviation (about 2, as if f were negated on the equator),
     so the control runs the same kernel as the real run.
     """
-    folds = np.array(sweep(_f_eh_chunk, mesh, planes=_F_EH_PLANES))
+    folds = np.array(sweep(_f_eh_chunk, mesh, _F_EH_LAYOUT))
     # np.minimum and np.maximum, unlike min() and max(), keep a nan from any chunk
     min_gap, hemisphere = map(float, np.minimum.reduce(folds[:, :2]))
     flipped, equator = map(float, np.maximum.reduce(folds[:, 2:]))
@@ -481,19 +507,16 @@ class PathInvertibility:
     endpoint_residual_end: float       # max ||H(x,1) - I|| over the mesh
 
 
-# workspace planes of one path chunk: the Fields 1 - 2ba and H(x, 0), the
-# residual, and the 9 planes of field_one_minus_2ba
-_PATH_PLANES = 4 + 4 + 1 + 9
+# the workspace of one path chunk, 18 planes: the Fields 1 - 2ba and H(x, 0),
+# the residual, and field_one_minus_2ba's planes
+_PATH_LAYOUT = Layout(d=FIELD, h=FIELD, r=FLOAT, scratch=planes(_ONE_MINUS_2BA_LAYOUT.planes))
 
 
-def _start_residual_chunk(x0, x1, x2, work):
-    """max ||(1 - 2ba)(x) - H(x, 0)|| over one chunk; work holds _PATH_PLANES planes."""
-    d, h = fields(work[:8])
-    r = carve(work[8], np.float64)[0]
-    scratch = work[9:]
-    d = field_one_minus_2ba(x0, x1, x2, out=d, work=scratch)
-    d -= null_homotopy_ba(x2, 0.0, out=h, work=scratch)
-    return float(op_norm(d, out=r, work=scratch).max())
+def _start_residual_chunk(x0, x1, x2, ws):
+    """max ||(1 - 2ba)(x) - H(x, 0)|| over one chunk; ws is _PATH_LAYOUT cut to the chunk."""
+    d = field_one_minus_2ba(x0, x1, x2, out=ws.d, work=ws.scratch)
+    d -= null_homotopy_ba(x2, 0.0, out=ws.h, work=ws.scratch)
+    return float(op_norm(d, out=ws.r, work=ws.scratch).max())
 
 
 def path_invertibility(mesh):
@@ -512,7 +535,7 @@ def path_invertibility(mesh):
         # np.maximum, unlike max(), keeps a nan from any t
         det_dev = np.maximum(det_dev, np.abs(np.abs(h00 * h11 - h01 * h10) - 1.0).max())
 
-    start_res = float(np.maximum.reduce(sweep(_start_residual_chunk, mesh, planes=_PATH_PLANES)))
+    start_res = float(np.maximum.reduce(sweep(_start_residual_chunk, mesh, _PATH_LAYOUT)))
     end_res = float(op_norm(h - eye_like(h)).max())
     return PathInvertibility(float(det_dev), start_res, end_res)
 

@@ -27,9 +27,19 @@ Buffers, numpy style. Every kernel takes an optional out= and work=:
     alias neither out nor an argument.
 
 Without them a kernel allocates both and runs the same ufunc steps, so a
-result does not depend on whether, or which, buffers were given. A sweep
-allocates one workspace and passes slices of it to every kernel call.
+result does not depend on whether, or which, buffers were given.
+
+A kernel that runs on many chunks declares its workspace once, as a
+Layout: named Fields, planes and carved float or bool planes, in plane
+order, and the aliases it reuses on purpose. The Layout gives both the
+plane total and the named views, so no kernel counts or indexes planes
+by hand. A sweep allocates that total with aligned(), whose base sits on
+a 64-byte cache-line boundary wherever the heap puts the block, and
+cuts it into views for every chunk.
 """
+
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,9 +51,15 @@ __all__ = [
     "eye_like",
     "buffer",
     "field_buffer",
-    "fields",
     "workspace",
+    "aligned",
     "carve",
+    "FIELD",
+    "PLANE",
+    "FLOAT",
+    "planes",
+    "carved",
+    "Layout",
     "mat_mul",
     "eig2",
     "sort_pair",
@@ -88,8 +104,12 @@ def eye_like(m):
 
 
 def _rows(x):
-    # x[i, ...] keeps a 0-d row an array (x[i] would be a scalar), so it can take out=
-    return tuple(x[i, ...] for i in range(len(x)))
+    # x[i, ...] keeps a 0-d row an array (x[i] would be a scalar), so it can take out=.
+    # A list, not a generator: tuple() sizes a generator's tuple by a guess and
+    # resizes it, so each call parked one more tuple on CPython's free list for
+    # the final size, up to 2000 of them (336 KiB of 16-row tuples from carve):
+    # in one process the inverse sweep at 97x32 grew by 0.5 MiB over its chunks
+    return tuple([x[i, ...] for i in range(len(x))])
 
 
 def _entries(m):
@@ -125,15 +145,61 @@ def workspace(work, planes, shape):
     return work[:planes]
 
 
+def aligned(shape, dtype=np.complex128):
+    """A new uninitialized C-contiguous array of the shape tuple, its base on a 64-byte boundary."""
+    # math.prod and __array_interface__, not np.prod and .ctypes, which run
+    # library code no stage needs: np.prod alone added about 0.09 MiB to the
+    # peak RSS of certify --segments 4096
+    raw = np.empty(math.prod(shape) * np.dtype(dtype).itemsize + 64, np.uint8)
+    skip = -raw.__array_interface__["data"][0] % 64
+    return raw[skip : skip + raw.size - 64].view(dtype).reshape(shape)
+
+
 def carve(plane, dtype):
     """The bytes of a C-contiguous complex plane, as 2 float64 or 16 bool planes of its shape."""
-    dtype = np.dtype(dtype)
-    return _rows(np.ndarray((16 // dtype.itemsize,) + plane.shape, dtype, buffer=plane))
+    return _rows(np.ndarray((16 // np.dtype(dtype).itemsize,) + plane.shape, dtype, buffer=plane))
 
 
-def fields(planes):
-    """Consecutive groups of four planes, each as a Field."""
-    return tuple(planes[i : i + 4].view(Field) for i in range(0, len(planes), 4))
+# The kinds of Layout entry, each (plane count, the view of its block of
+# planes, None or the entry an alias starts at): a Field, one plane, and the
+# first float64 plane carved from one complex plane.
+FIELD = (4, lambda block: block.view(Field), None)
+PLANE = (1, lambda block: block[0, ...], None)
+FLOAT = (1, lambda block: carve(block[0, ...], np.float64)[0], None)
+
+
+def planes(count, over=None):
+    """A Layout entry of `count` planes, as one (count, ...) array; see Layout for over."""
+    return (count, lambda block: block, over)
+
+
+def carved(dtype, count, over=None):
+    """A Layout entry of one complex plane, as its first `count` carve() planes; see Layout for over."""
+    return (1, lambda block: carve(block[0, ...], dtype)[:count], over)
+
+
+class Layout:
+    """A kernel's workspace, declared once: named entries over consecutive planes.
+
+    Layout(m=FIELD, r=FLOAT, rest=planes(2), scratch=planes(6, over="m"))
+    puts the Field m on planes 0-3, the float plane r in the bytes of plane
+    4 and the planes rest on 5-6. An entry given over="name" is an alias:
+    it starts at the first plane of that earlier entry and takes no planes
+    of its own, so writing either overwrites the other; scratch here is
+    planes 0-5, over m, r and part of rest, and must end by the last plane.
+    `planes` is the total, 7 here. cut(work) makes every named view of a
+    workspace of `planes` C-contiguous planes, each of shape work.shape[1:].
+    """
+
+    def __init__(self, **entries):
+        self.spans, self.planes = {}, 0  # name -> (first plane, count, view, over)
+        for name, (count, view, over) in entries.items():
+            self.spans[name] = (self.spans[over][0] if over else self.planes, count, view, over)
+            self.planes += 0 if over else count
+
+    def cut(self, work):
+        """The named views of work, as attributes."""
+        return SimpleNamespace(**{name: view(work[first : first + count]) for name, (first, count, view, _) in self.spans.items()})
 
 
 def mat_mul(x, y, out=None, work=None):

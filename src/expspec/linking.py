@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _two_halves
+from .linalg2 import PLANE, Layout, aligned
 from .sphere import SpherePoint3
 
 __all__ = [
@@ -78,6 +79,10 @@ FIBER_POLE_CLEARANCE = 0.2  # required distance from projection pole to each fib
 # At 2^15 that workspace was 1.5 MiB, and with it the linking pass set
 # certify's peak RSS, by an amount that moved with the heap's layout.
 BLOCK_ELEMENTS = 2**14
+
+# the workspace of one row block: float64 planes of (rows, m), the
+# midpoint differences r, the numerator, the denominator and one scratch
+_PAIR_LAYOUT = Layout(rx=PLANE, ry=PLANE, rz=PLANE, num=PLANE, den=PLANE, t=PLANE)
 
 # a pass over at least this many segment pairs runs the back half of its
 # row blocks in a forked helper. In-process _pair_pass on the Hopf fiber
@@ -229,12 +234,14 @@ def _pair_pass(c1, c2):
     Returns (separation, partials): partials[i] is the numpy sum over c2's
     segments of the midpoint-rule Gauss terms of c1's segment i. The pass
     walks c1 in blocks of BLOCK_ELEMENTS // m rows against c2's m segments,
-    each process in one 6-plane workspace allocated up front, so no block
-    allocates a temporary: a fresh 256 KiB temporary per block lands in heap
-    holes or grows the heap, and peak RSS then depends on the layout. From
-    SPLIT_PAIRS pairs on, a forked helper runs the back half of the row
-    blocks (algebra._two_halves). The blocks' minima fold with np.minimum
-    and their row sums join in row order, as in one process.
+    each process in one workspace of _PAIR_LAYOUT allocated up front, so no
+    block allocates a temporary: a fresh temporary per block lands in heap
+    holes or grows the heap, and peak RSS then depends on the layout. The
+    workspace comes from linalg2.aligned, so its planes start on a cache
+    line wherever the heap puts it. From SPLIT_PAIRS pairs on, a forked
+    helper runs the back half of the row blocks (algebra._two_halves). The
+    blocks' minima fold with np.minimum and their row sums join in row
+    order, as in one process.
     """
     m1, d1, h1 = _segments(c1.points)
     seg2 = _segments(c2.points)
@@ -242,36 +249,36 @@ def _pair_pass(c1, c2):
     step = max(1, BLOCK_ELEMENTS // m)
 
     def run(start, stop):
-        work = np.empty((6, min(stop - start, step), m))
+        work = aligned((_PAIR_LAYOUT.planes, min(stop - start, step), m), np.float64)
         for first in range(start, stop, step):
             rows = slice(first, min(first + step, stop))
-            yield _pair_rows(m1[:, rows, None], d1[:, rows, None], h1[rows], seg2, work[:, : rows.stop - first])
+            yield _pair_rows(m1[:, rows, None], d1[:, rows, None], h1[rows], seg2, _PAIR_LAYOUT.cut(work[:, : rows.stop - first]))
 
     blocks = _two_halves(n, step, run, n * m >= SPLIT_PAIRS)
-    separation, partials = np.inf, np.empty(n)
+    separation, partials = np.inf, aligned((n,), np.float64)
     for (block_separation, sums), first in zip(blocks, range(0, n, step)):
         separation = np.minimum(separation, block_separation)
         partials[first : first + step] = np.frombuffer(sums)
     return float(separation), partials
 
 
-def _pair_rows(m1, d1, h1, seg2, work):
+def _pair_rows(m1, d1, h1, seg2, ws):
     """The separation bound and the Gauss row sums of one row block.
 
     m1 and d1 are the block's midpoint and direction rows, (3, rows, 1);
-    h1 its half lengths; seg2 the other curve's _segments; work the
-    block's 6 float64 planes of (rows, m), cut by _pair_pass. Returns the
-    block's separation as a float and its row sums as float64 bytes, which
-    a forked helper pickles in a fraction of an array's time. The separation
-    folds the block's midpoint distances right after their square root,
-    where the sum's scratch plane t is free. A pair at distance 0, which
+    h1 its half lengths; seg2 the other curve's _segments; ws the block's
+    _PAIR_LAYOUT views, float64 planes of (rows, m), cut by _pair_pass.
+    Returns the block's separation as a float and its row sums as float64
+    bytes, which a forked helper pickles in a fraction of an array's time.
+    The separation folds the block's midpoint distances right after their
+    square root, where the sum's scratch plane t is free. A pair at distance 0, which
     only curves that fail the guard have, makes its term nan or inf; that
     division and the row sums run without a floating-point warning, and
     gauss_linking raises before it merges them.
     """
     (mx, my, mz), (ax, ay, az) = m1, d1
     (nx, ny, nz), (ux, uy, uz), h2 = seg2
-    rx, ry, rz, num, den, t = work
+    rx, ry, rz, num, den, t = ws.rx, ws.ry, ws.rz, ws.num, ws.den, ws.t
     np.subtract(mx, nx, out=rx)
     np.subtract(my, ny, out=ry)
     np.subtract(mz, nz, out=rz)

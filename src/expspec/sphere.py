@@ -73,6 +73,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg2 import aligned
+
 __all__ = [
     "InvalidResolution",
     "SpherePoint3",
@@ -159,14 +161,11 @@ class SphereMesh4:
         """Yield (z0, z1, z2) for the index ranges [i, i + size) of [start, stop).
 
         The arrays are views of three buffers that every chunk overwrites,
-        so a consumer must not keep them past its own chunk.
+        so a consumer must not keep them past its own chunk. Each buffer
+        starts on a 64-byte boundary (linalg2.aligned).
         """
         stop = len(self) if stop is None else stop
-        buffers = (
-            np.empty(min(size, stop - start), np.complex128),
-            np.empty(min(size, stop - start), np.complex128),
-            np.empty(min(size, stop - start), np.float64),
-        )
+        buffers = [aligned((min(size, stop - start),), dtype) for dtype in (np.complex128, np.complex128, np.float64)]
         for i in range(start, stop, size):
             chunk = tuple(b[: min(size, stop - i)] for b in buffers)
             self._fill(i, *chunk)

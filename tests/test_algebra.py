@@ -5,7 +5,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from contextlib import suppress
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,14 @@ from numpy.testing import assert_allclose
 
 from expspec import algebra, homotopy, spectrum
 from expspec.algebra import (
+    _IDENTITY_LAYOUT,
+    _INVERSE_LAYOUT,
     CHUNK,
     DomainError,
     IdentityResiduals,
     MU_PROBES,
+    _identity_chunk,
+    _inverse_identity_chunk,
     _reciprocal,
     _times_i,
     field_a,
@@ -30,7 +36,8 @@ from expspec.algebra import (
     phi,
     product_eigenvalue,
 )
-from expspec.linalg2 import SingularMatrix, eig2, eye_like, mat_inv, mat_mul, op_norm
+from expspec.homotopy import f_map, suspension_eh
+from expspec.linalg2 import Layout, SingularMatrix, eig2, eye_like, mat_inv, mat_mul, op_norm, planes
 from expspec.sphere import mesh_s4
 
 from conftest import as_field, as_stack, assert_no_child_left
@@ -251,26 +258,24 @@ def test_inverse_identity_sweep_keeps_nan_lanes(mesh9):
 
 
 def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
-    # sweep hands a partial last chunk work[:, :n] of the workspace a full
-    # chunk used, so its lanes still hold that chunk's values, here a nan;
-    # a fresh nan-filled workspace turns any lane read before it is written
-    # into a nan result
-    from expspec.algebra import _IDENTITY_PLANES, _INVERSE_PLANES, _identity_chunk, _inverse_identity_chunk
-
+    # sweep hands a partial last chunk the views of work[:, :n] of the
+    # workspace a full chunk used, so its lanes still hold that chunk's
+    # values, here a nan; a fresh nan-filled workspace turns any lane read
+    # before it is written into a nan result
     full, n = 300, 100
     z0, z1, z2 = (x[:full] for x in mesh9.arrays())
     z0_nan = z0.copy()
     z0_nan[5] = np.nan
     cases = (
-        (_identity_chunk, _IDENTITY_PLANES, ()),
-        (_inverse_identity_chunk, _INVERSE_PLANES, (MU_PROBES,)),
+        (_identity_chunk, _IDENTITY_LAYOUT, ()),
+        (_inverse_identity_chunk, _INVERSE_LAYOUT, (MU_PROBES,)),
     )
-    for chunk, planes, args in cases:
-        work = np.full((planes, full), complex(np.nan, np.nan))
+    for chunk, layout, args in cases:
+        work = np.full((layout.planes, full), complex(np.nan, np.nan))
         with np.errstate(invalid="ignore"):
-            assert np.isnan(chunk(z0_nan, z1, z2, work, *args)[0])
-        stale = chunk(z0[:n], z1[:n], z2[:n], work[:, :n], *args)
-        fresh = chunk(z0[:n], z1[:n], z2[:n], np.full((planes, n), complex(np.nan, np.nan)), *args)
+            assert np.isnan(chunk(z0_nan, z1, z2, layout.cut(work), *args)[0])
+        stale = chunk(z0[:n], z1[:n], z2[:n], layout.cut(work[:, :n]), *args)
+        fresh = chunk(z0[:n], z1[:n], z2[:n], layout.cut(np.full((layout.planes, n), complex(np.nan, np.nan))), *args)
         assert repr(stale) == repr(fresh)
         assert not np.isnan(fresh).any()
 
@@ -387,14 +392,35 @@ def _index_mesh(n):
 @pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
 def test_sweep_cuts_the_workspace_to_each_chunk(split, forks, monkeypatch):
     # 170 points at CHUNK = 16: ten full chunks and a last one of 10 points,
-    # forked at point 80; the shapes come back as the kernel's results
+    # forked at point 80; the shapes and the workspace's offset from a
+    # 64-byte boundary come back as the kernel's results
     monkeypatch.setattr(algebra, "CHUNK", 16)
     if not split:
         monkeypatch.setattr(algebra, "SPLIT_POINTS", 171)
-    parts = algebra.sweep(lambda z0, z1, z2, work: (work.shape, len(z2)), _index_mesh(170), planes=3)
-    assert [n for _, n in parts] == [16] * 10 + [10]
-    assert all(shape == (3, n) for shape, n in parts)
+
+    def kernel(z0, z1, z2, ws):
+        return ws.work.shape, len(z2), ws.work.ctypes.data % 64
+
+    parts = algebra.sweep(kernel, _index_mesh(170), Layout(work=planes(3)))
+    assert [n for _, n, _ in parts] == [16] * 10 + [10]
+    assert all(shape == (3, n) for shape, n, _ in parts)
+    assert all(offset == 0 for _, _, offset in parts)
     assert len(forks) == split
+    assert_no_child_left()
+
+
+def test_forked_sweep_warns_nothing(forks):
+    # Python 3.12 and later warn (DeprecationWarning) when os.fork runs in a
+    # process with other threads, and drop that warning under an error::
+    # filter; recorded under "always", a fork that warns fails here
+    def run(start, stop):
+        yield from range(start, stop, 16)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert list(algebra._two_halves(160, 16, run, True)) == list(range(0, 160, 16))
+    assert forks
+    assert [str(w.message) for w in caught] == []
     assert_no_child_left()
 
 
@@ -559,6 +585,32 @@ def test_times_i_allocates_no_cast_buffer():
     try:
         _reciprocal(x, out)
         phi(x, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10
+
+
+# a call of each evaluator on one chunk z = (z0, z1, z2), its buffers made by new(k)
+NO_CAST_CASES = {
+    "product_eigenvalue": lambda z, new: partial(product_eigenvalue, z[2], out=new(1)[0], work=new(2)),
+    "f_map": lambda z, new: partial(f_map, *z, out=new(2), work=new(2)),
+    "suspension_eh": lambda z, new: partial(suspension_eh, *z, out=new(2), work=new(3)),
+    "_identity_chunk": lambda z, new: partial(_identity_chunk, *z, _IDENTITY_LAYOUT.cut(new(_IDENTITY_LAYOUT.planes))),
+}
+
+
+@pytest.mark.parametrize("name", NO_CAST_CASES)
+def test_buffered_evaluators_allocate_no_cast_buffer(name):
+    # a float plane in a complex ufunc (s * w, or a complex plane divided by
+    # a float one) is cast to complex in a 128 KiB buffer per call on a
+    # chunk. The first call fills numpy's caches; the second is traced.
+    z = next(mesh_s4(65, 64).chunks(CHUNK, 1 << 20))
+    evaluate = NO_CAST_CASES[name](z, lambda k: np.empty((k, CHUNK), np.complex128))
+    evaluate()
+    tracemalloc.start()
+    try:
+        evaluate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

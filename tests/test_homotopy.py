@@ -346,16 +346,16 @@ def test_flip_f_sweeps_the_production_kernel(mesh9, monkeypatch):
 
     sweep, calls = homotopy.sweep, []
 
-    def recording(kernel, mesh, planes=0):
-        calls.append((kernel, planes))
-        return sweep(kernel, mesh, planes)
+    def recording(kernel, mesh, layout=None):
+        calls.append((kernel, layout))
+        return sweep(kernel, mesh, layout)
 
     monkeypatch.setattr(homotopy, "sweep", recording)
     build_certificates(mesh9)
     real = list(calls)
     calls.clear()
     build_certificates(mesh9, sabotage="flip-f")
-    assert (homotopy._f_eh_chunk, homotopy._F_EH_PLANES) in real
+    assert (homotopy._f_eh_chunk, homotopy._F_EH_LAYOUT) in real
     assert calls == real
 
 
@@ -660,14 +660,14 @@ def test_f_map_raises_on_a_nan_lane_with_and_without_buffers():
 
 
 def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
-    # sweep hands a partial last chunk work[:, :n] of the workspace a full
-    # chunk used, so its lanes still hold that chunk's values, here a nan;
-    # a fresh nan-filled workspace turns any lane read before it is written
-    # into a nan result
+    # sweep hands a partial last chunk the views of work[:, :n] of the
+    # workspace a full chunk used, so its lanes still hold that chunk's
+    # values, here a nan; a fresh nan-filled workspace turns any lane read
+    # before it is written into a nan result
     from expspec.homotopy import (
         DegenerateProjection,
-        _F_EH_PLANES,
-        _PATH_PLANES,
+        _F_EH_LAYOUT,
+        _PATH_LAYOUT,
         _f_eh_chunk,
         _start_residual_chunk,
     )
@@ -678,15 +678,15 @@ def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     assert np.count_nonzero(z2[:n] == 0.0) > 0
     z0_nan = z0.copy()
     z0_nan[5] = np.nan
-    for chunk, planes in ((_f_eh_chunk, _F_EH_PLANES), (_start_residual_chunk, _PATH_PLANES)):
-        work = np.full((planes, full), complex(np.nan, np.nan))
+    for chunk, layout in ((_f_eh_chunk, _F_EH_LAYOUT), (_start_residual_chunk, _PATH_LAYOUT)):
+        work = np.full((layout.planes, full), complex(np.nan, np.nan))
         with np.errstate(invalid="ignore"):
             if chunk is _f_eh_chunk:  # f_map rejects the nan lane, after writing it
                 with pytest.raises(DegenerateProjection):
-                    chunk(z0_nan, z1, z2, work)
+                    chunk(z0_nan, z1, z2, layout.cut(work))
             else:
-                assert np.isnan(chunk(z0_nan, z1, z2, work))
-        stale = chunk(z0[:n], z1[:n], z2[:n], work[:, :n])
-        fresh = chunk(z0[:n], z1[:n], z2[:n], np.full((planes, n), complex(np.nan, np.nan)))
+                assert np.isnan(chunk(z0_nan, z1, z2, layout.cut(work)))
+        stale = chunk(z0[:n], z1[:n], z2[:n], layout.cut(work[:, :n]))
+        fresh = chunk(z0[:n], z1[:n], z2[:n], layout.cut(np.full((layout.planes, n), complex(np.nan, np.nan))))
         assert repr(stale) == repr(fresh)
         assert not np.isnan(np.asarray(fresh, dtype=float)).any()

@@ -1,11 +1,17 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from expspec import algebra, homotopy, linking
 from expspec.linalg2 import (
     SINGULARITY_RTOL,
     Field,
     SingularMatrix,
+    aligned,
+    carve,
     cond2,
     eig2,
     eye_like,
@@ -362,3 +368,71 @@ def test_mat_inv_guard_fires_where_the_parent_guard_fired(limit):
         outcomes.append(fired)
     if limit > 1e6:
         assert any(outcomes[8:48]) and not all(outcomes[8:48])
+
+
+# ------------------------------------------------------ declared workspaces
+
+
+# every workspace Layout of the package, with its plane total
+LAYOUTS = {
+    "inverse identity": (algebra._INVERSE_LAYOUT, 32),
+    "identity": (algebra._IDENTITY_LAYOUT, 27),
+    "path start": (homotopy._PATH_LAYOUT, 18),
+    "f/Eh": (homotopy._F_EH_LAYOUT, 7),
+    "pair rows": (linking._PAIR_LAYOUT, 6),
+    "1 - 2ba": (algebra._ONE_MINUS_2BA_LAYOUT, 9),
+}
+
+
+def _planes_touched(view, work):
+    """The indices of the planes of work whose bytes the view, an array or a tuple of them, touches."""
+    plane, touched = work[0].nbytes, set()
+    for a in view if isinstance(view, tuple) else (view,):
+        assert a.flags.c_contiguous and a.nbytes
+        first = a.ctypes.data - work.ctypes.data
+        touched.update(range(first // plane, (first + a.nbytes - 1) // plane + 1))
+    return touched
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_layout_views_are_disjoint_and_cover_its_planes(name):
+    # apart from the entries declared over another, every plane belongs to
+    # exactly one view, and an alias lies within the planes
+    layout, total = LAYOUTS[name]
+    assert layout.planes == total
+    work = np.empty((total, 5), np.complex128)
+    views = vars(layout.cut(work))
+    assert views.keys() == layout.spans.keys()
+    touched = {key: _planes_touched(view, work) for key, view in views.items()}
+    aliases = {key for key, (*_, over) in layout.spans.items() if over}
+    owned = sorted(p for key, planes in touched.items() if key not in aliases for p in planes)
+    assert owned == list(range(total))
+    assert all(touched[key] <= set(range(total)) for key in aliases)
+
+
+@pytest.mark.parametrize("shape, dtype", [((7, 3), np.complex128), ((1,), np.float64), ((2, 3, 5), np.float64)])
+def test_aligned_starts_on_a_cache_line(shape, dtype):
+    for _ in range(8):
+        a = aligned(shape, dtype)
+        assert a.shape == shape and a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % 64 == 0
+
+
+def test_carve_leaves_no_tuples_behind():
+    # tuple() of a generator sizes the tuple by a guess and resizes it, so
+    # every call left one more 16-tuple on CPython's free list, up to 336 KiB
+    plane = np.zeros(8, np.complex128)
+    carve(plane, bool)
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()  # empties the free lists
+    tracemalloc.start()
+    try:
+        for _ in range(3000):
+            carve(plane, bool)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert kept < 16 << 10

@@ -15,7 +15,10 @@ from expspec.linking import (
     LinkingResult,
     NearPole,
     PolylineCurve3,
+    _PAIR_LAYOUT,
     _pair_pass,
+    _pair_rows,
+    _segments,
     curve_separation,
     fiber_to_csv,
     gauss_linking,
@@ -511,4 +514,49 @@ def test_interrupted_pair_pass_kills_its_helper(forks, monkeypatch):
         hopf_invariant_of_h(1024)
     assert time.monotonic() - start < 5.0
     assert forks
+    assert_no_child_left()
+
+
+def test_pair_rows_ignore_stale_workspace_lanes():
+    # _pair_pass hands a partial last block the views of work[:, :n] of the
+    # workspace a full block used, so its lanes still hold that block's
+    # values, here a nan; a fresh nan-filled workspace turns any lane read
+    # before it is written into a nan result
+    c1, c2 = pair_case("unequal_300_517")
+    (m1, d1, h1), seg2 = _segments(c1.points), _segments(c2.points)
+    full, n, m = 30, 10, len(c2)
+    m1_nan = m1.copy()
+    m1_nan[0, 5] = np.nan
+    rows = slice(0, full)
+    work = np.full((_PAIR_LAYOUT.planes, full, m), np.nan)
+    assert math.isnan(_pair_rows(m1_nan[:, rows, None], d1[:, rows, None], h1[rows], seg2, _PAIR_LAYOUT.cut(work))[0])
+    rows = slice(0, n)
+    block = m1[:, rows, None], d1[:, rows, None], h1[rows], seg2
+    stale = _pair_rows(*block, _PAIR_LAYOUT.cut(work[:, :n]))
+    fresh = _pair_rows(*block, _PAIR_LAYOUT.cut(np.full((_PAIR_LAYOUT.planes, n, m), np.nan)))
+    assert stale == fresh
+    assert not math.isnan(fresh[0]) and not np.isnan(np.frombuffer(fresh[1])).any()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
+def test_pair_pass_workspace_starts_on_a_cache_line(split, forks, monkeypatch):
+    # 1024 segments: 64 blocks of 16 rows, forked at row 512; a misaligned
+    # block raises, in the helper too, from where the error reaches the parent.
+    # The row sums' array is aligned too.
+    assert _pair_pass(*hopf_fiber_pair(64))[1].ctypes.data % 64 == 0
+    rows, offsets = linking._pair_rows, []
+
+    def recording(m1, d1, h1, seg2, ws):
+        offset = ws.rx.ctypes.data % 64
+        if offset:
+            raise AssertionError(f"workspace {offset} bytes past a cache line")
+        offsets.append(offset)
+        return rows(m1, d1, h1, seg2, ws)
+
+    monkeypatch.setattr(linking, "_pair_rows", recording)
+    if not split:
+        monkeypatch.setattr(linking, "SPLIT_PAIRS", 2 * 1024 * 1024)
+    assert abs(hopf_invariant_of_h(1024).rounded) == 1
+    assert len(offsets) == (32 if split else 64)
+    assert len(forks) == split
     assert_no_child_left()

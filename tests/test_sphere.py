@@ -214,3 +214,11 @@ def test_largest_mesh_description_is_small():
     assert m.point(len(m) - 1) == (0j, 0j, -1.0)
     z0, z1, z2 = next(m.chunks(7, len(m) - 7))
     assert len(z2) == 7 and z2[-1] == -1.0
+
+
+def test_chunk_buffers_start_on_a_cache_line():
+    # each of the three reused buffers, for a full chunk and the last, shorter one
+    mesh = mesh_s4(9, 8)
+    chunks = list((z0.ctypes.data, z1.ctypes.data, z2.ctypes.data) for z0, z1, z2 in mesh.chunks(100, 3, 530))
+    assert len(chunks) == 6
+    assert all(address % 64 == 0 for chunk in chunks for address in chunk)
