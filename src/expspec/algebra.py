@@ -92,9 +92,10 @@ COND_LIMIT = 1e6
 # sweep granularity: a chunk plane of 2^13 points is 128 KiB and a chunk Field
 # 512 KiB, so the planes a kernel hands from one ufunc step to the next stay in
 # a 2 MiB L2 cache. The value came from a scan of 2^11 to 2^19 (CHANGES.md);
-# results do not depend on CHUNK. The algebra sweeps write every such plane
-# into one workspace per sweep and process: a fresh 128 KiB temporary per step
-# sits at glibc's mmap threshold and is zero-filled again on first touch.
+# results do not depend on CHUNK from 2 up (see sweep). The algebra sweeps
+# write every such plane into one workspace per sweep and process: a fresh
+# 128 KiB temporary per step sits at glibc's mmap threshold and is
+# zero-filled again on first touch.
 CHUNK = 1 << 13
 
 # a sweep of at least this many points runs its back half in one forked
@@ -121,7 +122,11 @@ def sweep(kernel, mesh, layout=None):
     kernel gets (z0, z1, z2) for each range, as views of buffers that the
     next chunk overwrites, so it must not keep them.
     Returns the per-chunk results in mesh order. Every kernel given here is
-    pointwise, so the folded results do not depend on CHUNK.
+    pointwise, so the folded results do not depend on CHUNK, for chunks of
+    2 or more points. On numpy's AVX-512 kernels a ufunc run on a 1-element
+    array can round differently from the same point among 2 or more lanes
+    (phi's in-place w * w, for one). A CHUNK of 2 or more leaves at most a
+    lone last point, the south pole, where the evaluators are exact.
 
     With a linalg2.Layout the kernel also gets, as its last argument, the
     layout's named views of its workspace, cut to the chunk's length. Each
@@ -170,7 +175,9 @@ def _two_halves(length, block, run, split):
     first. Where the helper cannot be forked, this process runs
     run(0, length) as it does without split; where a helper delivers
     nothing readable, this process runs the back half itself. sweep and
-    linking's pair pass are the callers.
+    linking's pair pass are the callers, and report.run_all, whose two
+    blocks are its two groups of suites: the mesh sweeps run here, and the
+    helper runs the spectra and generalize, LAPACK calls included.
     """
     count = -(-length // block)
     cut = count // 2 * block
@@ -555,7 +562,8 @@ def _identity_chunk(x0, x1, x2, ws):
     lo_hi = sort_pair(ws.s, lam, out=ws.lo_hi, work=ws.scratch)
     lo, hi = np.subtract(eig2(ws.ab, out=ws.got, work=ws.scratch), lo_hi, out=ws.got)
     r_eig = np.maximum(np.abs(lo, out=ws.r).max(), np.abs(hi, out=ws.r).max())
-    return tuple(float(v) for v in (r_ab, r_ba, r_phi, r_a2, r_b2, r_eig))
+    # a tuple display, not tuple() of a generator (see linalg2._rows)
+    return float(r_ab), float(r_ba), float(r_phi), float(r_a2), float(r_b2), float(r_eig)
 
 
 def identity_residuals(mesh):

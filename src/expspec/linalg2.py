@@ -91,7 +91,8 @@ _EYE.flags.writeable = False
 
 def planar(m00, m01, m10, m11, out=None):
     """Pack four broadcastable entry arrays into a Field."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (m00, m01, m10, m11)))
+    # a list, not a generator, for the same reason as in _rows
+    shape = np.broadcast_shapes(*[np.shape(v) for v in (m00, m01, m10, m11)])
     out, planes = field_buffer(out, shape)
     for plane, value in zip(planes, (m00, m01, m10, m11)):
         np.copyto(plane, value)

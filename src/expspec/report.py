@@ -16,7 +16,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .algebra import field_a, field_b, identity_residuals, inverse_identity_sweep
+from .algebra import _two_halves, field_a, field_b, identity_residuals, inverse_identity_sweep
 from .generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
 from .homotopy import SABOTAGE_TAGS, Check, build_certificates, check_records
 from .sphere import InvalidResolution, mesh_s4
@@ -320,22 +320,52 @@ def run_generalize(cfg):
     return rep
 
 
+def _mesh_suites(cfg, mesh):
+    """The suites that sweep the verification mesh: identities, inverse identity, certify."""
+    return run_identities(cfg, mesh=mesh), inverse_identity_sweep(mesh), run_certify(cfg, mesh=mesh)
+
+
+def _side_suites(cfg, spec_mesh):
+    """The suites that need only the spectrum mesh: spectra, ab/ba distance, slope, generalize."""
+    # sampled once each: the ab and ba clouds serve the commutativity records too
+    elements = ("ab", "ba", "one-minus-2ab", "one-minus-2ba")
+    clouds = {element: sample_spectrum(element, spec_mesh) for element in elements}
+    spectra = {element: _spectrum_report(cfg, element, spec_mesh, cloud) for element, cloud in clouds.items()}
+    dist = cloud_hausdorff(drop_zeros(clouds["ab"]), drop_zeros(clouds["ba"]))
+    return spectra, dist, eigenvalue_lipschitz(spec_mesh), run_generalize(cfg)
+
+
 def run_all(cfg):
-    """Every suite in one report: identities, spectra, commutativity, certificates, families."""
+    """Every suite in one report: identities, spectra, commutativity, certificates, families.
+
+    The suites run as two tasks of algebra._two_halves, one block each.
+    The first, _mesh_suites, sweeps the verification mesh in this process
+    (its sweeps fork their own helpers). The second, _side_suites, runs
+    meanwhile in one helper, forked once both mesh descriptions are built
+    and before any sweep. The helper starts from this process's footprint
+    at the fork, so the side suites' clouds and LAPACK buffers add nothing
+    to this process's peak memory. The records, notes and artifacts are
+    then put together in the order of the suites above, so the report is
+    the same bytes whether the helper ran or not.
+
+    The error order is _two_halves': where both tasks fail, the first
+    task's error is the one raised, with or without the helper, and an
+    error here kills and reaps the helper. With one CPU, or where the fork
+    fails, this process runs the two tasks in order.
+    """
     rep = Report("report-all", asdict(cfg))
     mesh = _mesh_from(cfg)
     spec_mesh = _mesh_from(cfg, spectrum=True)
 
-    rep.merge(run_identities(cfg, mesh=mesh), "identities")
-    # sampled once each: the ab and ba clouds serve the commutativity records too
-    clouds = {}
-    for element in ("ab", "ba", "one-minus-2ab", "one-minus-2ba"):
-        clouds[element] = sample_spectrum(element, spec_mesh)
-        rep.merge(_spectrum_report(cfg, element, spec_mesh, clouds[element]), f"spectrum.{element}")
+    def run(start, stop):
+        for task in range(start, stop):
+            yield _mesh_suites(cfg, mesh) if task == 0 else _side_suites(cfg, spec_mesh)
 
-    dist = cloud_hausdorff(drop_zeros(clouds["ab"]), drop_zeros(clouds["ba"]))
-    lip = eigenvalue_lipschitz(spec_mesh)
-    worst, skipped = inverse_identity_sweep(mesh)
+    (identities, (worst, skipped), certify), (spectra, dist, lip, generalize) = _two_halves(2, 1, run, True)
+
+    rep.merge(identities, "identities")
+    for element, spec in spectra.items():
+        rep.merge(spec, f"spectrum.{element}")
     evidence = {
         "nonzero_distance": dist,
         "covering_radius": spec_mesh.covering_radius,
@@ -346,6 +376,6 @@ def run_all(cfg):
     rep.checks += check_records(COMMUTATIVITY_CHECKS, evidence)
     rep.notes.append(f"inverse-identity sweep skipped {skipped} ill-conditioned point/probe pairs")
 
-    rep.merge(run_certify(cfg, mesh=mesh), "certify")
-    rep.merge(run_generalize(cfg), "generalize")
+    rep.merge(certify, "certify")
+    rep.merge(generalize, "generalize")
     return rep

@@ -165,9 +165,12 @@ class SphereMesh4:
         starts on a 64-byte boundary (linalg2.aligned).
         """
         stop = len(self) if stop is None else stop
-        buffers = [aligned((min(size, stop - start),), dtype) for dtype in (np.complex128, np.complex128, np.float64)]
+        b0, b1, b2 = [aligned((min(size, stop - start),), dtype) for dtype in (np.complex128, np.complex128, np.float64)]
         for i in range(start, stop, size):
-            chunk = tuple(b[: min(size, stop - i)] for b in buffers)
+            # a tuple display: tuple() of a generator would leave one more
+            # tuple on CPython's free list per chunk (see linalg2._rows)
+            n = min(size, stop - i)
+            chunk = b0[:n], b1[:n], b2[:n]
             self._fill(i, *chunk)
             yield chunk
 

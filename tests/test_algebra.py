@@ -1,3 +1,4 @@
+import gc
 import os
 import select
 import signal
@@ -221,14 +222,66 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
     default_chunk = algebra.CHUNK
     monkeypatch.setattr(algebra, "CHUNK", len(mesh9))
     one_chunk = run_all_sweeps()
-    assert len(mesh9) % 7 != 0
+    # at CHUNK = 3 the south pole, the last of the 562 points, is a chunk of
+    # its own; the smallest chunks differ bit-wise only at one point (below)
+    assert len(mesh9) % 7 != 0 and len(mesh9) % 3 == 1
     points = mesh9.arrays()
-    for chunk in (default_chunk, 7):
+    for chunk in (default_chunk, 7, 3, 2):
         monkeypatch.setattr(algebra, "CHUNK", chunk)
         chunks = algebra.sweep(lambda *x: [c.copy() for c in x], mesh9)
         for got, want in zip(zip(*chunks), points):
             assert np.array_equal(np.concatenate(got), want)
         assert run_all_sweeps() == one_chunk
+
+
+# the pointwise evaluators whose one-point calls round differently on
+# numpy's AVX-512 kernels, each on (z0, z1, z2)
+POINTWISE = {
+    "phi": lambda z0, z1, z2: phi(z2),
+    "product_eigenvalue": lambda z0, z1, z2: product_eigenvalue(z2),
+    "field_c": field_c,
+    "f_map": f_map,
+    "suspension_eh": suspension_eh,
+}
+
+
+@pytest.mark.parametrize("name", POINTWISE)
+def test_a_lone_south_pole_chunk_is_exact(name, mesh9):
+    # a kernel run on a 1-element array may round differently from the same
+    # point among 2 or more lanes (phi's in-place w * w, for one), so a sweep
+    # matches its one-chunk run for chunks of 2 or more points. Its last chunk
+    # may still hold one point, the south pole, where each evaluator is exact
+    evaluate, last = POINTWISE[name], len(mesh9) - 1
+    alone = np.asarray(evaluate(*next(mesh9.chunks(1, last))))[..., 0].copy()
+    for lanes in (2, 3, 8):
+        within = np.asarray(evaluate(*next(mesh9.chunks(lanes, last + 1 - lanes))))[..., -1]
+        assert alone.tobytes() == within.tobytes()
+
+
+def test_many_chunk_sweep_leaves_no_tuples_behind(mesh9, monkeypatch):
+    # 281 chunks of 2 points. A tuple built from a generator, in
+    # SphereMesh4.chunks, _identity_chunk and planar's broadcast_shapes
+    # arguments, left one more 3-, 6- and 4-tuple per chunk on CPython's
+    # free list: 62 KiB more per sweep here. What stays is about 9.4 KiB
+    # of the dict free list, which holds at most 80
+    monkeypatch.setattr(algebra, "CHUNK", 2)
+
+    def kernel(z0, z1, z2, ws):
+        _identity_chunk(z0, z1, z2, ws)
+
+    algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT)
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()  # empties the free lists
+    tracemalloc.start()
+    try:
+        algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert kept < 16 << 10
 
 
 class _Arrays:

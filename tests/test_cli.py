@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from expspec import cli
+from expspec import algebra, cli, report
+from expspec.algebra import DomainError
+from expspec.linalg2 import SingularMatrix
 from expspec.report import RunConfig
+
+from conftest import assert_no_child_left
 
 FAST = ["--lat", "9", "--shell", "8"]
 CERT = ["--lat", "33", "--shell", "32"]
@@ -373,6 +378,99 @@ def test_report_all_record_definitions(capsys):
     assert threshold == pytest.approx(REPORT_ALL_ROWS[i][2], rel=1e-12)
     rows[i] = (name, claim, REPORT_ALL_ROWS[i][2], comparison)
     assert rows == REPORT_ALL_ROWS
+
+
+# at 9x8 no mesh sweep and no linking pass forks, so report-all's one fork
+# is the helper that runs its side suites (spectra, distances, generalize)
+SIDE_SPLIT = ["report-all", *FAST, "--segments", "64"]
+
+
+@pytest.fixture
+def side_forks(monkeypatch):
+    """Two CPUs, so report-all forks its side-suite helper; records each os.fork call."""
+    calls = []
+    fork = os.fork
+
+    def recording_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(algebra, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return calls
+
+
+def test_report_all_is_the_same_with_or_without_its_side_helper(side_forks, monkeypatch, capsys):
+    forked = run(SIDE_SPLIT, capsys)
+    assert side_forks == [os.getpid()]
+    assert_no_child_left()
+    # at --shell 8 the antipodal gap does not certify: a written report, exit 1
+    assert forked[0] == 1 and json.loads(forked[1])["checks"]
+
+    def refused():
+        side_forks.append(os.getpid())
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert run(SIDE_SPLIT, capsys) == forked
+    assert len(side_forks) == 2
+    monkeypatch.setattr(algebra, "_cpus", lambda: 1)
+    assert run(SIDE_SPLIT, capsys) == forked
+    assert len(side_forks) == 2
+
+
+def test_side_suite_error_reads_as_in_process(side_forks, monkeypatch, capsys):
+    def outside(n, mesh, **kwargs):
+        raise DomainError(f"n = {n} is outside the family's domain")
+
+    monkeypatch.setattr(report, "family_identity_check", outside)
+    forked = run(SIDE_SPLIT, capsys)
+    assert side_forks
+    assert_no_child_left()
+    monkeypatch.setattr(algebra, "_cpus", lambda: 1)
+    assert run(SIDE_SPLIT, capsys) == forked == (1, "", "expspec: DomainError: n = 2 is outside the family's domain\n")
+
+
+def test_main_task_error_kills_the_side_helper(side_forks, monkeypatch, capsys):
+    # the helper's suites would take 10 s; the identity sweep's error here
+    # must kill and reap it at once
+    def singular(mesh):
+        raise SingularMatrix("matrix below invertibility threshold")
+
+    monkeypatch.setattr(report, "identity_residuals", singular)
+    monkeypatch.setattr(report, "run_generalize", lambda cfg: time.sleep(10.0))
+    start = time.monotonic()
+    assert run(SIDE_SPLIT, capsys) == (1, "", "expspec: SingularMatrix: matrix below invertibility threshold\n")
+    assert time.monotonic() - start < 5.0
+    assert side_forks
+    assert_no_child_left()
+
+
+def test_report_all_builds_both_meshes_here_before_its_fork(side_forks, monkeypatch, capsys):
+    # the benchmark gate counts the points of every report.mesh_s4 call in
+    # this process; the helper forks after both and before any sweep
+    events = []
+    mesh_s4, fork, sweep = report.mesh_s4, os.fork, algebra.sweep
+
+    def recording_mesh(lat, shell):
+        events.append((os.getpid(), lat, shell))
+        return mesh_s4(lat, shell)
+
+    def recording_fork():
+        events.append("fork")
+        return fork()
+
+    def recording_sweep(*args, **kwargs):
+        events.append("sweep")
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(report, "mesh_s4", recording_mesh)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(algebra, "sweep", recording_sweep)
+    run(SIDE_SPLIT, capsys)
+    # the identity and inverse-identity sweeps, in this process
+    assert events == [(os.getpid(), 9, 8), (os.getpid(), 257, 8), "fork", "sweep", "sweep"]
+    assert_no_child_left()
 
 
 def test_spectrum_one_record_definitions(capsys):
