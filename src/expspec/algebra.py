@@ -31,7 +31,7 @@ return linalg2 Fields.
 
 import os
 import pickle
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,9 +101,10 @@ CHUNK = 1 << 13
 # a sweep of at least this many points runs its back half in one forked
 # helper process. A forked sweep costs about 10 ms on a 2-vCPU VM (fork and
 # wait 1.5-2.5 ms, then copy-on-write faults and the two CPUs slowing each
-# other). The cheapest kernels (path start, f/Eh) lost at 224,194 points
-# (path 32 -> 43 ms, gap 25 -> 30 ms) and won from 339,906 (path 54 -> 34 ms,
-# gap 43 -> 28 ms); a 3-chunk spectrum sweep lost 9.0 -> 13.7 ms.
+# other). The cheapest kernels, certify's path start and f/Eh pass when each
+# had its own sweep, lost at 224,194 points (path 32 -> 43 ms, gap 25 -> 30 ms)
+# and won from 339,906 (path 54 -> 34 ms, gap 43 -> 28 ms); a 3-chunk spectrum
+# sweep lost 9.0 -> 13.7 ms.
 SPLIT_POINTS = 1 << 18
 
 # signal.SIGKILL on every POSIX system; importing the signal module would
@@ -136,7 +137,8 @@ def sweep(kernel, mesh, layout=None):
     without a layout gets (z0, z1, z2) only.
 
     A sweep of at least SPLIT_POINTS points runs its back half in a forked
-    helper (see _two_halves), cut at the chunk boundary (count // 2) * CHUNK.
+    helper (see _two_halves), cut at the chunk boundary (count // 2) * CHUNK:
+    once per sweep, so once for all of certify's mesh evidence.
     The chunks, the kernel arithmetic and the fold order are those of one
     process, so every result is bit for bit the same. A helper's side
     effects stay in the helper: its warnings print there, and a tracer in
@@ -174,8 +176,9 @@ def _two_halves(length, block, run, split):
     consumer that closes this generator included, kills and reaps it
     first. Where the helper cannot be forked, this process runs
     run(0, length) as it does without split; where a helper delivers
-    nothing readable, this process runs the back half itself. sweep and
-    linking's pair pass are the callers, and report.run_all, whose two
+    nothing readable, this process runs the back half itself. sweep (the
+    identity, inverse-identity, certify and spectrum sweeps) and linking's
+    pair pass are the callers, and report.run_all, whose two
     blocks are its two groups of suites: the mesh sweeps run here, and the
     helper runs the spectra and generalize, LAPACK calls included.
     """
@@ -387,19 +390,10 @@ def field_one_minus_2ab(z0, z1, z2):
     return eye_like(ab) - 2.0 * ab
 
 
-# the workspace of field_one_minus_2ba, 9 planes: b, a and mat_mul's plane
-_ONE_MINUS_2BA_LAYOUT = Layout(b=FIELD, a=FIELD, t=planes(1))
-
-
-def field_one_minus_2ba(z0, z1, z2, out=None, work=None):
-    """I - 2 b(x) a(x); equals diag(phi(z2), 1) pointwise.
-
-    out and work (9 planes, _ONE_MINUS_2BA_LAYOUT) as in linalg2.
-    """
-    z0, z1, z2 = _coords(z0, z1, z2)
-    ws = _ONE_MINUS_2BA_LAYOUT.cut(workspace(work, _ONE_MINUS_2BA_LAYOUT.planes, np.broadcast(z0, z1, z2).shape))
-    ba = mat_mul(field_b(z0, z1, z2, out=ws.b), field_a(z0, z1, z2, out=ws.a), out=out, work=ws.t)
-    return np.subtract(eye_like(ba), np.multiply(2.0, ba, out=ba), out=ba)
+def field_one_minus_2ba(z0, z1, z2):
+    """I - 2 b(x) a(x); equals diag(phi(z2), 1) pointwise."""
+    ba = field_ba(z0, z1, z2)
+    return eye_like(ba) - 2.0 * ba
 
 
 def product_eigenvalue(z2, out=None, work=None):
@@ -509,10 +503,6 @@ class IdentityResiduals:
     a_rank_one: float
     b_rank_one: float
     ab_eigenvalues: float
-
-    def worst(self):
-        # np.maximum, unlike max(), keeps a nan from any field
-        return float(np.maximum.reduce(astuple(self)))
 
 
 # the workspace of one identity chunk, 27 planes

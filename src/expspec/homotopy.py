@@ -32,10 +32,11 @@ read its Fields at t = 0 and t = 1.
   * h itself is essential: its Hopf invariant, the linking number of two
     fiber circles, is +-1 (linking module).
 
-The equator, hemisphere and antipodal evidence all come from one sweep
-that evaluates f and Eh once per mesh point, the equator included: the
-mesh's own equator latitude is the ring the coincidence is measured on
-(see antipodal_gap).
+All of the mesh evidence of both certificates comes from one sweep. On
+each chunk it measures the path start ||(1 - 2ba) - H(x, 0)||, then
+evaluates f and Eh once per mesh point, the equator included, for the
+equator, hemisphere and antipodal evidence: the mesh's own equator
+latitude is the ring the coincidence is measured on (see antipodal_gap).
 
 build_certificates gathers all of this evidence, evaluates every bound of
 CERTIFICATE_CHECKS on it once, and returns those records together with
@@ -59,7 +60,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import linking
-from .algebra import _ONE_MINUS_2BA_LAYOUT, _beta, _c_column, _coords, _times_i, field_one_minus_2ba, phi, sweep
+from .algebra import _beta, _c_column, _coords, _times_i, field_a, field_b, phi, sweep
 from .linalg2 import (
     FIELD,
     FLOAT,
@@ -71,6 +72,7 @@ from .linalg2 import (
     carved,
     eye_like,
     field_buffer,
+    mat_mul,
     op_norm,
     planar,
     planes,
@@ -453,29 +455,20 @@ def antipodal_gap(mesh, _flip_equator=False):
     points measured 4.6e-16 at 9 latitudes and 1.4e-14 at 2049.
 
     One pass: f and Eh are evaluated once per mesh point, the equator
-    included, in one sweep of _f_eh_chunk that also yields the hemisphere
-    evidence (hemisphere_worst_violation, inf without off-equator, off-pole
-    points) and the equator coincidence (equator_max_deviation, max |f - Eh|
-    over the mesh's equator latitude, -inf without one); the minima and the
-    maxima fold per chunk. The sweep reads the mesh in its own order, north
-    to south, which _f_eh_chunk's equator run needs. The kernel measures
-    max |f + Eh| on the equator too, on every run: _flip_equator, the flip-f
-    negative control of build_certificates, reports that maximum as
-    equator_max_deviation (about 2, as if f were negated on the equator),
-    so the control runs the same kernel as the real run.
+    included, by _f_eh_chunk, which also yields the hemisphere evidence
+    (hemisphere_worst_violation, inf without off-equator, off-pole points)
+    and the equator coincidence (equator_max_deviation, max |f - Eh| over
+    the mesh's equator latitude, -inf without one); the minima and the
+    maxima fold per chunk. It runs inside certify's one mesh sweep, after
+    the path start on the same chunk (see _certify_evidence), which reads
+    the mesh in its own order, north to south, as _f_eh_chunk's equator
+    run needs. The kernel measures max |f + Eh| on the equator too, on
+    every run: _flip_equator, the flip-f negative control of
+    build_certificates, reports that maximum as equator_max_deviation
+    (about 2, as if f were negated on the equator), so the control runs
+    the same kernel as the real run.
     """
-    folds = np.array(sweep(_f_eh_chunk, mesh, _F_EH_LAYOUT))
-    # np.minimum and np.maximum, unlike min() and max(), keep a nan from any chunk
-    min_gap, hemisphere = map(float, np.minimum.reduce(folds[:, :2]))
-    flipped, equator = map(float, np.maximum.reduce(folds[:, 2:]))
-    return AntipodalGap(
-        equator_max_deviation=flipped if _flip_equator else equator,
-        hemisphere_worst_violation=hemisphere,
-        antipodal_min_gap=min_gap,
-        antipodal_certified_lower_bound=min_gap
-        - ANTIPODAL_LIPSCHITZ * mesh.covering_radius
-        - ROUNDING_PER_LATITUDE * mesh.lat_count,
-    )
+    return _certify_evidence(mesh, _flip_equator)[1]
 
 
 def null_homotopy_ba(z2, t, out=None, work=None):
@@ -507,16 +500,56 @@ class PathInvertibility:
     endpoint_residual_end: float       # max ||H(x,1) - I|| over the mesh
 
 
-# the workspace of one path chunk, 18 planes: the Fields 1 - 2ba and H(x, 0),
-# the residual, and field_one_minus_2ba's planes
-_PATH_LAYOUT = Layout(d=FIELD, h=FIELD, r=FLOAT, scratch=planes(_ONE_MINUS_2BA_LAYOUT.planes))
+# the workspace of one certify chunk, 13 planes. The path start writes
+# 1 - 2ba into ba, then H(x, 0) into a, dead after mat_mul, and op_norm's
+# scratch into b; the f/Eh planes then lie over b and a, dead by then too
+_CERTIFY_LAYOUT = Layout(
+    b=FIELD, a=FIELD, ba=FIELD, r=FLOAT,
+    t=planes(1, over="r"),  # mat_mul's and phi's scratch, before r is written
+    norm=planes(2, over="b"),
+    f_eh=_F_EH_LAYOUT.over("b"),
+)
 
 
-def _start_residual_chunk(x0, x1, x2, ws):
-    """max ||(1 - 2ba)(x) - H(x, 0)|| over one chunk; ws is _PATH_LAYOUT cut to the chunk."""
-    d = field_one_minus_2ba(x0, x1, x2, out=ws.d, work=ws.scratch)
-    d -= null_homotopy_ba(x2, 0.0, out=ws.h, work=ws.scratch)
-    return float(op_norm(d, out=ws.r, work=ws.scratch).max())
+def _certify_chunk(x0, x1, x2, ws):
+    """The path start's residual, then _f_eh_chunk's four folds, on one chunk.
+
+    Returns (max ||(1 - 2ba)(x) - H(x, 0)||, then _f_eh_chunk's four
+    values); ws is _CERTIFY_LAYOUT cut to the chunk.
+    """
+    ba = mat_mul(field_b(x0, x1, x2, out=ws.b), field_a(x0, x1, x2, out=ws.a), out=ws.ba, work=ws.t)
+    np.subtract(eye_like(ba), np.multiply(2.0, ba, out=ba), out=ba)
+    ba -= null_homotopy_ba(x2, 0.0, out=ws.a, work=ws.t)
+    return (float(op_norm(ba, out=ws.r, work=ws.norm).max()), *_f_eh_chunk(x0, x1, x2, ws.f_eh))
+
+
+def _certify_evidence(mesh, flip_equator=False):
+    """(PathInvertibility, AntipodalGap) of the mesh, from one sweep of _certify_chunk.
+
+    See path_invertibility and antipodal_gap, which return one each;
+    flip_equator is antipodal_gap's _flip_equator. Inside a chunk the path
+    start runs first, so on a mesh that fails both ways the first failing
+    chunk decides which error is raised.
+    """
+    det_dev = 0.0
+    for t in np.linspace(0.0, 1.0, PATH_T_COUNT):
+        h00, h01, h10, h11 = h = null_homotopy_ba(mesh.z2_values, t)
+        # np.maximum, unlike max(), keeps a nan from any t
+        det_dev = np.maximum(det_dev, np.abs(np.abs(h00 * h11 - h01 * h10) - 1.0).max())
+
+    folds = np.array(sweep(_certify_chunk, mesh, _CERTIFY_LAYOUT))
+    # np.minimum and np.maximum, unlike min() and max(), keep a nan from any chunk
+    start, flipped, equator = map(float, np.maximum.reduce(folds[:, [0, 3, 4]]))
+    min_gap, hemisphere = map(float, np.minimum.reduce(folds[:, 1:3]))
+    path = PathInvertibility(float(det_dev), start, float(op_norm(h - eye_like(h)).max()))
+    return path, AntipodalGap(
+        equator_max_deviation=flipped if flip_equator else equator,
+        hemisphere_worst_violation=hemisphere,
+        antipodal_min_gap=min_gap,
+        antipodal_certified_lower_bound=min_gap
+        - ANTIPODAL_LIPSCHITZ * mesh.covering_radius
+        - ROUNDING_PER_LATITUDE * mesh.lat_count,
+    )
 
 
 def path_invertibility(mesh):
@@ -527,17 +560,10 @@ def path_invertibility(mesh):
     are checked against. H(x, t) depends on x only through z2, so the
     mesh's latitude values (one per latitude) times the t-grid cover the
     full mesh exactly. The end residual reads the loop's last Field, at
-    t = 1; the residual at t = 0 is a genuine full-mesh product sweep.
+    t = 1; the residual at t = 0 is a genuine full-mesh product sweep, the
+    path start of _certify_chunk, which shares its sweep with antipodal_gap.
     """
-    det_dev = 0.0
-    for t in np.linspace(0.0, 1.0, PATH_T_COUNT):
-        h00, h01, h10, h11 = h = null_homotopy_ba(mesh.z2_values, t)
-        # np.maximum, unlike max(), keeps a nan from any t
-        det_dev = np.maximum(det_dev, np.abs(np.abs(h00 * h11 - h01 * h10) - 1.0).max())
-
-    start_res = float(np.maximum.reduce(sweep(_start_residual_chunk, mesh, _PATH_LAYOUT)))
-    end_res = float(op_norm(h - eye_like(h)).max())
-    return PathInvertibility(float(det_dev), start_res, end_res)
+    return _certify_evidence(mesh)[0]
 
 
 @dataclass(frozen=True)
@@ -575,19 +601,20 @@ def build_certificates(mesh, segments=256, sabotage=None):
     Returns (records, certificates). records holds one CheckRecord per row
     of CERTIFICATE_CHECKS, in table order, each evaluated once on the whole
     evidence; certificates is (certificate for 1-2ba, certificate for 1-2ab)
-    when every record passes, and None otherwise. f and Eh are evaluated
-    once per mesh point, the equator included, in antipodal_gap's one pass.
+    when every record passes, and None otherwise. All of its mesh evidence
+    comes from one sweep (_certify_evidence): 1 - 2ba and H(x, 0), then f
+    and Eh, are evaluated once per mesh point, the equator included.
     The sabotage hook, one of SABOTAGE_TAGS, exists for negative-control
     tests and must leave certificates None: "flip-f" reports max |f + Eh|
     on the equator as the equator deviation (antipodal_gap's
-    _flip_equator; the f/Eh sweep is the same kernel on every run), and
+    _flip_equator; the sweep runs the same kernel on every run), and
     "fiber" links a fiber with a translate of itself.
     """
     if sabotage not in (None, *SABOTAGE_TAGS):
         raise ValueError(f"unknown sabotage tag: {sabotage!r}")
 
-    ba_evidence = asdict(path_invertibility(mesh))
-    gap = antipodal_gap(mesh, _flip_equator=(sabotage == "flip-f"))
+    path, gap = _certify_evidence(mesh, flip_equator=(sabotage == "flip-f"))
+    ba_evidence = asdict(path)
     link = linking.hopf_invariant_of_h(segments, _self_link=(sabotage == "fiber"))
     ab_evidence = {**asdict(gap), **{f"hopf_linking_{k}": v for k, v in asdict(link).items()}}
 

@@ -31,11 +31,12 @@ result does not depend on whether, or which, buffers were given.
 
 A kernel that runs on many chunks declares its workspace once, as a
 Layout: named Fields, planes and carved float or bool planes, in plane
-order, and the aliases it reuses on purpose. The Layout gives both the
-plane total and the named views, so no kernel counts or indexes planes
-by hand. A sweep allocates that total with aligned(), whose base sits on
-a 64-byte cache-line boundary wherever the heap puts the block, and
-cuts it into views for every chunk.
+order, and the aliases it reuses on purpose, another kernel's whole
+Layout among them. The Layout gives both the plane total and the named
+views, so no kernel counts or indexes planes by hand. A sweep allocates
+that total with aligned(), whose base sits on a 64-byte cache-line
+boundary wherever the heap puts the block, and cuts it into views for
+every chunk.
 """
 
 import math
@@ -190,6 +191,8 @@ class Layout:
     planes 0-5, over m, r and part of rest, and must end by the last plane.
     `planes` is the total, 7 here. cut(work) makes every named view of a
     workspace of `planes` C-contiguous planes, each of shape work.shape[1:].
+    A layout's over(name) makes it an alias entry of another, whose cut
+    gives its named views as one attribute.
     """
 
     def __init__(self, **entries):
@@ -201,6 +204,10 @@ class Layout:
     def cut(self, work):
         """The named views of work, as attributes."""
         return SimpleNamespace(**{name: view(work[first : first + count]) for name, (first, count, view, _) in self.spans.items()})
+
+    def over(self, name):
+        """This layout as an alias entry over the entry `name` of another layout."""
+        return self.planes, self.cut, name
 
 
 def mat_mul(x, y, out=None, work=None):

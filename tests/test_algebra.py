@@ -21,7 +21,6 @@ from expspec.algebra import (
     _INVERSE_LAYOUT,
     CHUNK,
     DomainError,
-    IdentityResiduals,
     MU_PROBES,
     _identity_chunk,
     _inverse_identity_chunk,
@@ -115,15 +114,6 @@ def test_identity_residuals_on_mesh(mesh9):
     assert r.a_rank_one <= 1e-13
     assert r.b_rank_one <= 1e-13
     assert r.ab_eigenvalues <= 1e-12
-
-
-def test_identity_residuals_worst_keeps_nan():
-    # a nan in any field, not only the first, must reach the worst value
-    for i in range(6):
-        fields = [0.0] * 6
-        fields[i] = np.nan
-        assert np.isnan(IdentityResiduals(*fields).worst())
-    assert IdentityResiduals(1e-16, 3e-15, 0.0, 2e-16, 0.0, 1e-15).worst() == 3e-15
 
 
 def test_product_eigenvalue_closed_form(mesh9):

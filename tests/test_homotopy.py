@@ -355,8 +355,59 @@ def test_flip_f_sweeps_the_production_kernel(mesh9, monkeypatch):
     real = list(calls)
     calls.clear()
     build_certificates(mesh9, sabotage="flip-f")
-    assert (homotopy._f_eh_chunk, homotopy._F_EH_LAYOUT) in real
     assert calls == real
+
+
+@pytest.mark.parametrize("sabotage", [None, "flip-f", "fiber"])
+def test_certify_sweeps_its_mesh_once(sabotage, mesh9, monkeypatch):
+    # the path start and the f/Eh evidence come from one sweep of one kernel
+    from expspec import homotopy
+
+    sweep, calls = homotopy.sweep, []
+
+    def recording(kernel, mesh, layout=None):
+        calls.append((kernel, mesh, layout))
+        return sweep(kernel, mesh, layout)
+
+    monkeypatch.setattr(homotopy, "sweep", recording)
+    build_certificates(mesh9, segments=64, sabotage=sabotage)
+    assert len(calls) == 1
+    assert calls[0] == (homotopy._certify_chunk, mesh9, homotopy._CERTIFY_LAYOUT)
+
+
+def test_first_failing_chunk_decides_the_certify_error(mesh9, monkeypatch):
+    # inside a chunk the path start runs before f and Eh, so on a mesh that
+    # fails both ways the error of the first failing chunk is the one raised
+    from expspec import homotopy
+    from expspec.algebra import DomainError
+    from expspec.homotopy import DegenerateProjection
+
+    def phi_raising_at_south_pole(z2, **buffers):
+        # the det grid's latitude values hold -1 too, but it passes all nine at once
+        if len(z2) < mesh9.lat_count and np.any(np.asarray(z2) == -1.0):
+            raise DomainError("late chunk")
+        return phi(z2, **buffers)
+
+    def f_map_raising_at(lane):
+        def raising(x0, x1, x2, **buffers):
+            if np.any(x2 == lane):
+                raise DegenerateProjection("early chunk")
+            return f_map(x0, x1, x2, **buffers)
+
+        return raising
+
+    monkeypatch.setattr(algebra, "CHUNK", 7)
+    monkeypatch.setattr(homotopy, "phi", phi_raising_at_south_pole)
+    with pytest.raises(DomainError, match="late chunk"):
+        build_certificates(mesh9, segments=64)
+    # the north pole is in the first chunk, the south pole in the last
+    monkeypatch.setattr(homotopy, "f_map", f_map_raising_at(1.0))
+    with pytest.raises(DegenerateProjection, match="early chunk"):
+        build_certificates(mesh9, segments=64)
+    # in the last chunk itself the path start fails first
+    monkeypatch.setattr(homotopy, "f_map", f_map_raising_at(-1.0))
+    with pytest.raises(DomainError, match="late chunk"):
+        build_certificates(mesh9, segments=64)
 
 
 def test_sabotaged_fiber_fails_linking(mesh33):
@@ -585,14 +636,6 @@ def ref_suspension_eh(z0, z1, z2):
     return np.array([e0, e1])
 
 
-def ref_one_minus_2ba(z0, z1, z2):
-    from expspec.algebra import field_a, field_b
-    from expspec.linalg2 import eye_like, mat_mul
-
-    ba = mat_mul(field_b(z0, z1, z2), field_a(z0, z1, z2))
-    return eye_like(ba) - 2.0 * ba
-
-
 def ref_null_homotopy_ba(z2, t):
     from expspec.algebra import phi
     from expspec.linalg2 import planar
@@ -621,7 +664,6 @@ EVALUATORS = [
     # (name, call with buffers, parent reference, output planes, work planes, nan lanes allowed)
     ("f_map", f_map, ref_f_map, 2, 2, False),
     ("suspension_eh", suspension_eh, ref_suspension_eh, 2, 3, True),
-    ("one_minus_2ba", field_one_minus_2ba, ref_one_minus_2ba, 4, 9, True),
     ("null_homotopy_ba", lambda z0, z1, z2, **kw: null_homotopy_ba(z2, 0.25, **kw),
      lambda z0, z1, z2: ref_null_homotopy_ba(z2, 0.25), 4, 1, True),
 ]
@@ -664,13 +706,7 @@ def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     # workspace a full chunk used, so its lanes still hold that chunk's
     # values, here a nan; a fresh nan-filled workspace turns any lane read
     # before it is written into a nan result
-    from expspec.homotopy import (
-        DegenerateProjection,
-        _F_EH_LAYOUT,
-        _PATH_LAYOUT,
-        _f_eh_chunk,
-        _start_residual_chunk,
-    )
+    from expspec.homotopy import _CERTIFY_LAYOUT, DegenerateProjection, _certify_chunk
 
     full, n = 300, 100
     # from the fourth latitude on, so the partial chunk holds equator lanes too
@@ -678,15 +714,24 @@ def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     assert np.count_nonzero(z2[:n] == 0.0) > 0
     z0_nan = z0.copy()
     z0_nan[5] = np.nan
-    for chunk, layout in ((_f_eh_chunk, _F_EH_LAYOUT), (_start_residual_chunk, _PATH_LAYOUT)):
-        work = np.full((layout.planes, full), complex(np.nan, np.nan))
-        with np.errstate(invalid="ignore"):
-            if chunk is _f_eh_chunk:  # f_map rejects the nan lane, after writing it
-                with pytest.raises(DegenerateProjection):
-                    chunk(z0_nan, z1, z2, layout.cut(work))
-            else:
-                assert np.isnan(chunk(z0_nan, z1, z2, layout.cut(work)))
-        stale = chunk(z0[:n], z1[:n], z2[:n], layout.cut(work[:, :n]))
-        fresh = chunk(z0[:n], z1[:n], z2[:n], layout.cut(np.full((layout.planes, n), complex(np.nan, np.nan))))
-        assert repr(stale) == repr(fresh)
-        assert not np.isnan(np.asarray(fresh, dtype=float)).any()
+    work = np.full((_CERTIFY_LAYOUT.planes, full), complex(np.nan, np.nan))
+    # the path start takes the nan lane in; f_map rejects it, after writing it
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateProjection):
+        _certify_chunk(z0_nan, z1, z2, _CERTIFY_LAYOUT.cut(work))
+    stale = _certify_chunk(z0[:n], z1[:n], z2[:n], _CERTIFY_LAYOUT.cut(work[:, :n]))
+    fresh = np.full((_CERTIFY_LAYOUT.planes, n), complex(np.nan, np.nan))
+    fresh = _certify_chunk(z0[:n], z1[:n], z2[:n], _CERTIFY_LAYOUT.cut(fresh))
+    assert repr(stale) == repr(fresh)
+    assert not np.isnan(np.asarray(fresh, dtype=float)).any()
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_path_start_is_the_allocating_residual(chunk, mesh9, monkeypatch):
+    # the certify kernel's 1 - 2ba and H(x, 0), in its workspace, against the
+    # allocating evaluators over the whole mesh at once: op_norm is pointwise
+    # and a maximum is exact, so the two agree bit for bit
+    if chunk:
+        monkeypatch.setattr(algebra, "CHUNK", chunk)
+    z0, z1, z2 = mesh9.arrays()
+    expected = op_norm(field_one_minus_2ba(z0, z1, z2) - null_homotopy_ba(z2, 0.0)).max()
+    assert path_invertibility(mesh9).endpoint_residual_start.hex() == float(expected).hex()

@@ -377,17 +377,23 @@ def test_mat_inv_guard_fires_where_the_parent_guard_fired(limit):
 LAYOUTS = {
     "inverse identity": (algebra._INVERSE_LAYOUT, 32),
     "identity": (algebra._IDENTITY_LAYOUT, 27),
-    "path start": (homotopy._PATH_LAYOUT, 18),
+    "certify": (homotopy._CERTIFY_LAYOUT, 13),
     "f/Eh": (homotopy._F_EH_LAYOUT, 7),
     "pair rows": (linking._PAIR_LAYOUT, 6),
-    "1 - 2ba": (algebra._ONE_MINUS_2BA_LAYOUT, 9),
 }
 
 
+def _arrays(view):
+    """The arrays of a view: an array, a tuple of views or a nested layout's views."""
+    if isinstance(view, np.ndarray):
+        return [view]
+    return [a for v in (view if isinstance(view, tuple) else vars(view).values()) for a in _arrays(v)]
+
+
 def _planes_touched(view, work):
-    """The indices of the planes of work whose bytes the view, an array or a tuple of them, touches."""
+    """The indices of the planes of work whose bytes the view touches."""
     plane, touched = work[0].nbytes, set()
-    for a in view if isinstance(view, tuple) else (view,):
+    for a in _arrays(view):
         assert a.flags.c_contiguous and a.nbytes
         first = a.ctypes.data - work.ctypes.data
         touched.update(range(first // plane, (first + a.nbytes - 1) // plane + 1))
