@@ -37,11 +37,14 @@ import numpy as np
 
 # cond2 is unused here but stays importable as expspec.algebra.cond2, a
 # kernel that perfbench/tracer.py wraps at this module
+from .fork import _fork_helper
 from .linalg2 import (  # noqa: F401
     FIELD,
     FLOAT,
     PLANE,
     Layout,
+    _fill_tables,
+    _negate,
     _rows,
     aligned,
     buffer,
@@ -116,7 +119,7 @@ class DomainError(ValueError):
     """Argument outside the function's documented domain."""
 
 
-def sweep(kernel, mesh, layout=None):
+def sweep(kernel, mesh, layout=None, tables=None):
     """Apply kernel to the consecutive CHUNK-long point ranges of a mesh.
 
     mesh is a sphere.SphereMesh4, read only through its chunks(): the
@@ -129,12 +132,20 @@ def sweep(kernel, mesh, layout=None):
     (phi's in-place w * w, for one). A CHUNK of 2 or more leaves at most a
     lone last point, the south pole, where the evaluators are exact.
 
-    With a linalg2.Layout the kernel also gets, as its last argument, the
+    With a linalg2.Layout the kernel also gets, as its next argument, the
     layout's named views of its workspace, cut to the chunk's length. Each
     process allocates one workspace of layout.planes complex planes per
     sweep, with linalg2.aligned. The planes still hold the previous chunk's
     values, so a kernel writes every lane it reads. A kernel of a sweep
     without a layout gets (z0, z1, z2) only.
+
+    tables, given with a layout, evaluates the kernel's z2-only factors on
+    the latitude cosines: once per sweep, on mesh.z2_values, here, before
+    any fork, so a factor's error comes before the first chunk. The kernel
+    then also gets lat = (tables, runs), runs being the chunk's latitude
+    runs, by which linalg2._fill_tables writes a table into a plane as the
+    mesh writes z2. A table of lat_count >= 3 lanes is, by the rule above,
+    bit for bit the factor at each point of a chunk of 2 or more points.
 
     A sweep of at least SPLIT_POINTS points runs its back half in a forked
     helper (see _two_halves), cut at the chunk boundary (count // 2) * CHUNK:
@@ -145,10 +156,14 @@ def sweep(kernel, mesh, layout=None):
     this process sees only the front half.
     """
 
+    tab = tables(mesh.z2_values) if tables else None
+
     def run(start, stop):
         work = aligned((layout.planes if layout else 0, min(stop - start, CHUNK)))
-        for z0, z1, z2 in mesh.chunks(CHUNK, start, stop):
-            yield kernel(z0, z1, z2, layout.cut(work[:, : len(z2)])) if layout else kernel(z0, z1, z2)
+        chunks = mesh.chunks(CHUNK, start, stop, runs=True) if tables else mesh.chunks(CHUNK, start, stop)
+        for z0, z1, z2, *runs in chunks:
+            args = (z0, z1, z2, layout.cut(work[:, : len(z2)])) if layout else (z0, z1, z2)
+            yield kernel(*args, (tab, *runs)) if tables else kernel(*args)
 
     return list(_two_halves(len(mesh), CHUNK, run, len(mesh) >= SPLIT_POINTS))
 
@@ -216,47 +231,6 @@ def _cpus():
     return len(os.sched_getaffinity(0))
 
 
-def _fork_helper(run, cut, length, blocks):
-    """Fork the helper that pulls the `blocks` results of run(cut, length).
-
-    Returns (pid, read end of its pipe), or None when the pipe or the fork
-    fails. Before each block the helper exits if its parent has
-    changed: a helper whose parent died runs no further. It writes one
-    pickle, (True, results) or (False, exception), which the parent cannot
-    read if it does not pickle whole, and always leaves by os._exit: it
-    runs no exit handlers and flushes no buffer it inherited.
-    """
-    parent = os.getpid()
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-    try:
-        os.close(r)
-        try:
-            results, back = run(cut, length), []
-            for _ in range(blocks):
-                if os.getppid() != parent:
-                    os._exit(1)
-                back.append(next(results))
-            payload = (True, back)
-        except BaseException as exc:
-            payload = (False, exc)
-        with os.fdopen(w, "wb") as pipe:
-            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
-    finally:
-        os._exit(0)
-
-
 def _coords(z0, z1, z2):
     z0 = np.asarray(z0, dtype=np.complex128)
     z1 = np.asarray(z1, dtype=np.complex128)
@@ -299,7 +273,7 @@ def phi(z2, out=None, work=None):
     iz = _times_i(np.clip(z2, -1.0, 1.0, out=x), t)
     # w = (1 - i z2)/(1 + i z2), phi = -(w w)
     w = np.divide(np.subtract(1.0, iz, out=out), np.add(1.0, iz, out=iz), out=out)
-    return np.negative(np.multiply(w, w, out=w), out=w)
+    return _negate(np.multiply(w, w, out=w), w)
 
 
 def field_one(z0, z1, z2):
@@ -312,11 +286,14 @@ def _field_out(out, z0, z1, z2):
     return field_buffer(out, np.broadcast_shapes(z0.shape, z1.shape, z2.shape))
 
 
-def field_a(z0, z1, z2, out=None):
-    """First column (z0, z1)/(1 + i z2), second column zero."""
+def field_a(z0, z1, z2, out=None, lat=None):
+    """First column (z0, z1)/(1 + i z2), second column zero.
+
+    With a sweep's lat (see sweep), w = 1/(1 + i z2) comes from its table.
+    """
     z0, z1, z2 = _coords(z0, z1, z2)
     out, (o00, o01, o10, o11) = _field_out(out, z0, z1, z2)
-    w = _reciprocal(z2, out=o01)
+    w = _reciprocal(z2, out=o01) if lat is None else _fill_tables(o01, lat, "w")
     np.multiply(z0, w, out=o00)
     np.multiply(z1, w, out=o10)
     o01.fill(0.0)
@@ -324,11 +301,11 @@ def field_a(z0, z1, z2, out=None):
     return out
 
 
-def field_b(z0, z1, z2, out=None):
-    """First row (conj z0, conj z1)/(1 + i z2), second row zero."""
+def field_b(z0, z1, z2, out=None, lat=None):
+    """First row (conj z0, conj z1)/(1 + i z2), second row zero; lat as in field_a."""
     z0, z1, z2 = _coords(z0, z1, z2)
     out, (o00, o01, o10, o11) = _field_out(out, z0, z1, z2)
-    w = _reciprocal(z2, out=o10)
+    w = _reciprocal(z2, out=o10) if lat is None else _fill_tables(o10, lat, "w")
     np.multiply(np.conjugate(z0, out=o00), w, out=o00)
     np.multiply(np.conjugate(z1, out=o01), w, out=o01)
     o10.fill(0.0)
@@ -342,37 +319,44 @@ def _beta(z2, out):
     return np.multiply(w, w, out=w)
 
 
-def _c_column(x0, x1, beta, p0, p1, conj):
-    """One column of c, each entry multiplied left to right, into p0 and p1.
+def _c_factors(z2, c00, c01, c10, c11):
+    """c's z2 factors into its four entry planes: 2 beta on the diagonal, -2 beta off it."""
+    # beta in the bytes of c01, which is written last
+    beta = _beta(z2, out=c01)
+    np.multiply(2.0, beta, out=c00)
+    np.multiply(-2.0, beta, out=c10)
+    np.multiply(2.0, beta, out=c11)
+    np.multiply(-2.0, beta, out=c01)
+
+
+def _c_column(x0, x1, p0, p1, conj):
+    """One column of c from its z2 factors, -2 beta in p0 and 2 beta in p1, multiplied left to right.
 
     p1 = 1 - ((2 beta) x1) conj(x1) is the diagonal entry and
     p0 = ((-2 beta) x0) conj(x1) the other one: (x0, x1) = (z0, z1) gives
     c's second column (c01, c11), and (z1, z0) its first (c10, c00). conj
-    receives conj(x1). p1 is written before p0, so p0 may alias beta; no
-    other buffers may alias.
+    receives conj(x1).
     """
     np.conjugate(x1, out=conj)
-    np.multiply(np.multiply(2.0, beta, out=p1), x1, out=p1)
-    np.subtract(1.0, np.multiply(p1, conj, out=p1), out=p1)
-    np.multiply(np.multiply(np.multiply(-2.0, beta, out=p0), x0, out=p0), conj, out=p0)
+    np.subtract(1.0, np.multiply(np.multiply(p1, x1, out=p1), conj, out=p1), out=p1)
+    np.multiply(np.multiply(p0, x0, out=p0), conj, out=p0)
 
 
-def field_c(z0, z1, z2, out=None, work=None):
+def field_c(z0, z1, z2, out=None, work=None, lat=None):
     """The closed-form unitary map c (oracle for 1 - 2ab, never its computation path).
 
     c = I - 2 beta [[z0 conj z0, z0 conj z1], [z1 conj z0, z1 conj z1]] with
     beta = 1/(1 + i z2)^2, each entry multiplied left to right. Both columns
     come from _c_column, the one place that arithmetic is written, which
     homotopy.f_map shares for the second. out and work (1 plane) as in
-    linalg2.
+    linalg2; lat as in field_a, for the factors of _c_factors.
     """
     z0, z1, z2 = _coords(z0, z1, z2)
     out, (c00, c01, c10, c11) = _field_out(out, z0, z1, z2)
     conj = workspace(work, 1, c00.shape)[0, ...]
-    # beta in the bytes of c01, which the second column writes last
-    beta = _beta(z2, out=c01)
-    _c_column(z1, z0, beta, c10, c00, conj)
-    _c_column(z0, z1, beta, c01, c11, conj)
+    _c_factors(z2, c00, c01, c10, c11) if lat is None else _fill_tables(out, lat, "c")
+    _c_column(z1, z0, c10, c00, conj)
+    _c_column(z0, z1, c01, c11, conj)
     return out
 
 
@@ -413,6 +397,17 @@ def product_eigenvalue(z2, out=None, work=None):
     return np.multiply(np.multiply(out, w, out=out), w, out=out)
 
 
+def _tables(z2):
+    """The latitude tables of the algebra sweeps over the cosines z2 (see sweep).
+
+    w = 1/(1 + i z2), c's factors (_c_factors), phi and the product eigenvalue.
+    """
+    c, planes = field_buffer(None, z2.shape)
+    _c_factors(z2, *planes)
+    w = _reciprocal(z2, out=np.empty(z2.shape, np.complex128))
+    return dict(w=w, c=c, phi=phi(z2), lam=product_eigenvalue(z2))
+
+
 # the built-in elements of C(S^4, M2), by name, with their planar evaluators
 ELEMENTS = {
     "one": field_one,
@@ -438,17 +433,17 @@ _INVERSE_LAYOUT = Layout(
 )
 
 
-def _inverse_identity_chunk(z0, z1, z2, ws, mus):
+def _inverse_identity_chunk(z0, z1, z2, ws, lat, mus):
     """The inverse-identity residual on one chunk, max over the probes.
 
     For each mu in mus, with u = (I - mu ab)^{-1}, the residual is
     ||(I - mu ba)(I + mu b u a) - I|| on the lanes that mat_inv conditions.
-    ws is _INVERSE_LAYOUT cut to the chunk. Returns (max residual, skipped
-    count); see inverse_identity_sweep.
+    ws is _INVERSE_LAYOUT cut to the chunk and lat the chunk's _tables (see
+    sweep). Returns (max residual, skipped count); see inverse_identity_sweep.
     """
     ok, skip = ws.masks
-    field_a(z0, z1, z2, out=ws.a)
-    field_b(z0, z1, z2, out=ws.b)
+    field_a(z0, z1, z2, out=ws.a, lat=lat)
+    field_b(z0, z1, z2, out=ws.b, lat=lat)
     mat_mul(ws.a, ws.b, out=ws.ab, work=ws.scratch)
     mat_mul(ws.b, ws.a, out=ws.ba, work=ws.scratch)
     eye = eye_like(ws.ab)
@@ -486,9 +481,10 @@ def inverse_identity_sweep(mesh, mus=MU_PROBES):
     (max_residual, skipped_count).
     """
     parts = sweep(
-        lambda z0, z1, z2, work: _inverse_identity_chunk(z0, z1, z2, work, mus),
+        lambda z0, z1, z2, work, lat: _inverse_identity_chunk(z0, z1, z2, work, lat, mus),
         mesh,
         _INVERSE_LAYOUT,
+        _tables,
     )
     return float(np.max([w for w, _ in parts])), sum(s for _, s in parts)
 
@@ -518,27 +514,27 @@ _IDENTITY_LAYOUT = Layout(
 )
 
 
-def _identity_chunk(x0, x1, x2, ws):
-    """identity_residuals' six maxima on one chunk; ws is _IDENTITY_LAYOUT cut to the chunk."""
-    field_a(x0, x1, x2, out=ws.a)
-    field_b(x0, x1, x2, out=ws.b)
+def _identity_chunk(x0, x1, x2, ws, lat):
+    """identity_residuals' six maxima on one chunk; ws is _IDENTITY_LAYOUT cut to it, lat its _tables."""
+    field_a(x0, x1, x2, out=ws.a, lat=lat)
+    field_b(x0, x1, x2, out=ws.b, lat=lat)
     mat_mul(ws.a, ws.b, out=ws.ab, work=ws.scratch)
     eye = eye_like(ws.ab)
 
     # 1 - 2ab = c
     np.subtract(eye, np.multiply(2.0, ws.ab, out=ws.t), out=ws.t)
-    np.subtract(ws.t, field_c(x0, x1, x2, out=ws.c, work=ws.scratch), out=ws.t)
+    np.subtract(ws.t, field_c(x0, x1, x2, out=ws.c, work=ws.scratch, lat=lat), out=ws.t)
     r_ab = op_norm(ws.t, out=ws.r, work=ws.scratch).max()
 
     # 1 - 2ba = diag(phi, 1), and |phi| = 1; phi in w, which is free until
     # w = 1/(1 + i z2) below
-    planar(phi(x2, out=ws.w, work=ws.scratch), 0.0, 0.0, 1.0, out=ws.c)
+    planar(_fill_tables(ws.w, lat, "phi"), 0.0, 0.0, 1.0, out=ws.c)
     np.subtract(eye, np.multiply(2.0, mat_mul(ws.b, ws.a, out=ws.t, work=ws.scratch), out=ws.t), out=ws.t)
     r_ba = op_norm(np.subtract(ws.t, ws.c, out=ws.t), out=ws.r, work=ws.scratch).max()
     r_phi = np.abs(np.subtract(np.abs(ws.w, out=ws.r), 1.0, out=ws.r), out=ws.r).max()
 
     # a^2 = (z0 w) a and b^2 = (conj(z0) w) b, w = 1/(1 + i z2)
-    _reciprocal(x2, out=ws.w)
+    _fill_tables(ws.w, lat, "w")
     np.multiply(np.multiply(x0, ws.w, out=ws.s), ws.a, out=ws.c)
     mat_mul(ws.a, ws.a, out=ws.t, work=ws.scratch)
     r_a2 = op_norm(np.subtract(ws.t, ws.c, out=ws.t), out=ws.r, work=ws.scratch).max()
@@ -547,7 +543,7 @@ def _identity_chunk(x0, x1, x2, ws):
     r_b2 = op_norm(np.subtract(ws.t, ws.c, out=ws.t), out=ws.r, work=ws.scratch).max()
 
     # eig(ab) = {0, product eigenvalue}, both sorted
-    lam = product_eigenvalue(x2, out=ws.w, work=ws.scratch)
+    lam = _fill_tables(ws.w, lat, "lam")
     ws.s.fill(0.0)
     lo_hi = sort_pair(ws.s, lam, out=ws.lo_hi, work=ws.scratch)
     lo, hi = np.subtract(eig2(ws.ab, out=ws.got, work=ws.scratch), lo_hi, out=ws.got)
@@ -563,6 +559,6 @@ def identity_residuals(mesh):
     a^2 = (z0/(1+i z2)) a, b^2 = (conj z0/(1+i z2)) b (rank-one algebra),
     1-2ab = c, 1-2ba = diag(phi, 1), and eig(ab) = {product eigenvalue, 0}.
     """
-    parts = sweep(_identity_chunk, mesh, _IDENTITY_LAYOUT)
+    parts = sweep(_identity_chunk, mesh, _IDENTITY_LAYOUT, _tables)
     # np.maximum, unlike max(), keeps a nan from any chunk
     return IdentityResiduals(*map(float, np.maximum.reduce(parts)))

@@ -37,6 +37,10 @@ each chunk it measures the path start ||(1 - 2ba) - H(x, 0)||, then
 evaluates f and Eh once per mesh point, the equator included, for the
 equator, hemisphere and antipodal evidence: the mesh's own equator
 latitude is the ring the coincidence is measured on (see antipodal_gap).
+What depends on z2 alone -- H(x, 0), the z2 factors of a, b, f and Eh,
+the folds' signs and masks -- is evaluated once per latitude instead, in
+the latitude tables of the sweep (algebra.sweep, _certify_tables), bit
+for bit what each point would compute.
 
 build_certificates gathers all of this evidence, evaluates every bound of
 CERTIFICATE_CHECKS on it once, and returns those records together with
@@ -56,17 +60,20 @@ extension Eh(0, 0, +-1) := (0, +-i) is used, justified by the bounds
 import json
 import operator
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import linking
-from .algebra import _beta, _c_column, _coords, _times_i, field_a, field_b, phi, sweep
+from .algebra import _c_column, _c_factors, _coords, _tables, _times_i, field_a, field_b, phi, sweep
 from .linalg2 import (
     FIELD,
     FLOAT,
     PLANE,
     Layout,
+    _fill_tables,
     _rows,
+    _table_run,
     buffer,
     carve,
     carved,
@@ -197,48 +204,62 @@ CERTIFICATE_CHECKS = (
 )
 
 
-def suspension_eh(z0, z1, z2, out=None, work=None):
+def _root_pole(rc):
+    """Eh's root and pole planes, carved from one complex plane: its first float plane and 9th bool plane."""
+    return carve(rc, np.float64)[0], carve(rc, bool)[8]
+
+
+def _eh_factors(z2, iz, pole_value, rc):
+    """Eh's z2 factors: i z2, i sign(z2) and, in rc (_root_pole), the root and the pole mask."""
+    root, x = carve(rc, np.float64)
+    _times_i(z2, iz)
+    _times_i(np.sign(z2, out=root), pole_value)
+    # root = sqrt((1 - z2)(1 + z2)), or 1 at the poles, where that is <= 0
+    np.multiply(np.subtract(1.0, z2, out=root), np.add(1.0, z2, out=x), out=root)
+    pole = np.less_equal(root, 0.0, out=_root_pole(rc)[1])
+    np.copyto(root, 1.0, where=pole)
+    np.sqrt(root, out=root)
+
+
+def suspension_eh(z0, z1, z2, out=None, work=None, lat=None):
     """Suspension of the Hopf map, S^4 -> S^3, with the polar continuity extension.
 
     Returns a complex array (2, ...): the first and the second coordinate.
     Its first steps are the Hopf map h(z0, z1) = (-2 z0 conj(z1),
     |z0|^2 - |z1|^2) of the module docstring. out and work (3 planes) as in
-    linalg2.
+    linalg2; lat as in algebra.field_a, for the factors of _eh_factors.
     """
     z0, z1, z2 = _coords(z0, z1, z2)
     shape = np.broadcast(z0, z1, z2).shape
     out = buffer(out, (2,) + shape, np.complex128)
     e0, e1 = out[0, ...], out[1, ...]
-    a, b, c = _rows(workspace(work, 3, shape))
-    # h0 = (-2 z0) conj(z1) in e0, h1 = Re(z0 conj(z0) - z1 conj(z1)) in a
-    np.multiply(np.multiply(-2.0, z0, out=e0), np.conjugate(z1, out=a), out=e0)
-    np.multiply(z0, np.conjugate(z0, out=a), out=a)
-    np.subtract(a, np.multiply(z1, np.conjugate(z1, out=b), out=b), out=a)
-    h1 = a.real
-    # root = sqrt((1 - z2)(1 + z2)), or 1 at the poles, where that is <= 0
-    root, x = carve(b, np.float64)
-    pole = carve(c, bool)[0]
-    np.multiply(np.subtract(1.0, z2, out=root), np.add(1.0, z2, out=x), out=root)
-    np.less_equal(root, 0.0, out=pole)
-    np.copyto(root, 1.0, where=pole)
-    np.sqrt(root, out=root)
-    # e0 = h0/root, e1 = h1/root + i z2; (0, i sign(z2)) at the poles. A
+    h, t, rc = _rows(workspace(work, 3, shape))
+    root, pole = _root_pole(rc)
+    # h0 = (-2 z0) conj(z1) in e0, h1 = Re(z0 conj(z0) - z1 conj(z1)) in h
+    np.multiply(np.multiply(-2.0, z0, out=e0), np.conjugate(z1, out=h), out=e0)
+    np.multiply(z0, np.conjugate(z0, out=h), out=h)
+    np.subtract(h, np.multiply(z1, np.conjugate(z1, out=t), out=t), out=h)
+    # the z2 factors: i z2 in e1, i sign(z2) in t, the root and the pole mask in rc
+    if lat is None:
+        _eh_factors(z2, e1, t, rc)
+    else:
+        for plane, name in (e1, "iz"), (t, "pole_value"), (root, "root"), (pole, "pole"):
+            _fill_tables(plane, lat, name)
+    # e1 = h1/root + i z2, e0 = h0/root; (0, i sign(z2)) at the poles. A
     # float plane in a complex ufunc would be cast in a chunk-sized buffer:
-    # root is copied into e1 first, as that cast would, and the sum is the
-    # real part of the complex sum (x + 0i) + i z2, whose imaginary part
-    # 0 + (0 + z2) is the 0 + z2 that _times_i wrote (0 + v = v but for
-    # v = -0, and 0 + z2 is never -0)
-    np.copyto(e1, root)
-    np.divide(e0, e1, out=e0)
+    # the sum is the real part of the complex sum (x + 0i) + i z2, whose
+    # imaginary part 0 + (0 + z2) is the 0 + z2 that _times_i wrote (0 + v = v
+    # but for v = -0, and 0 + z2 is never -0), and root is copied into h,
+    # once h1/root has left it, as the cast of the division would
+    np.add(np.divide(h.real, root, out=h.real), e1.real, out=e1.real)
+    np.copyto(h, root)
+    np.divide(e0, h, out=e0)
     np.copyto(e0, 0.0, where=pole)
-    np.divide(h1, root, out=x)
-    np.add(x, _times_i(z2, e1).real, out=e1.real)
-    sign = carve(a, np.float64)[0]
-    np.copyto(e1, _times_i(np.sign(z2, out=sign), b), where=pole)
+    np.copyto(e1, t, where=pole)
     return out
 
 
-def f_map(z0, z1, z2, out=None, work=None):
+def f_map(z0, z1, z2, out=None, work=None, lat=None):
     """The second column of c, normalized to unit Euclidean norm (a map S^4 -> S^3).
 
     The column is pc = (-2 z0 conj(z1)/(1+i z2)^2, 1 - 2|z1|^2/(1+i z2)^2),
@@ -247,17 +268,19 @@ def f_map(z0, z1, z2, out=None, work=None):
     the norm is 1 up to rounding; if it ever drops below 1e-13 this raises
     DegenerateProjection, and any such firing is a verification failure
     upstream. Returns a complex array (2, ...); out and work (2 planes) as
-    in linalg2.
+    in linalg2; lat as in algebra.field_a, for the factors of pc.
     """
     z0, z1, z2 = _coords(z0, z1, z2)
     shape = np.broadcast(z0, z1, z2).shape
     out = buffer(out, (2,) + shape, np.complex128)
     p0, p1 = out[0, ...], out[1, ...]
-    beta, conj = _rows(workspace(work, 2, shape))
-    _c_column(z0, z1, _beta(z2, out=beta), p0, p1, conj)
-    # n = sqrt(|p0|^2 + |p1|^2), in the bytes of beta
-    n, t = carve(beta, np.float64)
-    np.add(np.square(np.abs(p0, out=n), out=n), np.square(np.abs(p1, out=t), out=t), out=n)
+    t, conj = _rows(workspace(work, 2, shape))
+    # pc's factors, c01's and c11's; those of c's first column go to t and conj
+    _c_factors(z2, t, p0, conj, p1) if lat is None else _fill_tables(out, lat, "f")
+    _c_column(z0, z1, p0, p1, conj)
+    # n = sqrt(|p0|^2 + |p1|^2), in the bytes of t
+    n, s = carve(t, np.float64)
+    np.add(np.square(np.abs(p0, out=n), out=n), np.square(np.abs(p1, out=s), out=s), out=n)
     np.sqrt(n, out=n)
     if not np.all(np.greater(n, 1e-13, out=carve(conj, bool)[0])):  # a nan norm fails too
         raise DegenerateProjection("projected column norm below 1e-13")
@@ -273,44 +296,41 @@ _F_EH_LAYOUT = Layout(
     eh=planes(2),
     t=PLANE,
     d=carved(np.float64, 2),
-    s=carved(np.float64, 2),
+    s=carved(np.float64, 1),
     # f_map's and suspension_eh's scratch, then the folds' planes
     scratch=planes(3, over="t"),
-    keep=carved(bool, 2, over="t"),
+    drop=carved(bool, 1, over="t"),
 )
 
 
-def _f_eh_chunk(x0, x1, x2, ws):
+def _f_eh_chunk(x0, x1, x2, ws, lat):
     """min |f + Eh|, the hemisphere minimum and both equator maxima on one chunk.
 
     Returns (min |f + Eh|, hemisphere minimum, max |f + Eh| on the equator,
-    max |f - Eh| on the equator); see antipodal_gap. z2 falls through the
-    mesh order, so the chunk's equator lanes (z2 = 0) are one run, read as
-    slices of the workspace planes; a chunk without them gives -inf for
-    both equator maxima. The first equator maximum is read from the gap
-    plane before the equator step overwrites that run with |f - Eh|, so
-    every run computes both, and the flip-f control only picks the first.
-    ws is _F_EH_LAYOUT cut to the chunk.
+    max |f - Eh| on the equator); see antipodal_gap. The chunk's equator
+    lanes are the run of the equator latitude, read as slices of the
+    workspace planes; a chunk without them gives -inf for both equator
+    maxima. The first equator maximum is read from the gap plane before
+    the equator step overwrites that run with |f - Eh|, so every run
+    computes both, and the flip-f control only picks the first. ws is
+    _F_EH_LAYOUT cut to the chunk, lat its _certify_tables.
     """
-    f0, f1 = f_map(x0, x1, x2, out=ws.f, work=ws.scratch)
-    e0, e1 = suspension_eh(x0, x1, x2, out=ws.eh, work=ws.scratch)
-    t, (d, d1), (s, v), (keep, other) = ws.t, ws.d, ws.s, ws.keep
+    f0, f1 = f_map(x0, x1, x2, out=ws.f, work=ws.scratch, lat=lat)
+    e0, e1 = suspension_eh(x0, x1, x2, out=ws.eh, work=ws.scratch, lat=lat)
+    t, (d, d1), (s,), (drop,) = ws.t, ws.d, ws.s, ws.drop
     np.square(np.abs(np.add(f0, e0, out=t), out=d), out=d)
     np.square(np.abs(np.add(f1, e1, out=t), out=d1), out=d1)
     gap = np.sqrt(np.add(d, d1, out=d), out=d)
     min_gap = gap.min()
-    # the equator run: after the z2 > 0 lanes, before the z2 < 0 ones
-    start = np.count_nonzero(np.greater(x2, 0.0, out=keep))
-    eq = slice(start, np.count_nonzero(np.greater_equal(x2, 0.0, out=keep)))
+    eq = _table_run(lat, "equator")
     flipped = d[eq].max(initial=-np.inf)
     np.square(np.abs(np.subtract(f0[eq], e0[eq], out=t[eq]), out=d[eq]), out=d[eq])
     np.square(np.abs(np.subtract(f1[eq], e1[eq], out=t[eq]), out=d1[eq]), out=d1[eq])
     equator = np.sqrt(np.add(d[eq], d1[eq], out=d[eq]), out=d[eq]).max(initial=-np.inf)
     # min(sign(z2) Im f1, sign(z2) Im Eh1), inf on the equator and at the poles
-    np.sign(x2, out=s)
+    _fill_tables(s, lat, "sign")
     signed = np.minimum(np.multiply(s, f1.imag, out=d), np.multiply(s, e1.imag, out=d1), out=d)
-    np.logical_and(np.not_equal(x2, 0.0, out=keep), np.not_equal(np.abs(x2, out=v), 1.0, out=other), out=keep)
-    np.copyto(signed, np.inf, where=np.logical_not(keep, out=keep))
+    np.copyto(signed, np.inf, where=_fill_tables(drop, lat, "drop"))
     # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
     # depends on the order it meets them, so the chunking would show in the sign
     return min_gap, signed.min() + 0.0, flipped, equator
@@ -505,39 +525,57 @@ class PathInvertibility:
 # scratch into b; the f/Eh planes then lie over b and a, dead by then too
 _CERTIFY_LAYOUT = Layout(
     b=FIELD, a=FIELD, ba=FIELD, r=FLOAT,
-    t=planes(1, over="r"),  # mat_mul's and phi's scratch, before r is written
+    t=planes(1, over="r"),  # mat_mul's scratch, before r is written
     norm=planes(2, over="b"),
     f_eh=_F_EH_LAYOUT.over("b"),
 )
 
 
-def _certify_chunk(x0, x1, x2, ws):
+def _certify_tables(z2, start):
+    """The certify kernel's latitude tables over the cosines z2 (see algebra.sweep).
+
+    w and f's factors (c's second column) from the algebra tables, start =
+    H(x, 0), Eh's (_eh_factors) and the folds' sign(z2), equator and drop
+    (the equator and the poles).
+    """
+    tab, (iz, pole_value, rc) = _tables(z2), np.empty((3,) + z2.shape, np.complex128)
+    _eh_factors(z2, iz, pole_value, rc)
+    equator = np.equal(z2, 0.0)
+    root, pole = _root_pole(rc)
+    return dict(w=tab["w"], f=tab["c"][1::2], start=start, iz=iz, pole_value=pole_value, root=root, pole=pole,
+                sign=np.sign(z2), equator=equator, drop=np.logical_or(equator, np.equal(np.abs(z2), 1.0)))
+
+
+def _certify_chunk(x0, x1, x2, ws, lat):
     """The path start's residual, then _f_eh_chunk's four folds, on one chunk.
 
     Returns (max ||(1 - 2ba)(x) - H(x, 0)||, then _f_eh_chunk's four
-    values); ws is _CERTIFY_LAYOUT cut to the chunk.
+    values); ws is _CERTIFY_LAYOUT cut to the chunk, lat its _certify_tables.
     """
-    ba = mat_mul(field_b(x0, x1, x2, out=ws.b), field_a(x0, x1, x2, out=ws.a), out=ws.ba, work=ws.t)
+    ba = mat_mul(field_b(x0, x1, x2, out=ws.b, lat=lat), field_a(x0, x1, x2, out=ws.a, lat=lat), out=ws.ba, work=ws.t)
     np.subtract(eye_like(ba), np.multiply(2.0, ba, out=ba), out=ba)
-    ba -= null_homotopy_ba(x2, 0.0, out=ws.a, work=ws.t)
-    return (float(op_norm(ba, out=ws.r, work=ws.norm).max()), *_f_eh_chunk(x0, x1, x2, ws.f_eh))
+    ba -= _fill_tables(ws.a, lat, "start")
+    return (float(op_norm(ba, out=ws.r, work=ws.norm).max()), *_f_eh_chunk(x0, x1, x2, ws.f_eh, lat))
 
 
 def _certify_evidence(mesh, flip_equator=False):
     """(PathInvertibility, AntipodalGap) of the mesh, from one sweep of _certify_chunk.
 
     See path_invertibility and antipodal_gap, which return one each;
-    flip_equator is antipodal_gap's _flip_equator. Inside a chunk the path
-    start runs first, so on a mesh that fails both ways the first failing
-    chunk decides which error is raised.
+    flip_equator is antipodal_gap's _flip_equator. Every z2-only factor is
+    evaluated before the first chunk, on the latitude cosines: H(x, t) in
+    the det grid, whose t = 0 Field is the path start's table, the others
+    in _certify_tables. So a factor's error comes first; among per-point
+    errors the first failing chunk decides, the path start before f and Eh.
     """
-    det_dev = 0.0
+    det_dev, h_start = 0.0, None
     for t in np.linspace(0.0, 1.0, PATH_T_COUNT):
         h00, h01, h10, h11 = h = null_homotopy_ba(mesh.z2_values, t)
+        h_start = h if h_start is None else h_start
         # np.maximum, unlike max(), keeps a nan from any t
         det_dev = np.maximum(det_dev, np.abs(np.abs(h00 * h11 - h01 * h10) - 1.0).max())
 
-    folds = np.array(sweep(_certify_chunk, mesh, _CERTIFY_LAYOUT))
+    folds = np.array(sweep(_certify_chunk, mesh, _CERTIFY_LAYOUT, partial(_certify_tables, start=h_start)))
     # np.minimum and np.maximum, unlike min() and max(), keep a nan from any chunk
     start, flipped, equator = map(float, np.maximum.reduce(folds[:, [0, 3, 4]]))
     min_gap, hemisphere = map(float, np.minimum.reduce(folds[:, 1:3]))
@@ -602,8 +640,9 @@ def build_certificates(mesh, segments=256, sabotage=None):
     of CERTIFICATE_CHECKS, in table order, each evaluated once on the whole
     evidence; certificates is (certificate for 1-2ba, certificate for 1-2ab)
     when every record passes, and None otherwise. All of its mesh evidence
-    comes from one sweep (_certify_evidence): 1 - 2ba and H(x, 0), then f
-    and Eh, are evaluated once per mesh point, the equator included.
+    comes from one sweep (_certify_evidence): 1 - 2ba, then f and Eh, are
+    evaluated once per mesh point, the equator included, and their z2-only
+    factors, H(x, 0) among them, once per latitude.
     The sabotage hook, one of SABOTAGE_TAGS, exists for negative-control
     tests and must leave certificates None: "flip-f" reports max |f + Eh|
     on the equator as the equator deviation (antipodal_gap's

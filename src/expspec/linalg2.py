@@ -157,6 +157,17 @@ def aligned(shape, dtype=np.complex128):
     return raw[skip : skip + raw.size - 64].view(dtype).reshape(shape)
 
 
+def _negate(x, out):
+    """-x for a complex array x, written into out: np.negative's bits, from the float64 parts.
+
+    Negating the two float64 parts of each entry is bit for bit the complex
+    np.negative (signed zeros, infinities and nans included) and runs
+    about 4 times faster on a chunk plane.
+    """
+    np.negative(x[..., None].view(np.float64), out=out[..., None].view(np.float64))
+    return out
+
+
 def carve(plane, dtype):
     """The bytes of a C-contiguous complex plane, as 2 float64 or 16 bool planes of its shape."""
     return _rows(np.ndarray((16 // np.dtype(dtype).itemsize,) + plane.shape, dtype, buffer=plane))
@@ -208,6 +219,29 @@ class Layout:
     def over(self, name):
         """This layout as an alias entry over the entry `name` of another layout."""
         return self.planes, self.cut, name
+
+
+# A sweep's latitude tables (algebra.sweep): each z2-only factor of a kernel,
+# evaluated once per latitude of the mesh, reaches a chunk as lat = (tables,
+# runs), runs being the chunk's latitude runs (j, k, m): lanes k to k + m - 1
+# lie on latitude j.
+
+
+def _fill_tables(plane, lat, name):
+    """Write the latitude table `name` of lat into a chunk's plane, run by run; returns plane."""
+    table = lat[0][name]
+    for j, k, m in lat[1]:
+        plane[..., k : k + m] = table[..., j, None]
+    return plane
+
+
+def _table_run(lat, name):
+    """The lanes of the chunk's run of the one latitude the bool table `name` marks, as a slice."""
+    table = lat[0][name]
+    for j, k, m in lat[1]:
+        if table[j]:
+            return slice(k, k + m)
+    return slice(0, 0)
 
 
 def mat_mul(x, y, out=None, work=None):
@@ -269,7 +303,7 @@ def eig2(m, out=None, work=None):
     # pick the sign of the discriminant that grows |mid + disc|
     flip = carve(flags, bool)[0]
     np.less(np.multiply(np.conjugate(disc, out=t), mid, out=t).real, 0.0, out=flip)
-    np.copyto(disc, np.negative(disc, out=t), where=flip)
+    np.copyto(disc, _negate(disc, t), where=flip)
     r1 = np.add(mid, disc, out=mid)
     det = np.subtract(np.multiply(a, d, out=disc), np.multiply(b, c, out=t), out=disc)
     # r2 = det/r1, or 0 where r1 = 0 (dividing by 1 there instead)
@@ -366,7 +400,7 @@ def mat_inv(m, cond_limit=np.inf, out=None, ok=None, work=None):
         raise SingularMatrix("matrix below invertibility threshold")
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(d, det, out=o00)
-        np.divide(np.negative(b, out=t), det, out=o01)
-        np.divide(np.negative(c, out=t), det, out=o10)
+        np.divide(_negate(b, t), det, out=o01)
+        np.divide(_negate(c, t), det, out=o10)
         np.divide(a, det, out=o11)
     return out

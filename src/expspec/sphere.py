@@ -157,12 +157,15 @@ class SphereMesh4:
         z0, z1, z2 = next(self.chunks(1, i, i + 1))
         return SpherePoint4(complex(z0[0]), complex(z1[0]), float(z2[0]))
 
-    def chunks(self, size, start=0, stop=None):
+    def chunks(self, size, start=0, stop=None, runs=False):
         """Yield (z0, z1, z2) for the index ranges [i, i + size) of [start, stop).
 
         The arrays are views of three buffers that every chunk overwrites,
         so a consumer must not keep them past its own chunk. Each buffer
-        starts on a 64-byte boundary (linalg2.aligned).
+        starts on a 64-byte boundary (linalg2.aligned). With runs, each
+        item is (z0, z1, z2, runs), runs being latitude_runs of the range,
+        by which _fill writes z2 and a sweep fills its latitude tables
+        (linalg2._fill_tables).
         """
         stop = len(self) if stop is None else stop
         b0, b1, b2 = [aligned((min(size, stop - start),), dtype) for dtype in (np.complex128, np.complex128, np.float64)]
@@ -170,9 +173,9 @@ class SphereMesh4:
             # a tuple display: tuple() of a generator would leave one more
             # tuple on CPython's free list per chunk (see linalg2._rows)
             n = min(size, stop - i)
-            chunk = b0[:n], b1[:n], b2[:n]
-            self._fill(i, *chunk)
-            yield chunk
+            chunk, lat_runs = (b0[:n], b1[:n], b2[:n]), self.latitude_runs(i, n)
+            self._fill(i, lat_runs, *chunk)
+            yield chunk + (lat_runs,) if runs else chunk
 
     def arrays(self):
         """Every point as three new arrays (z0, z1, z2).
@@ -183,30 +186,41 @@ class SphereMesh4:
         # the only chunk of a generator dropped at once: nothing overwrites it
         return next(self.chunks(len(self)))
 
-    def _fill(self, i, z0, z1, z2):
-        """Write the points [i, i + len(z2)) into z0, z1, z2."""
+    def latitude_runs(self, i, n):
+        """The latitude runs of the points [i, i + n): a list of (j, k, m), in mesh order.
+
+        The points k .. k + m - 1 of the range lie on latitude j, so their z2
+        is z2_values[j]. The runs cover the range; a pole is a run of one
+        point, and the other runs are cut at the range's ends and at the
+        latitude boundaries only.
+        """
         shell = self.shell_size
         last = 1 + (self.lat_count - 2) * shell  # the south pole
-        k, n = 0, len(z2)
+        runs, k = [], 0
         while k < n:
-            if i == 0 or i == last:
-                j, r, size = (0 if i == 0 else self.lat_count - 1), 0, 1
+            p = i + k
+            if p == 0 or p == last:
+                j, m = (0 if p == 0 else self.lat_count - 1), 1
             else:
-                j, r = divmod(i - 1, shell)
-                j, size = j + 1, shell
-            m = min(n - k, size - r)
+                j, r = divmod(p - 1, shell)
+                j, m = j + 1, min(n - k, shell - r)
+            runs.append((j, k, m))
+            k += m
+        return runs
+
+    def _fill(self, i, runs, z0, z1, z2):
+        """Write the points [i, i + len(z2)), whose latitude runs are runs, into z0, z1, z2."""
+        for j, k, m in runs:
             x0, x1 = z0[k : k + m], z1[k : k + m]
             z2[k : k + m] = self.z2_values[j]
-            if size == 1:
+            if j == 0 or j == self.lat_count - 1:
                 x0[...] = 0.0
                 x1[...] = 0.0
             else:
-                self._fill_shell(r, x0, x1)
+                self._fill_shell(i + k - 1 - (j - 1) * self.shell_size, x0, x1)
                 s = float(self.lat_sines[j])
                 np.multiply(s, x0, out=x0)
                 np.multiply(s, x1, out=x1)
-            k += m
-            i += m
 
     def _fill_shell(self, r, w0, w1):
         """Write the shell grid points [r, r + len(w0)) into w0, w1."""

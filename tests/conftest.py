@@ -40,6 +40,23 @@ def equator_ring(mesh):
     return next(mesh.chunks(mesh.shell_size, start, start + mesh.shell_size))
 
 
+def poisoned(tab, runs):
+    """A copy of the latitude tables tab with every entry of a latitude that runs lacks spoiled.
+
+    A float or complex entry becomes nan and a bool entry flips, so a
+    kernel that reads a table entry of a latitude its chunk does not hold
+    changes its result.
+    """
+    other = np.ones(next(iter(tab.values())).shape[-1], bool)
+    other[[j for j, _, _ in runs]] = False
+    spoiled = {}
+    for name, table in tab.items():
+        table = np.array(table)
+        table[..., other] = ~table[..., other] if table.dtype == bool else np.nan
+        spoiled[name] = table
+    return spoiled
+
+
 @pytest.fixture(scope="session")
 def mesh9():
     """Coarse mesh: 562 points, enough for exact-identity sweeps."""

@@ -25,6 +25,7 @@ from expspec.algebra import (
     _identity_chunk,
     _inverse_identity_chunk,
     _reciprocal,
+    _tables,
     _times_i,
     field_a,
     field_b,
@@ -40,7 +41,7 @@ from expspec.homotopy import f_map, suspension_eh
 from expspec.linalg2 import Layout, SingularMatrix, eig2, eye_like, mat_inv, mat_mul, op_norm, planes
 from expspec.sphere import mesh_s4
 
-from conftest import as_field, as_stack, assert_no_child_left
+from conftest import as_field, as_stack, assert_no_child_left, poisoned
 
 S = 1 / np.sqrt(2)
 
@@ -256,16 +257,16 @@ def test_many_chunk_sweep_leaves_no_tuples_behind(mesh9, monkeypatch):
     # of the dict free list, which holds at most 80
     monkeypatch.setattr(algebra, "CHUNK", 2)
 
-    def kernel(z0, z1, z2, ws):
-        _identity_chunk(z0, z1, z2, ws)
+    def kernel(z0, z1, z2, ws, lat):
+        _identity_chunk(z0, z1, z2, ws, lat)
 
-    algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT)
+    algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT, _tables)
     enabled = gc.isenabled()
     gc.disable()
     gc.collect()  # empties the free lists
     tracemalloc.start()
     try:
-        algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT)
+        algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT, _tables)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -290,12 +291,26 @@ class _Arrays:
             yield self.z0[i:j], self.z1[i:j], self.z2[i:j]
 
 
+class _Poisoned:
+    """A mesh stand-in: the mesh's chunks and latitude runs, with z0 = nan at one point."""
+
+    def __init__(self, mesh, index):
+        self.mesh, self.index, self.z2_values = mesh, index, mesh.z2_values
+
+    def __len__(self):
+        return len(self.mesh)
+
+    def chunks(self, size, start=0, stop=None, runs=False):
+        for i, chunk in zip(range(start, len(self), size), self.mesh.chunks(size, start, stop, runs)):
+            if 0 <= self.index - i < len(chunk[0]):
+                chunk[0][self.index - i] = np.nan
+            yield chunk
+
+
 def test_inverse_identity_sweep_keeps_nan_lanes(mesh9):
     # a nan point has a nan condition number; it must reach the maximum,
     # not be skipped as ill-conditioned (the skip count stays the clean 80)
-    z0, z1, z2 = mesh9.arrays()
-    z0[len(z0) // 3] = np.nan
-    worst, skipped = inverse_identity_sweep(_Arrays(z0, z1, z2))
+    worst, skipped = inverse_identity_sweep(_Poisoned(mesh9, len(mesh9) // 3))
     assert np.isnan(worst)
     assert skipped == 80
 
@@ -304,9 +319,12 @@ def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     # sweep hands a partial last chunk the views of work[:, :n] of the
     # workspace a full chunk used, so its lanes still hold that chunk's
     # values, here a nan; a fresh nan-filled workspace turns any lane read
-    # before it is written into a nan result
+    # before it is written into a nan result. The planes filled from the
+    # latitude tables are among them, and tables spoiled at every latitude
+    # the partial chunk does not hold must give the same result
     full, n = 300, 100
     z0, z1, z2 = (x[:full] for x in mesh9.arrays())
+    tab, runs, part = _tables(mesh9.z2_values), mesh9.latitude_runs(0, full), mesh9.latitude_runs(0, n)
     z0_nan = z0.copy()
     z0_nan[5] = np.nan
     cases = (
@@ -316,10 +334,12 @@ def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     for chunk, layout, args in cases:
         work = np.full((layout.planes, full), complex(np.nan, np.nan))
         with np.errstate(invalid="ignore"):
-            assert np.isnan(chunk(z0_nan, z1, z2, layout.cut(work), *args)[0])
-        stale = chunk(z0[:n], z1[:n], z2[:n], layout.cut(work[:, :n]), *args)
-        fresh = chunk(z0[:n], z1[:n], z2[:n], layout.cut(np.full((layout.planes, n), complex(np.nan, np.nan))), *args)
-        assert repr(stale) == repr(fresh)
+            assert np.isnan(chunk(z0_nan, z1, z2, layout.cut(work), (tab, runs), *args)[0])
+        stale = chunk(z0[:n], z1[:n], z2[:n], layout.cut(work[:, :n]), (tab, part), *args)
+        fresh = np.full((layout.planes, n), complex(np.nan, np.nan))
+        fresh = chunk(z0[:n], z1[:n], z2[:n], layout.cut(fresh), (tab, part), *args)
+        spoiled = chunk(z0[:n], z1[:n], z2[:n], layout.cut(work[:, :n]), (poisoned(tab, part), part), *args)
+        assert repr(stale) == repr(fresh) == repr(spoiled)
         assert not np.isnan(fresh).any()
 
 
@@ -637,9 +657,10 @@ def test_times_i_allocates_no_cast_buffer():
 # a call of each evaluator on one chunk z = (z0, z1, z2), its buffers made by new(k)
 NO_CAST_CASES = {
     "product_eigenvalue": lambda z, new: partial(product_eigenvalue, z[2], out=new(1)[0], work=new(2)),
-    "f_map": lambda z, new: partial(f_map, *z, out=new(2), work=new(2)),
-    "suspension_eh": lambda z, new: partial(suspension_eh, *z, out=new(2), work=new(3)),
-    "_identity_chunk": lambda z, new: partial(_identity_chunk, *z, _IDENTITY_LAYOUT.cut(new(_IDENTITY_LAYOUT.planes))),
+    "f_map": lambda z, new: partial(f_map, *z[:3], out=new(2), work=new(2)),
+    "suspension_eh": lambda z, new: partial(suspension_eh, *z[:3], out=new(2), work=new(3)),
+    "_identity_chunk": lambda z, new: partial(_identity_chunk, *z[:3], _IDENTITY_LAYOUT.cut(new(_IDENTITY_LAYOUT.planes)),
+                                              (_tables(mesh_s4(65, 64).z2_values), z[3])),
 }
 
 
@@ -648,7 +669,7 @@ def test_buffered_evaluators_allocate_no_cast_buffer(name):
     # a float plane in a complex ufunc (s * w, or a complex plane divided by
     # a float one) is cast to complex in a 128 KiB buffer per call on a
     # chunk. The first call fills numpy's caches; the second is traced.
-    z = next(mesh_s4(65, 64).chunks(CHUNK, 1 << 20))
+    z = next(mesh_s4(65, 64).chunks(CHUNK, 1 << 20, runs=True))
     evaluate = NO_CAST_CASES[name](z, lambda k: np.empty((k, CHUNK), np.complex128))
     evaluate()
     tracemalloc.start()

@@ -23,7 +23,7 @@ from expspec.linalg2 import eye_like, op_norm
 from expspec.report import RunConfig, run_certify
 from expspec.sphere import mesh_s4
 
-from conftest import as_stack, equator_ring, hopf
+from conftest import as_stack, equator_ring, hopf, poisoned
 
 S = 1 / np.sqrt(2)
 
@@ -159,7 +159,7 @@ def test_antipode_gap_is_zero(mesh9, monkeypatch):
     from expspec import homotopy
 
     def neg_f(z0, z1, z2, **buffers):
-        # buffers: the out=/work= that the f/Eh sweep passes
+        # buffers: the out=, work= and lat= that the f/Eh sweep passes
         f0, f1 = f_map(z0, z1, z2, **buffers)
         return -f0, -f1
 
@@ -346,9 +346,9 @@ def test_flip_f_sweeps_the_production_kernel(mesh9, monkeypatch):
 
     sweep, calls = homotopy.sweep, []
 
-    def recording(kernel, mesh, layout=None):
-        calls.append((kernel, layout))
-        return sweep(kernel, mesh, layout)
+    def recording(kernel, mesh, layout=None, tables=None):
+        calls.append((kernel, layout, tables.func))
+        return sweep(kernel, mesh, layout, tables)
 
     monkeypatch.setattr(homotopy, "sweep", recording)
     build_certificates(mesh9)
@@ -365,48 +365,62 @@ def test_certify_sweeps_its_mesh_once(sabotage, mesh9, monkeypatch):
 
     sweep, calls = homotopy.sweep, []
 
-    def recording(kernel, mesh, layout=None):
-        calls.append((kernel, mesh, layout))
-        return sweep(kernel, mesh, layout)
+    def recording(kernel, mesh, layout=None, tables=None):
+        calls.append((kernel, mesh, layout, tables.func))
+        return sweep(kernel, mesh, layout, tables)
 
     monkeypatch.setattr(homotopy, "sweep", recording)
     build_certificates(mesh9, segments=64, sabotage=sabotage)
     assert len(calls) == 1
-    assert calls[0] == (homotopy._certify_chunk, mesh9, homotopy._CERTIFY_LAYOUT)
+    assert calls[0] == (homotopy._certify_chunk, mesh9, homotopy._CERTIFY_LAYOUT, homotopy._certify_tables)
 
 
 def test_first_failing_chunk_decides_the_certify_error(mesh9, monkeypatch):
-    # inside a chunk the path start runs before f and Eh, so on a mesh that
-    # fails both ways the error of the first failing chunk is the one raised
+    # every z2-only factor is evaluated on the latitude cosines before the
+    # first chunk (the det grid and the latitude tables), so its error comes
+    # first; among the per-point errors the first failing chunk decides, and
+    # inside a chunk the path start runs before f and Eh
     from expspec import homotopy
     from expspec.algebra import DomainError
     from expspec.homotopy import DegenerateProjection
+    from expspec.linalg2 import SingularMatrix, mat_mul
 
     def phi_raising_at_south_pole(z2, **buffers):
-        # the det grid's latitude values hold -1 too, but it passes all nine at once
-        if len(z2) < mesh9.lat_count and np.any(np.asarray(z2) == -1.0):
-            raise DomainError("late chunk")
+        if np.any(np.asarray(z2) == -1.0):
+            raise DomainError("z2 factor")
         return phi(z2, **buffers)
 
     def f_map_raising_at(lane):
         def raising(x0, x1, x2, **buffers):
             if np.any(x2 == lane):
-                raise DegenerateProjection("early chunk")
+                raise DegenerateProjection("f at z2 = %g" % lane)
             return f_map(x0, x1, x2, **buffers)
 
         return raising
 
+    def path_raising_on(lanes):
+        # the path start's product holds the chunk's lanes; only the last chunk is short
+        def raising(x, y, **buffers):
+            if x.shape[1] == lanes:
+                raise SingularMatrix("path start on %d lanes" % lanes)
+            return mat_mul(x, y, **buffers)
+
+        return raising
+
     monkeypatch.setattr(algebra, "CHUNK", 7)
-    monkeypatch.setattr(homotopy, "phi", phi_raising_at_south_pole)
-    with pytest.raises(DomainError, match="late chunk"):
-        build_certificates(mesh9, segments=64)
-    # the north pole is in the first chunk, the south pole in the last
+    # the north pole is in the first chunk, the south pole in the last, of 2 lanes
+    assert len(mesh9) % 7 == 2
     monkeypatch.setattr(homotopy, "f_map", f_map_raising_at(1.0))
-    with pytest.raises(DegenerateProjection, match="early chunk"):
+    monkeypatch.setattr(homotopy, "phi", phi_raising_at_south_pole)
+    with pytest.raises(DomainError, match="z2 factor"):
+        build_certificates(mesh9, segments=64)
+    monkeypatch.setattr(homotopy, "phi", phi)
+    monkeypatch.setattr(homotopy, "mat_mul", path_raising_on(2))
+    with pytest.raises(DegenerateProjection, match="f at z2 = 1"):
         build_certificates(mesh9, segments=64)
     # in the last chunk itself the path start fails first
     monkeypatch.setattr(homotopy, "f_map", f_map_raising_at(-1.0))
-    with pytest.raises(DomainError, match="late chunk"):
+    with pytest.raises(SingularMatrix, match="path start on 2 lanes"):
         build_certificates(mesh9, segments=64)
 
 
@@ -521,7 +535,12 @@ def test_one_pass_matches_two_pass_reference(mesh_name, request, monkeypatch):
     default_chunk = algebra.CHUNK
     monkeypatch.setattr(algebra, "CHUNK", len(mesh))
     expected = _reference_antipodal_gap(mesh)
-    for chunk in (default_chunk, 7):
+    # small chunks that straddle the latitude and equator runs: 7 points on
+    # mesh9, and on mesh33 1,021, which does not divide its 7,232-point
+    # shell (7 points there made 32,028 chunks and a quarter of the suite)
+    small = 7 if mesh_name == "mesh9" else 1021
+    assert mesh.shell_size % small != 0
+    for chunk in (default_chunk, small):
         monkeypatch.setattr(algebra, "CHUNK", chunk)
         assert asdict(antipodal_gap(mesh)) == expected
     # the same pass's second value at every chunk size, so one size suffices
@@ -705,23 +724,28 @@ def test_homotopy_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
     # sweep hands a partial last chunk the views of work[:, :n] of the
     # workspace a full chunk used, so its lanes still hold that chunk's
     # values, here a nan; a fresh nan-filled workspace turns any lane read
-    # before it is written into a nan result
-    from expspec.homotopy import _CERTIFY_LAYOUT, DegenerateProjection, _certify_chunk
+    # before it is written into a nan result. The planes filled from the
+    # latitude tables are among them, and tables spoiled at every latitude
+    # the partial chunk does not hold must give the same result
+    from expspec.homotopy import _CERTIFY_LAYOUT, DegenerateProjection, _certify_chunk, _certify_tables
 
     full, n = 300, 100
     # from the fourth latitude on, so the partial chunk holds equator lanes too
     z0, z1, z2 = (x[200 : 200 + full] for x in mesh9.arrays())
     assert np.count_nonzero(z2[:n] == 0.0) > 0
+    tab = _certify_tables(mesh9.z2_values, null_homotopy_ba(mesh9.z2_values, 0.0))
+    runs, part = mesh9.latitude_runs(200, full), mesh9.latitude_runs(200, n)
     z0_nan = z0.copy()
     z0_nan[5] = np.nan
     work = np.full((_CERTIFY_LAYOUT.planes, full), complex(np.nan, np.nan))
     # the path start takes the nan lane in; f_map rejects it, after writing it
     with np.errstate(invalid="ignore"), pytest.raises(DegenerateProjection):
-        _certify_chunk(z0_nan, z1, z2, _CERTIFY_LAYOUT.cut(work))
-    stale = _certify_chunk(z0[:n], z1[:n], z2[:n], _CERTIFY_LAYOUT.cut(work[:, :n]))
+        _certify_chunk(z0_nan, z1, z2, _CERTIFY_LAYOUT.cut(work), (tab, runs))
+    stale = _certify_chunk(z0[:n], z1[:n], z2[:n], _CERTIFY_LAYOUT.cut(work[:, :n]), (tab, part))
     fresh = np.full((_CERTIFY_LAYOUT.planes, n), complex(np.nan, np.nan))
-    fresh = _certify_chunk(z0[:n], z1[:n], z2[:n], _CERTIFY_LAYOUT.cut(fresh))
-    assert repr(stale) == repr(fresh)
+    fresh = _certify_chunk(z0[:n], z1[:n], z2[:n], _CERTIFY_LAYOUT.cut(fresh), (tab, part))
+    spoiled = _certify_chunk(z0[:n], z1[:n], z2[:n], _CERTIFY_LAYOUT.cut(work[:, :n]), (poisoned(tab, part), part))
+    assert repr(stale) == repr(fresh) == repr(spoiled)
     assert not np.isnan(np.asarray(fresh, dtype=float)).any()
 
 

@@ -10,6 +10,7 @@ from expspec.linalg2 import (
     SINGULARITY_RTOL,
     Field,
     SingularMatrix,
+    _negate,
     aligned,
     carve,
     cond2,
@@ -442,3 +443,18 @@ def test_carve_leaves_no_tuples_behind():
         if enabled:
             gc.enable()
     assert kept < 16 << 10
+
+
+def test_negate_is_np_negative_bit_for_bit():
+    # mat_inv, eig2 and phi negate a complex plane through its float64
+    # parts, 4 times faster than the complex ufunc; every (re, im) pair of
+    # these values, signed zeros, infinities, nans and a subnormal included,
+    # must keep np.negative's bits, in 1, 2 and 100 lanes and a 0-d array
+    values = [0.0, -0.0, 1.5, -2.5, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e308]
+    x = np.empty(len(values) ** 2, np.complex128)
+    x.real, x.imag = np.repeat(values, len(values)), np.tile(values, len(values))
+    for lanes in (x[:1], x[:2], x, x[3]):
+        lanes = np.array(lanes)
+        out = np.empty_like(lanes)
+        assert _negate(lanes, out) is out
+        assert out.tobytes() == np.negative(lanes).tobytes()

@@ -222,3 +222,23 @@ def test_chunk_buffers_start_on_a_cache_line():
     chunks = list((z0.ctypes.data, z1.ctypes.data, z2.ctypes.data) for z0, z1, z2 in mesh.chunks(100, 3, 530))
     assert len(chunks) == 6
     assert all(address % 64 == 0 for chunk in chunks for address in chunk)
+
+
+@pytest.mark.parametrize("lat, shell, sizes", [(3, 8, (1, 2, 7)), (9, 8, (1, 2, 7, CHUNK)), (33, 32, (1021, CHUNK))])
+def test_latitude_runs_cover_each_chunk_by_latitude(lat, shell, sizes):
+    # the runs a chunk carries are latitude_runs of its range: consecutive,
+    # covering it, cut only at its ends and at latitude boundaries, and each
+    # run's z2 is its latitude's value, so a latitude table fills it
+    m = mesh_s4(lat, shell)
+    for size in sizes:
+        start = 0
+        for z0, z1, z2, runs in m.chunks(size, runs=True):
+            assert runs == m.latitude_runs(start, len(z2))
+            assert [k for _, k, _ in runs] == list(np.cumsum([0] + [n for *_, n in runs])[:-1])
+            assert sum(n for *_, n in runs) == len(z2)
+            assert all(a[0] + 1 == b[0] for a, b in zip(runs, runs[1:]))
+            for j, k, n in runs:
+                assert np.all(z2[k : k + n] == m.z2_values[j])
+                assert n == 1 if j in (0, lat - 1) else n <= m.shell_size
+            start += len(z2)
+        assert start == len(m)
