@@ -29,26 +29,21 @@ can be exercised. All evaluators broadcast over arrays of coordinates and
 return linalg2 Fields.
 """
 
-import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fork import _two_halves
+
 # cond2 is unused here but stays importable as expspec.algebra.cond2, a
 # kernel that perfbench/tracer.py wraps at this module
-from .fork import _fork_helper
 from .linalg2 import (  # noqa: F401
     FIELD,
     FLOAT,
     PLANE,
     Layout,
     _fill_tables,
-    _negate,
-    _rows,
     aligned,
-    buffer,
-    carve,
     carved,
     cond2,
     eig2,
@@ -110,11 +105,6 @@ CHUNK = 1 << 13
 # sweep lost 9.0 -> 13.7 ms.
 SPLIT_POINTS = 1 << 18
 
-# signal.SIGKILL on every POSIX system; importing the signal module would
-# add about 90 KiB to the RSS of every process for this one number
-_SIGKILL = 9
-
-
 class DomainError(ValueError):
     """Argument outside the function's documented domain."""
 
@@ -129,8 +119,8 @@ def sweep(kernel, mesh, layout=None, tables=None):
     pointwise, so the folded results do not depend on CHUNK, for chunks of
     2 or more points. On numpy's AVX-512 kernels a ufunc run on a 1-element
     array can round differently from the same point among 2 or more lanes
-    (phi's in-place w * w, for one). A CHUNK of 2 or more leaves at most a
-    lone last point, the south pole, where the evaluators are exact.
+    (field_c, for one). A CHUNK of 2 or more leaves at most a lone last
+    point, the south pole, where the evaluators are exact.
 
     With a linalg2.Layout the kernel also gets, as its next argument, the
     layout's named views of its workspace, cut to the chunk's length. Each
@@ -147,13 +137,10 @@ def sweep(kernel, mesh, layout=None, tables=None):
     mesh writes z2. A table of lat_count >= 3 lanes is, by the rule above,
     bit for bit the factor at each point of a chunk of 2 or more points.
 
-    A sweep of at least SPLIT_POINTS points runs its back half in a forked
-    helper (see _two_halves), cut at the chunk boundary (count // 2) * CHUNK:
-    once per sweep, so once for all of certify's mesh evidence.
-    The chunks, the kernel arithmetic and the fold order are those of one
-    process, so every result is bit for bit the same. A helper's side
-    effects stay in the helper: its warnings print there, and a tracer in
-    this process sees only the front half.
+    A sweep of at least SPLIT_POINTS points runs as fork._two_halves, whose
+    blocks are the chunks: once per sweep, so once for all of certify's
+    mesh evidence. The chunks, the kernel arithmetic and the fold order are
+    those of one process, so every result is bit for bit the same.
     """
 
     tab = tables(mesh.z2_values) if tables else None
@@ -166,69 +153,6 @@ def sweep(kernel, mesh, layout=None, tables=None):
             yield kernel(*args, (tab, *runs)) if tables else kernel(*args)
 
     return list(_two_halves(len(mesh), CHUNK, run, len(mesh) >= SPLIT_POINTS))
-
-
-def _two_halves(length, block, run, split):
-    """The results of run(0, length), in order, its back half run by a forked helper.
-
-    run(start, stop) yields one result per `block`-long range of [start,
-    stop), in order, the last range shorter. This generator yields them as
-    they come. With split, where the range is two blocks or more and
-    os.sched_getaffinity(0) offers two or more CPUs, the range is cut at
-    the block boundary (count // 2) * block. One helper forked with os.fork
-    runs the back half and pickles its results through a pipe while this
-    process runs the front half; the back half's results follow the front
-    half's. Processes, not threads: the GIL changes hands at every ufunc
-    call, and at a block's size a call is too short to pay for that, so
-    two threads measured no faster than one.
-
-    A failing run raises what one process raises: the front half's error
-    first, else the back half's, with its type and message. Each process
-    holds its own run's buffers, and the max RSS that wait4 reports for
-    this process is the larger of its own and its reaped helper's, not
-    their sum. The helper checks before each block it pulls that its parent
-    is alive, and exits if not; any error here, a KeyboardInterrupt or a
-    consumer that closes this generator included, kills and reaps it
-    first. Where the helper cannot be forked, this process runs
-    run(0, length) as it does without split; where a helper delivers
-    nothing readable, this process runs the back half itself. sweep (the
-    identity, inverse-identity, certify and spectrum sweeps) and linking's
-    pair pass are the callers, and report.run_all, whose two
-    blocks are its two groups of suites: the mesh sweeps run here, and the
-    helper runs the spectra and generalize, LAPACK calls included.
-    """
-    count = -(-length // block)
-    cut = count // 2 * block
-    helper = split and count >= 2 and _cpus() >= 2 and _fork_helper(run, cut, length, count - count // 2)
-    if not helper:
-        yield from run(0, length)
-        return
-    pid, pipe = helper
-    try:
-        yield from run(0, cut)
-        data = pipe.read()
-    except BaseException:
-        os.kill(pid, _SIGKILL)
-        raise
-    finally:
-        pipe.close()
-        os.waitpid(pid, 0)
-    try:
-        done, back = pickle.loads(data)
-    except Exception:
-        # a helper that delivered nothing readable
-        yield from run(cut, length)
-        return
-    if not done:
-        raise back
-    yield from back
-
-
-def _cpus():
-    """The CPUs this process may run on; 1 where that is unknown."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _coords(z0, z1, z2):
@@ -255,25 +179,20 @@ def _reciprocal(z2, out):
     return np.divide(1.0, np.add(1.0, _times_i(z2, out), out=out), out=out)
 
 
-def phi(z2, out=None, work=None):
+def phi(z2):
     """phi(z2) = -((1 - i z2)/(1 + i z2))^2, unit modulus on [-1, 1].
 
     phi(0) = -1, phi(+-1) = 1. Inputs within 1e-12 of the interval are
     clamped (guards one-ulp overshoot in convex combinations); anything
-    further out raises DomainError. out and work (1 plane) as in linalg2.
+    further out raises DomainError.
     """
     z2 = np.asarray(z2, dtype=np.float64)
-    out = buffer(out, z2.shape, np.complex128)
-    t = workspace(work, 1, z2.shape)[0, ...]
-    # |z2|, then the clamped z2, in the bytes of out until w overwrites them
-    x = carve(out, np.float64)[0]
-    big = carve(t, bool)[0]
-    if np.any(np.greater(np.abs(z2, out=x), 1.0 + 1e-12, out=big)):
+    if np.any(np.greater(np.abs(z2), 1.0 + 1e-12)):
         raise DomainError("phi requires z2 in [-1, 1]")
-    iz = _times_i(np.clip(z2, -1.0, 1.0, out=x), t)
+    iz = _times_i(np.clip(z2, -1.0, 1.0), np.empty(z2.shape, np.complex128))
     # w = (1 - i z2)/(1 + i z2), phi = -(w w)
-    w = np.divide(np.subtract(1.0, iz, out=out), np.add(1.0, iz, out=iz), out=out)
-    return _negate(np.multiply(w, w, out=w), w)
+    w = np.divide(np.subtract(1.0, iz), np.add(1.0, iz))
+    return np.negative(np.multiply(w, w))
 
 
 def field_one(z0, z1, z2):
@@ -380,21 +299,12 @@ def field_one_minus_2ba(z0, z1, z2):
     return eye_like(ba) - 2.0 * ba
 
 
-def product_eigenvalue(z2, out=None, work=None):
-    """The shared nonzero eigenvalue (1 - z2^2)/(1 + i z2)^2 of ab and ba.
-
-    out and work (2 planes) as in linalg2.
-    """
+def product_eigenvalue(z2):
+    """The shared nonzero eigenvalue (1 - z2^2)/(1 + i z2)^2 of ab and ba."""
     z2 = np.asarray(z2, dtype=np.float64)
-    out = buffer(out, z2.shape, np.complex128)
-    w, t = _rows(workspace(work, 2, z2.shape))
-    _reciprocal(z2, out=w)
-    s = carve(t, np.float64)[0]
-    np.subtract(1.0, np.multiply(z2, z2, out=s), out=s)
-    # ((1 - z2^2) w) w; s is copied into out first, as the cast buffer of
-    # the mixed product would hold it, so no chunk-sized buffer is allocated
-    np.copyto(out, s)
-    return np.multiply(np.multiply(out, w, out=out), w, out=out)
+    w = _reciprocal(z2, out=np.empty(z2.shape, np.complex128))
+    # ((1 - z2^2) w) w
+    return np.multiply(np.multiply(np.subtract(1.0, np.multiply(z2, z2)), w), w)
 
 
 def _tables(z2):

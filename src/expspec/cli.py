@@ -96,7 +96,7 @@ def build_parser():
         p = sub.add_parser(command, help=help_)
         if command == "spectrum":
             p.add_argument("element", metavar="ELEMENT", choices=SPECTRUM_ELEMENTS,
-                           help="one of: ab, ba, one-minus-2ab, one-minus-2ba")
+                           help=f"one of: {', '.join(SPECTRUM_ELEMENTS)}; one is the identity element, a debugging aid")
         for name in (*names, "out", "fmt"):
             flag, options = _FLAGS[name]
             # an absent flag leaves no attribute, so RunConfig supplies its default

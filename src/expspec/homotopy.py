@@ -78,7 +78,6 @@ from .linalg2 import (
     carve,
     carved,
     eye_like,
-    field_buffer,
     mat_mul,
     op_norm,
     planar,
@@ -491,21 +490,15 @@ def antipodal_gap(mesh, _flip_equator=False):
     return _certify_evidence(mesh, _flip_equator)[1]
 
 
-def null_homotopy_ba(z2, t, out=None, work=None):
+def null_homotopy_ba(z2, t):
     """Explicit null homotopy of 1 - 2ba, as a Field: H(x, t) = diag(phi((1-t) z2 + t), 1).
 
-    H depends on the point x = (z0, z1, z2) only through z2. out and work
-    (1 plane) as in linalg2.
+    H depends on the point x = (z0, z1, z2) only through z2.
     """
     if np.any((np.asarray(t) < 0) | (np.asarray(t) > 1)):
         raise ValueError("t must lie in [0, 1]")
-    z2 = np.asarray(z2, dtype=np.float64)
-    shape = np.broadcast(z2, t).shape
-    out, (h00, _, _, h11) = field_buffer(out, shape)
-    # the argument of phi, in the bytes of h11 until planar overwrites them
-    x = carve(h11, np.float64)[0]
-    np.add(np.multiply(1.0 - t, z2, out=x), t, out=x)
-    return planar(phi(x, out=h00, work=workspace(work, 1, shape)), 0.0, 0.0, 1.0, out=out)
+    x = np.add(np.multiply(1.0 - t, np.asarray(z2, dtype=np.float64)), t)
+    return planar(phi(x), 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

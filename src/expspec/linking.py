@@ -26,22 +26,20 @@ and 2.0e-7 at 4096 for the default fiber pair.
 One O(n m) pass over the segment pairs yields both the Gauss sum and
 the curve separation, which share each pair's midpoint distance. It
 walks the outer curve in row blocks of BLOCK_ELEMENTS // m rows, on
-planar x/y/z arrays of shape (rows, m), so peak memory is
-O(n + m + BLOCK_ELEMENTS) rather than O(n m) at every segment count.
-A pass of at least SPLIT_PAIRS pairs, on two or more CPUs, runs the
-row blocks before the cut (count // 2) * (rows per block) in this
-process and the rest in one forked helper (algebra._two_halves), each
-with its own workspace. Where a row runs changes no value, and neither
-does blocking: each pair term is computed with the same roundings as
-the (n, m, 3) formulation (length-3 dot products grouped (x + z) + y,
-squared norms (x + y) + z, as numpy's einsum and norm group them on
-x86-64); each row sum is one numpy sum over a full row, in whichever
-process ran it; the row sums are stored in row order and merged by
-math.fsum, which is exact before its one rounding, so no merge order
-can show; and a minimum is exact in any order. The separation is a
-proven lower bound on the distance between the curves, one
-midpoint-to-midpoint norm per pair less the two half lengths; see
-curve_separation for the proof and its rounding slack.
+planar x/y/z arrays of shape (rows, m), so peak memory is O(n + m +
+BLOCK_ELEMENTS) rather than O(n m) at every segment count. A pass of at
+least SPLIT_PAIRS pairs runs its row blocks as the blocks of
+fork._two_halves, each process with its own workspace. Where a row runs
+changes no value, and neither does blocking: each pair term is computed
+with the same roundings as the (n, m, 3) formulation (length-3 dot
+products grouped (x + z) + y, squared norms (x + y) + z, as numpy's
+einsum and norm group them on x86-64); each row sum is one numpy sum
+over a full row, in whichever process ran it; the row sums are stored
+in row order and merged by math.fsum, which is exact before its one
+rounding, so no merge order can show; and a minimum is exact in any
+order. The separation is a proven lower bound on the distance between
+the curves, one midpoint-to-midpoint norm per pair less the two half
+lengths; see curve_separation for the proof and its rounding slack.
 
 Orientation convention: increasing theta on both fibers and a
 right-handed frame in R^3. With DEFAULT_POLE this yields -1 for the
@@ -53,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _two_halves
+from .fork import _two_halves
 from .linalg2 import PLANE, Layout, aligned
 from .sphere import SpherePoint3
 
@@ -239,7 +237,7 @@ def _pair_pass(c1, c2):
     holes or grows the heap, and peak RSS then depends on the layout. The
     workspace comes from linalg2.aligned, so its planes start on a cache
     line wherever the heap puts it. From SPLIT_PAIRS pairs on, a forked
-    helper runs the back half of the row blocks (algebra._two_halves). The
+    helper runs the back half of the row blocks (fork._two_halves). The
     blocks' minima fold with np.minimum and their row sums join in row
     order, as in one process.
     """

@@ -16,7 +16,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .algebra import _two_halves, field_a, field_b, identity_residuals, inverse_identity_sweep
+from .algebra import field_a, field_b, identity_residuals, inverse_identity_sweep
+from .fork import _two_halves
 from .generalize import eval_a_n, eval_b_n, family_identity_check, mesh_s2n
 from .homotopy import SABOTAGE_TAGS, Check, build_certificates, check_records
 from .sphere import InvalidResolution, mesh_s4
@@ -338,7 +339,7 @@ def _side_suites(cfg, spec_mesh):
 def run_all(cfg):
     """Every suite in one report: identities, spectra, commutativity, certificates, families.
 
-    The suites run as two tasks of algebra._two_halves, one block each.
+    The suites run as two tasks of fork._two_halves, one block each.
     The first, _mesh_suites, sweeps the verification mesh in this process
     (its sweeps fork their own helpers). The second, _side_suites, runs
     meanwhile in one helper, forked once both mesh descriptions are built
@@ -348,10 +349,8 @@ def run_all(cfg):
     then put together in the order of the suites above, so the report is
     the same bytes whether the helper ran or not.
 
-    The error order is _two_halves': where both tasks fail, the first
-    task's error is the one raised, with or without the helper, and an
-    error here kills and reaps the helper. With one CPU, or where the fork
-    fails, this process runs the two tasks in order.
+    The error order, the kill-and-reap and the one-process fallback are
+    _two_halves': where both tasks fail, the first task's error is raised.
     """
     rep = Report("report-all", asdict(cfg))
     mesh = _mesh_from(cfg)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from expspec import algebra, linking, mesh_s4
+from expspec import algebra, fork, linking, mesh_s4
 from expspec.linalg2 import planar
 
 
@@ -73,15 +73,15 @@ def mesh33():
 def forks(monkeypatch):
     """Split every sweep and linking pass of two or more blocks, and record each os.fork call."""
     calls = []
-    fork = os.fork
+    real_fork = os.fork
 
     def counting_fork():
         calls.append(1)
-        return fork()
+        return real_fork()
 
     monkeypatch.setattr(algebra, "SPLIT_POINTS", 0)
     monkeypatch.setattr(linking, "SPLIT_PAIRS", 0)
-    monkeypatch.setattr(algebra, "_cpus", lambda: 2)
+    monkeypatch.setattr(fork, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", counting_fork)
     return calls
 

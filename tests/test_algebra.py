@@ -1,3 +1,4 @@
+import ast
 import gc
 import os
 import select
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from expspec import algebra, homotopy, spectrum
+from expspec import algebra, fork, homotopy, spectrum
 from expspec.algebra import (
     _IDENTITY_LAYOUT,
     _INVERSE_LAYOUT,
@@ -37,7 +38,7 @@ from expspec.algebra import (
     phi,
     product_eigenvalue,
 )
-from expspec.homotopy import f_map, suspension_eh
+from expspec.homotopy import f_map, null_homotopy_ba, suspension_eh
 from expspec.linalg2 import Layout, SingularMatrix, eig2, eye_like, mat_inv, mat_mul, op_norm, planes
 from expspec.sphere import mesh_s4
 
@@ -225,8 +226,8 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
         assert run_all_sweeps() == one_chunk
 
 
-# the pointwise evaluators whose one-point calls round differently on
-# numpy's AVX-512 kernels, each on (z0, z1, z2)
+# the pointwise evaluators, each on (z0, z1, z2); the one-point calls of
+# field_c, f_map and suspension_eh round differently on numpy's AVX-512 kernels
 POINTWISE = {
     "phi": lambda z0, z1, z2: phi(z2),
     "product_eigenvalue": lambda z0, z1, z2: product_eigenvalue(z2),
@@ -239,14 +240,35 @@ POINTWISE = {
 @pytest.mark.parametrize("name", POINTWISE)
 def test_a_lone_south_pole_chunk_is_exact(name, mesh9):
     # a kernel run on a 1-element array may round differently from the same
-    # point among 2 or more lanes (phi's in-place w * w, for one), so a sweep
-    # matches its one-chunk run for chunks of 2 or more points. Its last chunk
-    # may still hold one point, the south pole, where each evaluator is exact
+    # point among 2 or more lanes (field_c, for one), so a sweep matches its
+    # one-chunk run for chunks of 2 or more points. Its last chunk may still
+    # hold one point, the south pole, where each evaluator is exact
     evaluate, last = POINTWISE[name], len(mesh9) - 1
     alone = np.asarray(evaluate(*next(mesh9.chunks(1, last))))[..., 0].copy()
     for lanes in (2, 3, 8):
         within = np.asarray(evaluate(*next(mesh9.chunks(lanes, last + 1 - lanes))))[..., -1]
         assert alone.tobytes() == within.tobytes()
+
+
+# the z2-only functions, which the latitude tables and the det grid evaluate
+Z2_ONLY = {
+    "phi": phi,
+    "product_eigenvalue": product_eigenvalue,
+    "null_homotopy_ba": lambda z2: null_homotopy_ba(z2, 0.25),
+}
+
+
+@pytest.mark.parametrize("name", Z2_ONLY)
+def test_z2_only_functions_round_alike_one_lane_at_a_time(name):
+    # every lane of one call, bit for bit, whatever the array around it: a
+    # 1-lane call included, on numpy's AVX-512 kernels as on its baseline ones.
+    # At 8,049 values: the first 6,000 points of the 33x32 mesh and the 2,049
+    # latitude cosines of the largest mesh the CLI accepts
+    z2 = np.concatenate([next(mesh_s4(33, 32).chunks(6000))[2], mesh_s4(2049, 8).z2_values])
+    evaluate = Z2_ONLY[name]
+    whole = evaluate(z2)
+    alone = np.concatenate([evaluate(z2[i : i + 1]) for i in range(len(z2))], axis=-1)
+    assert alone.tobytes() == whole.tobytes()
 
 
 def test_many_chunk_sweep_leaves_no_tuples_behind(mesh9, monkeypatch):
@@ -431,7 +453,7 @@ def test_failed_fork_runs_the_whole_range_once(forks, monkeypatch):
 
 def test_one_cpu_sweeps_in_one_process(forks, monkeypatch, mesh9):
     monkeypatch.setattr(algebra, "CHUNK", 7)
-    monkeypatch.setattr(algebra, "_cpus", lambda: 1)
+    monkeypatch.setattr(fork, "_cpus", lambda: 1)
     identity_residuals(mesh9)
     assert not forks
 
@@ -580,9 +602,9 @@ def test_closed_two_halves_kills_its_helper(forks):
 
 ORPHAN_SCRIPT = """
 import os, sys, time
-from expspec import algebra, mesh_s4
+from expspec import algebra, fork, mesh_s4
 algebra.CHUNK, algebra.SPLIT_POINTS = 7, 0
-algebra._cpus = lambda: 2
+fork._cpus = lambda: 2
 fd, main = int(sys.argv[1]), os.getpid()
 
 def kernel(z0, z1, z2):
@@ -620,6 +642,35 @@ def test_helper_stops_when_its_parent_dies():
         proc.wait()
 
 
+# what forks a helper, kills or reaps it, or reads back its results
+FORK_NAMES = {"os.fork", "os.kill", "os.waitpid", "pickle"}
+
+
+def _fork_names(path):
+    """The FORK_NAMES a module's source names: as attributes of os, or imported."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found & FORK_NAMES
+
+
+def test_only_fork_py_forks():
+    # the two-process runner is one module, so a change to how a helper is
+    # forked, killed, reaped or read back changes fork.py alone
+    package = Path(algebra.__file__).parent
+    named = {path.name: _fork_names(path) for path in sorted(package.glob("*.py"))}
+    assert named.pop("fork.py") == FORK_NAMES
+    assert named and not any(named.values()), {name: found for name, found in named.items() if found}
+
+
 # ---------------------------------------------------------------- i * z2
 
 
@@ -643,11 +694,10 @@ def test_times_i_is_the_complex_product_bit_for_bit():
 def test_times_i_allocates_no_cast_buffer():
     # 1j * x casts the float plane to complex in a 128 KiB buffer per call
     x = np.random.RandomState(4).uniform(-1.0, 1.0, CHUNK)
-    out, work = np.empty(CHUNK, np.complex128), np.empty((1, CHUNK), np.complex128)
+    out = np.empty(CHUNK, np.complex128)
     tracemalloc.start()
     try:
         _reciprocal(x, out)
-        phi(x, out=out, work=work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -656,7 +706,6 @@ def test_times_i_allocates_no_cast_buffer():
 
 # a call of each evaluator on one chunk z = (z0, z1, z2), its buffers made by new(k)
 NO_CAST_CASES = {
-    "product_eigenvalue": lambda z, new: partial(product_eigenvalue, z[2], out=new(1)[0], work=new(2)),
     "f_map": lambda z, new: partial(f_map, *z[:3], out=new(2), work=new(2)),
     "suspension_eh": lambda z, new: partial(suspension_eh, *z[:3], out=new(2), work=new(3)),
     "_identity_chunk": lambda z, new: partial(_identity_chunk, *z[:3], _IDENTITY_LAYOUT.cut(new(_IDENTITY_LAYOUT.planes)),

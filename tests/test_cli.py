@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from expspec import algebra, cli, report
+from expspec import algebra, cli, fork, report
 from expspec.algebra import DomainError
 from expspec.linalg2 import SingularMatrix
 from expspec.report import RunConfig
@@ -103,7 +103,6 @@ def test_certify_memory_stays_bounded_in_the_back_half(lat, shell, monkeypatch):
     # that back half's range in this process, under the same bound
     import tracemalloc
 
-    from expspec import algebra
     from expspec.report import run_certify
 
     def no_fork():
@@ -111,7 +110,7 @@ def test_certify_memory_stays_bounded_in_the_back_half(lat, shell, monkeypatch):
         raise OSError("fork refused")
 
     forks = []
-    monkeypatch.setattr(algebra, "_cpus", lambda: 2)
+    monkeypatch.setattr(fork, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = RunConfig(lat=lat, shell=shell).validate()
     tracemalloc.start()
@@ -389,13 +388,13 @@ SIDE_SPLIT = ["report-all", *FAST, "--segments", "64"]
 def side_forks(monkeypatch):
     """Two CPUs, so report-all forks its side-suite helper; records each os.fork call."""
     calls = []
-    fork = os.fork
+    real_fork = os.fork
 
     def recording_fork():
         calls.append(os.getpid())
-        return fork()
+        return real_fork()
 
-    monkeypatch.setattr(algebra, "_cpus", lambda: 2)
+    monkeypatch.setattr(fork, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", recording_fork)
     return calls
 
@@ -414,7 +413,7 @@ def test_report_all_is_the_same_with_or_without_its_side_helper(side_forks, monk
     monkeypatch.setattr(os, "fork", refused)
     assert run(SIDE_SPLIT, capsys) == forked
     assert len(side_forks) == 2
-    monkeypatch.setattr(algebra, "_cpus", lambda: 1)
+    monkeypatch.setattr(fork, "_cpus", lambda: 1)
     assert run(SIDE_SPLIT, capsys) == forked
     assert len(side_forks) == 2
 
@@ -427,7 +426,7 @@ def test_side_suite_error_reads_as_in_process(side_forks, monkeypatch, capsys):
     forked = run(SIDE_SPLIT, capsys)
     assert side_forks
     assert_no_child_left()
-    monkeypatch.setattr(algebra, "_cpus", lambda: 1)
+    monkeypatch.setattr(fork, "_cpus", lambda: 1)
     assert run(SIDE_SPLIT, capsys) == forked == (1, "", "expspec: DomainError: n = 2 is outside the family's domain\n")
 
 
@@ -471,6 +470,17 @@ def test_report_all_builds_both_meshes_here_before_its_fork(side_forks, monkeypa
     # the identity and inverse-identity sweeps, in this process
     assert events == [(os.getpid(), 9, 8), (os.getpid(), 257, 8), "fork", "sweep", "sweep"]
     assert_no_child_left()
+
+
+def test_spectrum_help_names_every_element(monkeypatch, capsys):
+    # wide enough that argparse breaks no element name over two lines
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as done:
+        cli.main(["spectrum", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.split("one of: ")[1].split(";")[0].split(", ") == list(report.SPECTRUM_ELEMENTS)
+    assert "one is the identity element" in text
 
 
 def test_spectrum_one_record_definitions(capsys):
