@@ -78,6 +78,7 @@ __all__ = [
     "CHUNK",
     "SPLIT_POINTS",
     "sweep",
+    "fold",
 ]
 
 # fixed probe multipliers for the inverse identity; 1/mu probes the
@@ -115,12 +116,13 @@ def sweep(kernel, mesh, layout=None, tables=None):
     mesh is a sphere.SphereMesh4, read only through its chunks(): the
     kernel gets (z0, z1, z2) for each range, as views of buffers that the
     next chunk overwrites, so it must not keep them.
-    Returns the per-chunk results in mesh order. Every kernel given here is
-    pointwise, so the folded results do not depend on CHUNK, for chunks of
-    2 or more points. On numpy's AVX-512 kernels a ufunc run on a 1-element
-    array can round differently from the same point among 2 or more lanes
-    (field_c, for one). A CHUNK of 2 or more leaves at most a lone last
-    point, the south pole, where the evaluators are exact.
+    Returns the per-chunk results in mesh order, which fold folds. Every
+    kernel given here is pointwise, so the folded results do not depend on
+    CHUNK, for chunks of 2 or more points. On numpy's AVX-512 kernels a
+    ufunc run on a 1-element array can round differently from the same
+    point among 2 or more lanes (field_c, for one). A CHUNK of 2 or more
+    leaves at most a lone last point, the south pole, where the evaluators
+    are exact.
 
     With a linalg2.Layout the kernel also gets, as its next argument, the
     layout's named views of its workspace, cut to the chunk's length. Each
@@ -139,8 +141,9 @@ def sweep(kernel, mesh, layout=None, tables=None):
 
     A sweep of at least SPLIT_POINTS points runs as fork._two_halves, whose
     blocks are the chunks: once per sweep, so once for all of certify's
-    mesh evidence. The chunks, the kernel arithmetic and the fold order are
-    those of one process, so every result is bit for bit the same.
+    mesh evidence. The chunks and the kernel arithmetic are those of one
+    process, so every per-chunk result is bit for bit the same, and the
+    list holds the parent's chunks, then the helper's.
     """
 
     tab = tables(mesh.z2_values) if tables else None
@@ -153,6 +156,21 @@ def sweep(kernel, mesh, layout=None, tables=None):
             yield kernel(*args, (tab, *runs)) if tables else kernel(*args)
 
     return list(_two_halves(len(mesh), CHUNK, run, len(mesh) >= SPLIT_POINTS))
+
+
+def fold(parts, rules):
+    """Fold sweep's per-chunk result tuples field by field, one rule per field.
+
+    A rule is sum, for counts, or np.maximum or np.minimum, which unlike
+    max() and min() keep a nan from any chunk. A folded maximum or minimum
+    is a float plus 0.0, so a -0.0 extreme reads 0.0: which zero a fold
+    over ties keeps depends on the order it meets them, so CHUNK and the
+    fork's cut would show in the sign. So no result depends on how the
+    mesh was cut: folding each half's parts, then the two folds, gives
+    the fold of all the parts. Returns a tuple, one value per field.
+    """
+    # a list, not a generator, for the same reason as in linalg2._rows
+    return tuple([sum(c) if rule is sum else float(rule.reduce(c)) + 0.0 for rule, c in zip(rules, zip(*parts))])
 
 
 def _coords(z0, z1, z2):
@@ -202,7 +220,7 @@ def field_one(z0, z1, z2):
 
 def _field_out(out, z0, z1, z2):
     """out, or a new Field over the broadcast coordinates, and its entry planes."""
-    return field_buffer(out, np.broadcast_shapes(z0.shape, z1.shape, z2.shape))
+    return field_buffer(out, np.broadcast(z0, z1, z2).shape)
 
 
 def field_a(z0, z1, z2, out=None, lat=None):
@@ -388,15 +406,18 @@ def inverse_identity_sweep(mesh, mus=MU_PROBES):
     cond = smax^2 / |det| <= COND_LIMIT = 1e6 has |det| >= 1e-6 smax^2,
     while the guard fires only at |det| <= 1e-14 smax^2 (SINGULARITY_RTOL),
     eight orders lower, and a nan lane fails the guard's <=. Returns
-    (max_residual, skipped_count).
+    (max_residual, skipped_count), folded over the chunks by fold.
     """
-    parts = sweep(
-        lambda z0, z1, z2, work, lat: _inverse_identity_chunk(z0, z1, z2, work, lat, mus),
-        mesh,
-        _INVERSE_LAYOUT,
-        _tables,
+    worst, skipped = fold(
+        sweep(
+            lambda z0, z1, z2, work, lat: _inverse_identity_chunk(z0, z1, z2, work, lat, mus),
+            mesh,
+            _INVERSE_LAYOUT,
+            _tables,
+        ),
+        (np.maximum, sum),
     )
-    return float(np.max([w for w, _ in parts])), sum(s for _, s in parts)
+    return worst, skipped
 
 
 @dataclass(frozen=True)
@@ -468,7 +489,7 @@ def identity_residuals(mesh):
     Checked against closed forms derived by hand:
     a^2 = (z0/(1+i z2)) a, b^2 = (conj z0/(1+i z2)) b (rank-one algebra),
     1-2ab = c, 1-2ba = diag(phi, 1), and eig(ab) = {product eigenvalue, 0}.
+    Each maximum folds over the chunks by fold's np.maximum rule, so a nan
+    at any point reaches it.
     """
-    parts = sweep(_identity_chunk, mesh, _IDENTITY_LAYOUT, _tables)
-    # np.maximum, unlike max(), keeps a nan from any chunk
-    return IdentityResiduals(*map(float, np.maximum.reduce(parts)))
+    return IdentityResiduals(*fold(sweep(_identity_chunk, mesh, _IDENTITY_LAYOUT, _tables), (np.maximum,) * 6))

@@ -65,7 +65,7 @@ from functools import partial
 import numpy as np
 
 from . import linking
-from .algebra import _c_column, _c_factors, _coords, _tables, _times_i, field_a, field_b, phi, sweep
+from .algebra import _c_column, _c_factors, _coords, _tables, _times_i, field_a, field_b, fold, phi, sweep
 from .linalg2 import (
     FIELD,
     FLOAT,
@@ -330,9 +330,7 @@ def _f_eh_chunk(x0, x1, x2, ws, lat):
     _fill_tables(s, lat, "sign")
     signed = np.minimum(np.multiply(s, f1.imag, out=d), np.multiply(s, e1.imag, out=d1), out=d)
     np.copyto(signed, np.inf, where=_fill_tables(drop, lat, "drop"))
-    # + 0.0 turns a -0.0 minimum into 0.0: which zero a min over ties keeps
-    # depends on the order it meets them, so the chunking would show in the sign
-    return min_gap, signed.min() + 0.0, flipped, equator
+    return min_gap, signed.min(), flipped, equator
 
 
 def hemisphere_preservation(mesh):
@@ -478,14 +476,14 @@ def antipodal_gap(mesh, _flip_equator=False):
     (hemisphere_worst_violation, inf without off-equator, off-pole points)
     and the equator coincidence (equator_max_deviation, max |f - Eh| over
     the mesh's equator latitude, -inf without one); the minima and the
-    maxima fold per chunk. It runs inside certify's one mesh sweep, after
-    the path start on the same chunk (see _certify_evidence), which reads
-    the mesh in its own order, north to south, as _f_eh_chunk's equator
-    run needs. The kernel measures max |f + Eh| on the equator too, on
-    every run: _flip_equator, the flip-f negative control of
-    build_certificates, reports that maximum as equator_max_deviation
-    (about 2, as if f were negated on the equator), so the control runs
-    the same kernel as the real run.
+    maxima fold over the chunks by algebra.fold. It runs inside certify's
+    one mesh sweep, after the path start on the same chunk (see
+    _certify_evidence), which reads the mesh in its own order, north to
+    south, as _f_eh_chunk's equator run needs. The kernel measures
+    max |f + Eh| on the equator too, on every run: _flip_equator, the
+    flip-f negative control of build_certificates, reports that maximum
+    as equator_max_deviation (about 2, as if f were negated on the
+    equator), so the control runs the same kernel as the real run.
     """
     return _certify_evidence(mesh, _flip_equator)[1]
 
@@ -560,6 +558,9 @@ def _certify_evidence(mesh, flip_equator=False):
     the det grid, whose t = 0 Field is the path start's table, the others
     in _certify_tables. So a factor's error comes first; among per-point
     errors the first failing chunk decides, the path start before f and Eh.
+    The five per-chunk values of _certify_chunk fold by algebra.fold, each
+    by its rule: the maxima of the path start and of both equator runs,
+    the minima of |f + Eh| and of the hemisphere sign.
     """
     det_dev, h_start = 0.0, None
     for t in np.linspace(0.0, 1.0, PATH_T_COUNT):
@@ -568,10 +569,8 @@ def _certify_evidence(mesh, flip_equator=False):
         # np.maximum, unlike max(), keeps a nan from any t
         det_dev = np.maximum(det_dev, np.abs(np.abs(h00 * h11 - h01 * h10) - 1.0).max())
 
-    folds = np.array(sweep(_certify_chunk, mesh, _CERTIFY_LAYOUT, partial(_certify_tables, start=h_start)))
-    # np.minimum and np.maximum, unlike min() and max(), keep a nan from any chunk
-    start, flipped, equator = map(float, np.maximum.reduce(folds[:, [0, 3, 4]]))
-    min_gap, hemisphere = map(float, np.minimum.reduce(folds[:, 1:3]))
+    parts = sweep(_certify_chunk, mesh, _CERTIFY_LAYOUT, partial(_certify_tables, start=h_start))
+    start, min_gap, hemisphere, flipped, equator = fold(parts, (np.maximum, np.minimum, np.minimum, np.maximum, np.maximum))
     path = PathInvertibility(float(det_dev), start, float(op_norm(h - eye_like(h)).max()))
     return path, AntipodalGap(
         equator_max_deviation=flipped if flip_equator else equator,

@@ -92,8 +92,7 @@ _EYE.flags.writeable = False
 
 def planar(m00, m01, m10, m11, out=None):
     """Pack four broadcastable entry arrays into a Field."""
-    # a list, not a generator, for the same reason as in _rows
-    shape = np.broadcast_shapes(*[np.shape(v) for v in (m00, m01, m10, m11)])
+    shape = np.broadcast(m00, m01, m10, m11).shape
     out, planes = field_buffer(out, shape)
     for plane, value in zip(planes, (m00, m01, m10, m11)):
         np.copyto(plane, value)
@@ -248,7 +247,7 @@ def mat_mul(x, y, out=None, work=None):
     """Matrix product of two Fields (literal multiplication, no shortcuts); work: 1 plane."""
     x00, x01, x10, x11 = _entries(x)
     y00, y01, y10, y11 = _entries(y)
-    shape = np.broadcast_shapes(x00.shape, y00.shape)
+    shape = np.broadcast(x00, y00).shape
     out, (o00, o01, o10, o11) = field_buffer(out, shape)
     (t,) = _rows(workspace(work, 1, shape))
     np.multiply(x00, y00, out=o00)
@@ -267,7 +266,7 @@ def sort_pair(r1, r2, out=None, work=None):
 
     work: 1 plane.
     """
-    shape = np.broadcast_shapes(np.shape(r1), np.shape(r2))
+    shape = np.broadcast(r1, r2).shape
     out = buffer(out, (2,) + shape, np.result_type(r1, r2))
     swap, tie, above = carve(workspace(work, 1, shape)[0, ...], bool)[:3]
     # swap = (r1.real > r2.real) | ((r1.real == r2.real) & (r1.imag > r2.imag))

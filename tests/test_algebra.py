@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from contextlib import suppress
+from dataclasses import astuple, is_dataclass
 from functools import partial
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from expspec.algebra import (
     field_c,
     field_one_minus_2ab,
     field_one_minus_2ba,
+    fold,
     identity_residuals,
     inverse_identity_sweep,
     phi,
@@ -263,7 +265,7 @@ def test_z2_only_functions_round_alike_one_lane_at_a_time(name):
     # every lane of one call, bit for bit, whatever the array around it: a
     # 1-lane call included, on numpy's AVX-512 kernels as on its baseline ones.
     # At 8,049 values: the first 6,000 points of the 33x32 mesh and the 2,049
-    # latitude cosines of the largest mesh the CLI accepts
+    # latitude cosines of the largest latitude count the CLI accepts
     z2 = np.concatenate([next(mesh_s4(33, 32).chunks(6000))[2], mesh_s4(2049, 8).z2_values])
     evaluate = Z2_ONLY[name]
     whole = evaluate(z2)
@@ -369,9 +371,11 @@ def test_chunk_kernels_ignore_stale_workspace_lanes(mesh9):
 
 
 def _bits(part):
-    """A per-chunk sweep result with every float as its hex and every array as bytes."""
+    """A sweep result, per chunk or folded, with every float as its hex and every array as bytes."""
     if isinstance(part, np.ndarray):
         return part.tobytes()
+    if is_dataclass(part):
+        part = astuple(part)
     if isinstance(part, tuple):
         return tuple(_bits(p) for p in part)
     return part if isinstance(part, int) else float(part).hex()
@@ -387,15 +391,21 @@ SWEEP_RUNS = {
 }
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
+# a mesh of two or more chunks for each chunk size, None for the default
+# CHUNK, cut inside its equator latitude: 562 points at CHUNK = 2 and 7 (cut
+# at point 280, equator 241 to 320), 5,602 in 6 chunks of 1,021 (cut at
+# 3,063, equator 2,401 to 3,200), and 50,626 in 7 chunks of 8,192 (cut at
+# 24,576, equator 21,697 to 28,928)
+SPLIT_MESHES = {2: (9, 8), 7: (9, 8), 1021: (9, 16), None: (9, 32)}
+
+
+@pytest.mark.parametrize("chunk", SPLIT_MESHES)
 @pytest.mark.parametrize("name", SWEEP_RUNS)
 def test_split_sweep_matches_one_process_bit_for_bit(name, chunk, forks, monkeypatch):
-    # at CHUNK = 7 the 562-point mesh is cut at point 280, inside its equator
-    # latitude (points 241 to 320); at the default CHUNK the 50,626-point
-    # mesh is 7 chunks, cut after the third
-    mesh = mesh_s4(9, 8 if chunk else 32)
-    if chunk:
-        monkeypatch.setattr(algebra, "CHUNK", chunk)
+    # the per-chunk parts and the folded result, forked and in one process
+    mesh = mesh_s4(*SPLIT_MESHES[chunk])
+    monkeypatch.setattr(algebra, "CHUNK", chunk or CHUNK)
+    assert CHUNK == 8192 and len(mesh) > algebra.CHUNK
     sweep, parts = algebra.sweep, []
 
     def recording(*args, **kwargs):
@@ -409,15 +419,37 @@ def test_split_sweep_matches_one_process_bit_for_bit(name, chunk, forks, monkeyp
     def run(split_points):
         monkeypatch.setattr(algebra, "SPLIT_POINTS", split_points)
         parts.clear()
-        SWEEP_RUNS[name](mesh)
-        return list(parts)
+        folded = _bits(SWEEP_RUNS[name](mesh))
+        return list(parts), folded
 
     one = run(len(mesh) + 1)
-    assert not forks and one
+    assert not forks and one[0]
     split = run(0)
-    assert len(forks) == len(split)
+    assert len(forks) == len(split[0])
     assert split == one
     assert_no_child_left()
+
+
+def test_fold_keeps_nans_and_reads_signed_zero_ties_as_zero():
+    parts = [(1.0, 2.0, 3), (-1.0, 5.0, 4), (0.5, -2.0, 0), (0.25, 0.0, 2)]
+    cases = {(np.maximum, np.minimum, sum): (1.0, -2.0, 9), (np.minimum, np.maximum, sum): (-1.0, 5.0, 9)}
+    for rules, want in cases.items():
+        # _bits keeps the count an int
+        assert _bits(fold(parts, rules)) == _bits(want)
+        # a nan in any part and any field, whatever that part's place
+        for i in range(len(parts)):
+            for j in range(2):
+                spoiled = [list(p) for p in parts]
+                spoiled[i][j] = np.nan
+                assert np.isnan(fold(spoiled, rules)[j]), (rules[j], i, j)
+        # the fork's cut: each half's fold, then the pair's, is the fold of all parts
+        for cut in range(1, len(parts)):
+            halves = [fold(parts[:cut], rules), fold(parts[cut:], rules)]
+            assert _bits(fold(halves, rules)) == _bits(fold(parts, rules))
+    # a -0.0/0.0 tie reads 0.0 whichever zero comes first
+    for tie in ([(-0.0,), (0.0,)], [(0.0,), (-0.0,)], [(-0.0,), (-0.0,)]):
+        for rule in (np.maximum, np.minimum):
+            assert _bits(fold(tie, (rule,))) == _bits((0.0,))
 
 
 def test_failed_fork_runs_the_back_half_here(forks, monkeypatch, mesh9):

@@ -583,15 +583,17 @@ def test_certificates_evaluate_f_and_eh_once_per_point(mesh9, monkeypatch):
         assert got.shape == expected.shape and np.array_equal(got, expected), name
 
 
-def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
+@pytest.mark.parametrize("forked", [False, True])
+def test_nan_reaches_the_folded_evidence(forked, mesh9, monkeypatch, request):
     # a nan outside the first chunk must reach the folded maxima and minima,
-    # whatever the chunk size; a fold with Python's max() or min() dropped it
+    # whatever the chunk size; a fold with Python's max() or min() dropped it.
+    # Forked, the 81 chunks are cut at point 280: the equator lane is the
+    # parent's, the other lane and the south pole the helper's
     from expspec import algebra, homotopy
     from expspec.algebra import identity_residuals, phi
 
-    def phi_nan_at_south_pole(z2, **buffers):
-        # buffers: the out=/work= that the identity sweep passes
-        return np.where(np.asarray(z2) == -1.0, np.nan, phi(z2, **buffers))
+    def phi_nan_at_south_pole(z2):
+        return np.where(np.asarray(z2) == -1.0, np.nan, phi(z2))
 
     z0, z1, z2 = mesh9.arrays()
     lane = np.flatnonzero((z2 != 0.0) & (np.abs(z2) != 1.0))[-1]
@@ -616,6 +618,7 @@ def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
     monkeypatch.setattr(algebra, "phi", phi_nan_at_south_pole)
     monkeypatch.setattr(homotopy, "phi", phi_nan_at_south_pole)
     monkeypatch.setattr(homotopy, "suspension_eh", eh_nan_at_lane)
+    forks = request.getfixturevalue("forks") if forked else []
     assert np.isnan(identity_residuals(mesh9).ba_vs_diag)
     path = path_invertibility(mesh9)
     # the det grid's nan is at t = 0 only, so later t-values must keep it
@@ -625,6 +628,7 @@ def test_nan_reaches_the_folded_evidence(mesh9, monkeypatch):
     assert np.isnan(gap.hemisphere_worst_violation)
     assert np.isnan(gap.antipodal_min_gap) and np.isnan(gap.antipodal_certified_lower_bound)
     assert np.isnan(gap.equator_max_deviation)
+    assert len(forks) == (3 if forked else 0)  # identity_residuals and two certify sweeps
 
 
 def test_nan_norm_is_degenerate():

@@ -202,7 +202,7 @@ def test_blocked_hausdorff_to_target_matches_one_block_reference(monkeypatch, bl
 
 
 def test_hausdorff_memory_stays_bounded():
-    # the 2048-point clouds of the largest spectrum mesh: comparing all 4096
+    # the 2048-point clouds of the largest latitude count: comparing all 4096
     # target samples in one block traced 192 MiB
     mesh = mesh_s4(2049, 8)
     ab = drop_zeros(sample_spectrum("ab", mesh))
