@@ -24,22 +24,21 @@ and empirically 5.1e-5 from the integer at 256 segments, 3.2e-6 at 1024
 and 2.0e-7 at 4096 for the default fiber pair.
 
 One O(n m) pass over the segment pairs yields both the Gauss sum and
-the curve separation, which share each pair's midpoint distance. It
-walks the outer curve in row blocks of BLOCK_ELEMENTS // m rows, on
-planar x/y/z arrays of shape (rows, m), so peak memory is O(n + m +
-BLOCK_ELEMENTS) rather than O(n m) at every segment count. A pass of at
-least SPLIT_PAIRS pairs runs its row blocks as the blocks of
-fork._two_halves, each process with its own workspace. Where a row runs
-changes no value, and neither does blocking: each pair term is computed
-with the same roundings as the (n, m, 3) formulation (length-3 dot
-products grouped (x + z) + y, squared norms (x + y) + z, as numpy's
-einsum and norm group them on x86-64); each row sum is one numpy sum
-over a full row, in whichever process ran it; the row sums are stored
-in row order and merged by math.fsum, which is exact before its one
-rounding, so no merge order can show; and a minimum is exact in any
+the curve separation, which share each pair's midpoint distance. With
+m, d the midpoints and directions of the outer curve's segments and n, e
+the inner's, (m - n) . (d x e) = [m x d, -d] . [e, e x n] and
+|m - n|^2 = [m, |m|^2, 1] . [-2n, 1, |n|^2]: two matrix products of an
+(n, 11) row table by an (11, m) column table per row block of
+BLOCK_ELEMENTS // m rows give every pair term, so peak memory is
+O(n + m + BLOCK_ELEMENTS). From SPLIT_PAIRS pairs on, the blocks run as
+those of fork._two_halves, each process with its own rows and workspace.
+Where a row runs changes no value: the blocks are fixed by n, m and
+BLOCK_ELEMENTS, and none has one row (a product's bits may depend on its
+row count, and a one-row product is a gemv); the rest is elementwise,
+each row sum one numpy sum over a full row, merged in row order by
+math.fsum, exact before its one rounding; a minimum is exact in any
 order. The separation is a proven lower bound on the distance between
-the curves, one midpoint-to-midpoint norm per pair less the two half
-lengths; see curve_separation for the proof and its rounding slack.
+the curves; see curve_separation for the proof and its rounding slack.
 
 Orientation convention: increasing theta on both fibers and a
 right-handed frame in R^3. With DEFAULT_POLE this yields -1 for the
@@ -73,24 +72,28 @@ MIN_CURVE_SEPARATION = 1e-3
 MIN_POLE_DISTANCE = 1e-6
 FIBER_POLE_CLEARANCE = 0.2  # required distance from projection pole to each fiber
 # Pair terms per row block of the O(n m) pass: 128 KiB per float64
-# plane, so the 6-plane workspace (0.75 MiB) stays in a core's L2 cache.
-# At 2^15 that workspace was 1.5 MiB, and with it the linking pass set
-# certify's peak RSS, by an amount that moved with the heap's layout.
+# plane, so the 2-plane workspace (0.25 MiB) stays in a core's L2 cache.
+# At most 2^15: a block's larger product makes rows * m * 6 multiply-adds,
+# and OpenBLAS runs a product of at most 2^18 on the calling thread; above
+# that its second thread competes with the forked helper. 2^15 ran about
+# 5% faster in-process, but its 0.5 MiB workspace would add to certify's
+# peak RSS, which the linking pass sets at 4096 segments.
 BLOCK_ELEMENTS = 2**14
 
-# the workspace of one row block: float64 planes of (rows, m), the
-# midpoint differences r, the numerator, the denominator and one scratch
-_PAIR_LAYOUT = Layout(rx=PLANE, ry=PLANE, rz=PLANE, num=PLANE, den=PLANE, t=PLANE)
+# the workspace of one row block: float64 planes of (rows, m). den takes
+# the squared midpoint distances, then their cubes; num the distances,
+# then the distances less the other curve's half lengths, then the
+# numerators and the pair terms
+_PAIR_LAYOUT = Layout(den=PLANE, num=PLANE)
 
 # a pass over at least this many segment pairs runs the back half of its
 # row blocks in a forked helper. In-process _pair_pass on the Hopf fiber
-# pair, 2-vCPU VM, 40 alternating runs per size and scan: 724 segments
-# (~2^19 pairs) lost in two scans of four (14.8 -> 21.9 ms) and won in
-# two; 1024 (2^20) won in three of four (31.6 -> 20.7 ms, faster in 28 of
-# 40 runs; up to 40 of 40); from 1448 on every scan won (4096 segments:
-# 247 -> 149 ms). So the 256-segment pass of report-all and certify never
-# forks.
-SPLIT_PAIRS = 2**20
+# pair, 2-vCPU VM, 40 alternating runs per size and scan (README): a fork
+# costs 3 to 4 ms; 1024 segments (2^20 pairs) lost in four scans of five,
+# 1248 (1,557,504 pairs) won in three of four, and from 1300 (1,690,000)
+# on every scan won (4096 segments: 90.8 -> 50.8 ms). So the 256-segment
+# pass of report-all and certify never forks.
+SPLIT_PAIRS = 3 * 2**19
 
 # fixed projection pole, distance sqrt(2 - sqrt(2)) ~ 0.765 from both pole fibers
 DEFAULT_POLE = SpherePoint3(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
@@ -100,8 +103,8 @@ class CurvesTooClose(ValueError):
     """The curves' separation bound is below what the Gauss sum can tolerate.
 
     Raised when curve_separation, a lower bound on the distance between
-    the two polylines, reads less than MIN_CURVE_SEPARATION; the curves
-    themselves may be farther apart than the bound.
+    the two polylines, reads less than MIN_CURVE_SEPARATION or nan; the
+    curves themselves may be farther apart than the bound.
     """
 
 
@@ -215,15 +218,32 @@ def stereographic(w0, w1):
     return out if np.ndim(w0) else out[0]
 
 
-def _segments(points):
-    """Midpoints, directions and half lengths of a closed polyline's edges.
+def _segments(points, start, stop):
+    """Midpoints (k, 3), directions (k, 3) and half lengths (k,) of edges start to stop - 1 of a closed polyline.
 
-    Edge i runs from vertex i to i+1. Midpoints and directions come as
-    contiguous x, y, z rows of shape (3, n); the half lengths take numpy's
-    norm of each (x, y, z) direction.
+    Edge i runs from vertex i to i + 1 (mod n). The half lengths take
+    numpy's norm of each (x, y, z) direction.
     """
-    d = np.roll(points, -1, axis=0) - points
-    return np.ascontiguousarray((points + 0.5 * d).T), np.ascontiguousarray(d.T), 0.5 * np.linalg.norm(d, axis=1)
+    p = points.take(range(start, stop + 1), axis=0, mode="wrap")
+    d = p[1:] - p[:-1]
+    return p[:-1] + 0.5 * d, d, 0.5 * np.linalg.norm(d, axis=1)
+
+
+def _squares(v):
+    """|v|^2 of each row of a (k, 3) array, as a (k, 1) column: (x x + y y) + z z."""
+    return (v * v).sum(axis=1, keepdims=True)
+
+
+def _row_table(points, start, stop):
+    """Gram rows of edges start to stop - 1, (k, 11): [m x d, -d, m, |m|^2, 1] per edge; and their half lengths."""
+    m, d, h = _segments(points, start, stop)
+    return np.concatenate((np.cross(m, d), -d, m, _squares(m), np.ones_like(h)[:, None]), axis=1), h
+
+
+def _column_table(points):
+    """Gram columns of every edge, (11, m): [e; e x n; -2 n; 1; |n|^2]; and the half lengths."""
+    n, e, h = _segments(points, 0, len(points))
+    return np.concatenate((e.T, np.cross(e, n).T, -2.0 * n.T, np.ones_like(h)[None], _squares(n).T)), h
 
 
 def _pair_pass(c1, c2):
@@ -231,70 +251,66 @@ def _pair_pass(c1, c2):
 
     Returns (separation, partials): partials[i] is the numpy sum over c2's
     segments of the midpoint-rule Gauss terms of c1's segment i. The pass
-    walks c1 in blocks of BLOCK_ELEMENTS // m rows against c2's m segments,
-    each process in one workspace of _PAIR_LAYOUT allocated up front, so no
-    block allocates a temporary: a fresh temporary per block lands in heap
+    walks c1's Gram rows in blocks of BLOCK_ELEMENTS // m rows, at least
+    two, against c2's Gram columns. Each process builds the rows of its own
+    range and one workspace of _PAIR_LAYOUT, allocated up front, so no
+    block allocates a plane: a fresh temporary per block lands in heap
     holes or grows the heap, and peak RSS then depends on the layout. The
     workspace comes from linalg2.aligned, so its planes start on a cache
-    line wherever the heap puts it. From SPLIT_PAIRS pairs on, a forked
-    helper runs the back half of the row blocks (fork._two_halves). The
-    blocks' minima fold with np.minimum and their row sums join in row
-    order, as in one process.
+    line wherever the heap puts it. A one-row block runs as two rows, with
+    the row before it, and keeps the last row's sum: numpy hands a one-row
+    matmul to gemv, whose bits differ from the same row of a gemm. The
+    blocks do not depend on where the pass forks. From SPLIT_PAIRS pairs
+    on, a forked helper runs the back half of the row blocks
+    (fork._two_halves). The blocks' results are collected and folded once:
+    the minima by np.minimum.reduce, which keeps a nan, and the row sums by
+    one join in row order, as in one process.
     """
-    m1, d1, h1 = _segments(c1.points)
-    seg2 = _segments(c2.points)
-    n, m = len(h1), len(seg2[2])
-    step = max(1, BLOCK_ELEMENTS // m)
+    cols, h2 = _column_table(c2.points)
+    n, m = len(c1), len(h2)
+    step = max(2, BLOCK_ELEMENTS // m)
 
     def run(start, stop):
-        work = aligned((_PAIR_LAYOUT.planes, min(stop - start, step), m), np.float64)
-        for first in range(start, stop, step):
-            rows = slice(first, min(first + step, stop))
-            yield _pair_rows(m1[:, rows, None], d1[:, rows, None], h1[rows], seg2, _PAIR_LAYOUT.cut(work[:, : rows.stop - first]))
+        # a range of one row builds the row before it too, for its two-row block
+        top = min(start, stop - 2)
+        rows, h1 = _row_table(c1.points, top, stop)
+        work = aligned((_PAIR_LAYOUT.planes, min(stop - top, step), m), np.float64)
+        for first in range(start - top, stop - top, step):
+            end = min(first + step, stop - top)
+            low = min(first, end - 2)
+            separation, sums = _pair_rows(rows[low:end], h1[low:end], cols, h2, _PAIR_LAYOUT.cut(work[:, : end - low]))
+            yield separation, sums[8 * (first - low) :]
 
-    blocks = _two_halves(n, step, run, n * m >= SPLIT_PAIRS)
-    separation, partials = np.inf, aligned((n,), np.float64)
-    for (block_separation, sums), first in zip(blocks, range(0, n, step)):
-        separation = np.minimum(separation, block_separation)
-        partials[first : first + step] = np.frombuffer(sums)
-    return float(separation), partials
+    separations, sums = zip(*_two_halves(n, step, run, n * m >= SPLIT_PAIRS))
+    return float(np.minimum.reduce(separations)), np.frombuffer(b"".join(sums))
 
 
-def _pair_rows(m1, d1, h1, seg2, ws):
+def _pair_rows(rows, h1, cols, h2, ws):
     """The separation bound and the Gauss row sums of one row block.
 
-    m1 and d1 are the block's midpoint and direction rows, (3, rows, 1);
-    h1 its half lengths; seg2 the other curve's _segments; ws the block's
-    _PAIR_LAYOUT views, float64 planes of (rows, m), cut by _pair_pass.
-    Returns the block's separation as a float and its row sums as float64
-    bytes, which a forked helper pickles in a fraction of an array's time.
-    The separation folds the block's midpoint distances right after their
-    square root, where the sum's scratch plane t is free. A pair at distance 0, which
-    only curves that fail the guard have, makes its term nan or inf; that
-    division and the row sums run without a floating-point warning, and
-    gauss_linking raises before it merges them.
+    rows is the block's slice of _row_table, (k, 11) with k >= 2, and h1
+    its half lengths; cols and h2 the other curve's _column_table; ws the
+    block's _PAIR_LAYOUT views, float64 planes of (k, m), cut by _pair_pass.
+    Two matrix products give every pair term's pieces: rows[:, 6:] @
+    cols[6:] is the squared midpoint distance |m_i|^2 + |n_j|^2 - 2 m_i.n_j,
+    and rows[:, :6] @ cols[:6] the numerator (m_i x d_i).e_j -
+    d_i.(e_j x n_j) = (m_i - n_j).(d_i x e_j). Returns the block's
+    separation as a float and its row sums as float64 bytes, which a forked
+    helper pickles in a fraction of an array's time. A squared distance
+    that rounds below 0 makes its root nan, and a pair at distance 0 makes
+    its term nan or inf; these run without a floating-point warning, the
+    nan reaches the separation, and gauss_linking raises before it merges
+    the sums.
     """
-    (mx, my, mz), (ax, ay, az) = m1, d1
-    (nx, ny, nz), (ux, uy, uz), h2 = seg2
-    rx, ry, rz, num, den, t = ws.rx, ws.ry, ws.rz, ws.num, ws.den, ws.t
-    np.subtract(mx, nx, out=rx)
-    np.subtract(my, ny, out=ry)
-    np.subtract(mz, nz, out=rz)
-    # r . (d1 x d2): np.cross's products, einsum's (x + z) + y grouping;
-    # den and t are scratch until den is computed
-    np.subtract(np.multiply(ay, uz, out=den), np.multiply(az, uy, out=t), out=den)
-    np.multiply(rx, den, out=num)
-    np.subtract(np.multiply(ax, uy, out=den), np.multiply(ay, ux, out=t), out=den)
-    num += np.multiply(rz, den, out=den)
-    np.subtract(np.multiply(az, ux, out=den), np.multiply(ax, uz, out=t), out=den)
-    num += np.multiply(ry, den, out=den)
-    np.multiply(rx, rx, out=den)
-    den += np.multiply(ry, ry, out=t)
-    den += np.multiply(rz, rz, out=t)
-    np.sqrt(den, out=den)
-    separation = (np.subtract(den, h2, out=t).min(axis=1) - h1).min()
+    den, num = ws.den, ws.num
     with np.errstate(divide="ignore", invalid="ignore"):
-        num /= np.power(den, 3, out=den)
+        np.matmul(rows[:, 6:], cols[6:], out=den)
+        np.sqrt(den, out=num)
+        np.multiply(num, num, out=den)
+        den *= num
+        separation = (np.subtract(num, h2, out=num).min(axis=1) - h1).min()
+        np.matmul(rows[:, :6], cols[:6], out=num)
+        num /= den
         return float(separation), num.sum(axis=1).tobytes()
 
 
@@ -320,24 +336,38 @@ def curve_separation(c1, c2):
     Rounding, to first order in u = 2^-53, with the stored vertices exact
     and R the largest vertex norm of either curve (so |m| <= R, |d| <= 2R):
     a direction takes one rounding per coordinate, |d^ - d| <= 2uR; a
-    midpoint halves exactly and rounds once, |m^ - m| <= uR + uR = 2uR; a
-    difference of midpoints, |r^ - r| <= 2uR + 2uR + 2uR = 6uR; its norm,
-    three roundings in (x^2 + y^2) + z^2 and one in the square root, is
-    off by 2.5u |r^| <= 5uR, so 11uR from |r| in all. A half length is
-    off by (2.5u 2R + 2uR)/2 = 3.5uR, 7uR for both. The two subtractions
-    round results of magnitude at most 2R, 4uR. The minimum is exact. So
-    the computed bound is within 22uR < 2.7e-15 R of the exact one, and
-    curves that pass gauss_linking's guard are at least
-    MIN_CURVE_SEPARATION - 2.7e-15 R apart. For the fiber pairs of
-    hopf_invariant_of_h the pole clearance keeps every image within 10 of
-    the origin (|image| = sqrt((1 + w.q)/(1 - w.q)) and 1 - w.q =
-    |w - q|^2 / 2 >= 0.02), and the translated unlink within 20, so the
-    slack is below 6e-14, ten orders of magnitude under the threshold.
+    midpoint halves exactly and rounds once, |m^ - m| <= uR + uR = 2uR,
+    so the distance rho' = |m^ - n^| of the rounded midpoints is within 4uR
+    of rho = |m - n|. The pass takes rho'^2 as the Gram product s =
+    [m^, |m^|^2, 1] . [-2 n^, 1, |n^|^2]: each squared norm, three
+    roundings in (x x + y y) + z z, is off by 3uR^2; -2 n^ is exact; and
+    the 5-term product, in whatever order and with or without FMA the BLAS
+    kernel sums it, is off by 5u (|m^|^2 + |n^|^2 + 2 |m^| |n^|) <= 20uR^2;
+    so |s^ - rho'^2| <= 26uR^2. Where s^ < 0 its root is nan, the
+    separation reads nan, and gauss_linking's guard raises. Else
+    |sqrt(s^) - rho'| = |s^ - rho'^2| / (sqrt(s^) + rho') <= 26uR^2 /
+    sqrt(s^), and the root's rounding adds u sqrt(s^) <= 2uR. The guard
+    passes only where every computed pair term is at least
+    MIN_CURVE_SEPARATION, and a pair term is at most its computed distance
+    (the half lengths are >= 0 and rounding is monotone), so there every
+    sqrt(s^) is at least MIN_CURVE_SEPARATION: each distance is within
+    26uR^2 / MIN_CURVE_SEPARATION + 6uR of rho. A half length is off by
+    (2.5u 2R + 2uR)/2 = 3.5uR, 7uR for both. The two subtractions round
+    results of magnitude at most 2R, 4uR. The minimum is exact. So curves
+    that pass the guard are at least MIN_CURVE_SEPARATION - 26uR^2 /
+    MIN_CURVE_SEPARATION - 17uR = MIN_CURVE_SEPARATION - 2.9e-12 R^2 -
+    1.9e-15 R apart. For the fiber pairs of hopf_invariant_of_h the pole
+    clearance keeps every image within 10 of the origin (|image| = sqrt((1
+    + w.q)/(1 - w.q)) and 1 - w.q = |w - q|^2 / 2 >= 0.02), and the
+    translated unlink within 20, so the slack is below 1.2e-9, six orders
+    of magnitude under the threshold; the bound keeps a margin for any
+    curves within about 1.8e4 of the origin.
 
     One row-blocked pass, shared with the Gauss sum: _pair_pass takes each
-    pair's |m_i - n_j| from the sum's own squared norm and square root.
-    Rounding is monotone, so subtracting |d_i|/2 after each row's minimum
-    gives the same value as subtracting it from every pair term.
+    pair's |m_i - n_j| as the root of the Gram product whose cube the sum
+    divides by. Rounding is monotone, so subtracting |d_i|/2 after each
+    row's minimum gives the same value as subtracting it from every pair
+    term.
     """
     return _pair_pass(c1, c2)[0]
 
@@ -345,12 +375,14 @@ def curve_separation(c1, c2):
 def gauss_linking(c1, c2):
     """Discrete Gauss double integral of two disjoint closed polylines.
 
-    Midpoint evaluation per segment pair. Raises CurvesTooClose when
+    Midpoint evaluation per segment pair. Raises CurvesTooClose unless
     curve_separation, a proven lower bound on the distance between the
-    curves, is below MIN_CURVE_SEPARATION. Both come from one _pair_pass.
+    curves, is at least MIN_CURVE_SEPARATION: a nan separation, which a
+    squared distance that rounds below 0 gives, fails the guard too. Both
+    come from one _pair_pass.
     """
     separation, partials = _pair_pass(c1, c2)
-    if separation < MIN_CURVE_SEPARATION:
+    if not separation >= MIN_CURVE_SEPARATION:
         raise CurvesTooClose(f"curves not proven {MIN_CURVE_SEPARATION} apart")
     raw = math.fsum(partials) / (4.0 * math.pi)
     rounded = int(round(raw))

@@ -380,7 +380,7 @@ LAYOUTS = {
     "identity": (algebra._IDENTITY_LAYOUT, 27),
     "certify": (homotopy._CERTIFY_LAYOUT, 13),
     "f/Eh": (homotopy._F_EH_LAYOUT, 7),
-    "pair rows": (linking._PAIR_LAYOUT, 6),
+    "pair rows": (linking._PAIR_LAYOUT, 2),
 }
 
 

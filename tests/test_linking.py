@@ -16,9 +16,10 @@ from expspec.linking import (
     NearPole,
     PolylineCurve3,
     _PAIR_LAYOUT,
+    _column_table,
     _pair_pass,
     _pair_rows,
-    _segments,
+    _row_table,
     curve_separation,
     fiber_to_csv,
     gauss_linking,
@@ -196,18 +197,109 @@ def test_fiber_csv_export(tmp_path):
     assert np.array_equal(data, curve.points)
 
 
-# Reference: whole-array formulations of the row-blocked kernels. The
-# kernels reproduce their roundings, so they must equal them bit for bit.
-def reference_pair_terms(c1, c2):
-    # |m_i - n_j| - |e_j|/2 - |d_i|/2 for every segment pair (i, j)
+# Reference: whole-array formulations of the row-blocked kernels, in Gram
+# form. Every pair term comes from the same two np.matmul products of the
+# same tables, and the rest is rounded alike, so the kernels must equal
+# them bit for bit.
+def gram_tables(c1, c2):
+    # [m x d, -d, m, |m|^2, 1] per segment of c1 and [e; e x n; -2 n; 1; |n|^2]
+    # per segment of c2, with the half lengths, built here from the vertices
     p1, p2 = c1.points, c2.points
-    d1 = np.roll(p1, -1, axis=0) - p1
-    d2 = np.roll(p2, -1, axis=0) - p2
-    dist = np.linalg.norm((p1 + 0.5 * d1)[:, None, :] - (p2 + 0.5 * d2)[None, :, :], axis=2)
-    return (dist - 0.5 * np.linalg.norm(d2, axis=1)[None, :]) - 0.5 * np.linalg.norm(d1, axis=1)[:, None]
+    d = np.roll(p1, -1, axis=0) - p1
+    e = np.roll(p2, -1, axis=0) - p2
+    m, n = p1 + 0.5 * d, p2 + 0.5 * e
+    rows = np.column_stack([np.cross(m, d), -d, m, (m * m).sum(axis=1), np.ones(len(m))])
+    cols = np.vstack([e.T, np.cross(e, n).T, -2.0 * n.T, np.ones(len(n)), (n * n).sum(axis=1)])
+    return rows, cols, 0.5 * np.linalg.norm(d, axis=1), 0.5 * np.linalg.norm(e, axis=1)
+
+
+def gram_products(rows, cols):
+    # The squared distances and numerators of all (n, m) pairs. A BLAS
+    # kernel may round a product entry differently with the number of rows
+    # in the product: OpenBLAS's SkylakeX dgemm rounds some entries of
+    # products of more than 8 rows otherwise than the same entries of a
+    # smaller product, and a one-row product is a gemv. So each row is taken
+    # from a product over the rows of its block in _pair_pass:
+    # BLOCK_ELEMENTS // m rows, at least two, a one-row last block together
+    # with the row before it.
+    n, m = len(rows), cols.shape[1]
+    step = max(2, BLOCK_ELEMENTS // m)
+    squares, numerators = np.empty((n, m)), np.empty((n, m))
+    for first in range(0, n, step):
+        end = min(first + step, n)
+        low = min(first, end - 2)
+        squares[first:end] = np.matmul(rows[low:end, 6:], cols[6:])[first - low :]
+        numerators[first:end] = np.matmul(rows[low:end, :6], cols[:6])[first - low :]
+    return squares, numerators
+
+
+def reference_pair_terms(c1, c2):
+    # |m_i - n_j| - |e_j|/2 - |d_i|/2 for every segment pair (i, j); a
+    # squared distance that rounds below 0 makes its term nan
+    rows, cols, h1, h2 = gram_tables(c1, c2)
+    with np.errstate(invalid="ignore"):
+        dist = np.sqrt(gram_products(rows, cols)[0])
+    return (dist - h2[None, :]) - h1[:, None]
+
+
+def reference_row_sums(c1, c2):
+    # the midpoint-rule Gauss terms of every segment pair, summed per row
+    squares, numerators = gram_products(*gram_tables(c1, c2)[:2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.sqrt(squares)
+        return (numerators / (dist * dist * dist)).sum(axis=1)
 
 
 def reference_gauss_raw(c1, c2):
+    return math.fsum(reference_row_sums(c1, c2).tolist()) / (4.0 * math.pi)
+
+
+U = 2.0**-53
+
+
+def cross_product_oracle(c1, c2):
+    """The Gauss sum and the separation bound in the former cross-product form, with their distance bounds.
+
+    Returns (raw, separation, raw_bound, separation_bound): r = m_i - n_j
+    is rounded per coordinate, the numerator is r . (d_i x e_j) and the
+    denominator numpy's norm of r cubed, the pass that linking ran before
+    its Gram form; the two bounds hold the distance from the kernel's raw
+    and separation. Both forms read the same rounded midpoints m, n and
+    directions d, e. To first order in u = 2^-53, with rho = |m_i - n_j|,
+    D = |d_i|, E = |e_j| and R the largest vertex norm of either curve,
+    so that |m_i|, |n_j| <= R (terms in u^2 are covered by rounding each
+    constant up):
+
+    Cross form. r takes u rho; each coordinate of d x e two products and
+    a subtraction, 2 sqrt(2) u D E in norm; the 3-term dot product
+    3u rho D E: the numerator is off by 7u rho D E. |r|^2 has 5u, its root
+    3.5u, the cube (np.power, within an ulp) 12.5u and the division u: the
+    term, at most D E / rho^2, is off by 21u D E / rho^2.
+
+    Gram form. m x d and e x n take 2 sqrt(2) u R D and 2 sqrt(2) u R E,
+    and the 6-term product 6u (|m x d| E + D |e x n|) <= 12u R D E: the
+    numerator is off by 18u R D E. |m|^2 and |n|^2 take 3u R^2 each and
+    the 5-term product, in any order and with or without FMA,
+    5u (|m|^2 + |n|^2 + 2 |m| |n|) <= 20u R^2, so the squared distance is
+    off by 26u R^2 = rho^2 delta. The root cubed as (x x) x has
+    1.5 delta + 5u and the division u: the term is off by
+    u D E (18 R / rho^3 + 39 R^2 / rho^4 + 6 / rho^2).
+
+    Sums. numpy's pairwise row sum of at most 8192 terms is off by at most
+    32u times the sum of their magnitudes (25 roundings within a block of
+    128 terms, one more per halving above it), in either form; fsum rounds
+    once, and 4 pi and the division take 2u more, 3u of raw in each form.
+    So
+
+        |raw_gram - raw_cross| <= (1/4pi) sum_ij u D E (91 / rho^2 + 18 R / rho^3 + 39 R^2 / rho^4) + 6u |raw|.
+
+    For the separation, with R the largest vertex norm (so |m|, |n| and
+    every half length are at most R), the Gram root is off by
+    13u R^2 / rho + u rho and the norm by 3.5u rho; the two subtractions
+    of the half lengths round values of at most rho + 2R in each form. A
+    minimum moves by at most the largest change of a term, so the
+    separations differ by at most max_ij (13u R^2 / rho + 8.5u rho + 8u R).
+    """
     p1, p2 = c1.points, c2.points
     d1 = np.roll(p1, -1, axis=0) - p1
     d2 = np.roll(p2, -1, axis=0) - p2
@@ -216,9 +308,16 @@ def reference_gauss_raw(c1, c2):
     r = m1[:, None, :] - m2[None, :, :]
     cr = np.cross(d1[:, None, :], d2[None, :, :])
     num = np.einsum("ijk,ijk->ij", r, cr)
-    den = np.linalg.norm(r, axis=2) ** 3
-    rows = (num / den).sum(axis=1)
-    return math.fsum(rows.tolist()) / (4.0 * math.pi)
+    dist = np.linalg.norm(r, axis=2)
+    sums = (num / dist**3).sum(axis=1)
+    raw = math.fsum(sums.tolist()) / (4.0 * math.pi)
+    h1, h2 = 0.5 * np.linalg.norm(d1, axis=1), 0.5 * np.linalg.norm(d2, axis=1)
+    separation = ((dist - h2[None, :]) - h1[:, None]).min()
+    big_r = max(np.linalg.norm(p1, axis=1).max(), np.linalg.norm(p2, axis=1).max())
+    de = np.outer(2 * h1, 2 * h2)
+    raw_bound = (U * de * (91 / dist**2 + 18 * big_r / dist**3 + 39 * big_r**2 / dist**4)).sum() / (4.0 * math.pi) + 6 * U * abs(raw)
+    separation_bound = (U * (13 * big_r**2 / dist + 8.5 * dist + 8 * big_r)).max()
+    return raw, float(separation), float(raw_bound), float(separation_bound)
 
 
 def unguarded_raw(c1, c2):
@@ -245,7 +344,14 @@ def noisy_loops(n1, n2, seed=1):
     return loops
 
 
-PAIR_CASES = ["unequal_300_517", "hopf_fibers_1024", "translated_unlink"]
+PAIR_CASES = [
+    "unequal_300_517",
+    "one_row_tail_311_517",
+    "one_row_half_32_517",
+    "wide_17_8200",
+    "hopf_fibers_1024",
+    "translated_unlink",
+]
 
 
 def pair_case(case):
@@ -253,6 +359,21 @@ def pair_case(case):
         c1, c2 = noisy_loops(300, 517)
         # several row blocks in both directions, the last one partial
         assert 300 % (BLOCK_ELEMENTS // 517) and 517 % (BLOCK_ELEMENTS // 300)
+        return c1, c2
+    if case == "one_row_tail_311_517":
+        # the last row block of c1 has one row, in one process and in the helper
+        c1, c2 = noisy_loops(311, 517)
+        assert 311 % (BLOCK_ELEMENTS // 517) == 1
+        return c1, c2
+    if case == "one_row_half_32_517":
+        # two row blocks, so a forked helper's whole range is c1's last row
+        c1, c2 = noisy_loops(32, 517)
+        assert 32 == BLOCK_ELEMENTS // 517 + 1
+        return c1, c2
+    if case == "wide_17_8200":
+        # m > BLOCK_ELEMENTS / 2: blocks of two rows, the last of one
+        c1, c2 = noisy_loops(17, 8200)
+        assert BLOCK_ELEMENTS // 8200 < 2
         return c1, c2
     if case == "hopf_fibers_1024":
         return hopf_fiber_pair(1024)
@@ -267,12 +388,28 @@ def test_blocked_kernels_match_reference_bitwise(case):
     assert curve_separation(c2, c1) == reference_pair_terms(c2, c1).min()
     assert unguarded_raw(c1, c2) == reference_gauss_raw(c1, c2)
     assert unguarded_raw(c2, c1) == reference_gauss_raw(c2, c1)
-    if case == "unequal_300_517":
-        # the loops come within 0.0022 of each other; the bound reads -0.185
+    for a, b in ((c1, c2), (c2, c1)):
+        assert _pair_pass(a, b)[1].tobytes() == reference_row_sums(a, b).tobytes()
+    if case in ("hopf_fibers_1024", "translated_unlink"):
+        assert gauss_linking(c1, c2).raw == reference_gauss_raw(c1, c2)
+    else:
+        # the noisy loops come within 0.0022 of each other; the bound reads -0.185
         with pytest.raises(CurvesTooClose):
             gauss_linking(c1, c2)
-    else:
-        assert gauss_linking(c1, c2).raw == reference_gauss_raw(c1, c2)
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_gram_form_stays_within_its_bound_of_the_cross_product_form(case):
+    # an oracle that shares no arithmetic with the Gram form past the
+    # midpoints and directions; cross_product_oracle derives both bounds
+    c1, c2 = pair_case(case)
+    for a, b in ((c1, c2), (c2, c1)):
+        raw, separation, raw_bound, separation_bound = cross_product_oracle(a, b)
+        assert abs(unguarded_raw(a, b) - raw) <= raw_bound
+        assert abs(curve_separation(a, b) - separation) <= separation_bound
+        if case == "hopf_fibers_1024":
+            # the bounds are far below what the report and the guard resolve
+            assert raw_bound < 1e-12 and separation_bound < 1e-13
 
 
 def near_miss_at_the_last_vertex():
@@ -486,10 +623,10 @@ def test_pair_pass_helper_error_reaches_the_parent(forks, monkeypatch):
     # the back half itself
     main, rows = os.getpid(), linking._pair_rows
 
-    def failing(m1, d1, h1, seg2, work):
+    def failing(block, h1, cols, h2, ws):
         if os.getpid() != main:
             raise FloatingPointError(f"helper block of {len(h1)} rows")
-        return rows(m1, d1, h1, seg2, work)
+        return rows(block, h1, cols, h2, ws)
 
     monkeypatch.setattr(linking, "_pair_rows", failing)
     with pytest.raises(FloatingPointError, match="^helper block of 16 rows$"):
@@ -523,15 +660,13 @@ def test_pair_rows_ignore_stale_workspace_lanes():
     # values, here a nan; a fresh nan-filled workspace turns any lane read
     # before it is written into a nan result
     c1, c2 = pair_case("unequal_300_517")
-    (m1, d1, h1), seg2 = _segments(c1.points), _segments(c2.points)
+    (rows, h1), (cols, h2) = _row_table(c1.points, 0, len(c1)), _column_table(c2.points)
     full, n, m = 30, 10, len(c2)
-    m1_nan = m1.copy()
-    m1_nan[0, 5] = np.nan
-    rows = slice(0, full)
+    rows_nan = rows.copy()
+    rows_nan[5, 6] = np.nan
     work = np.full((_PAIR_LAYOUT.planes, full, m), np.nan)
-    assert math.isnan(_pair_rows(m1_nan[:, rows, None], d1[:, rows, None], h1[rows], seg2, _PAIR_LAYOUT.cut(work))[0])
-    rows = slice(0, n)
-    block = m1[:, rows, None], d1[:, rows, None], h1[rows], seg2
+    assert math.isnan(_pair_rows(rows_nan[:full], h1[:full], cols, h2, _PAIR_LAYOUT.cut(work))[0])
+    block = rows[:n], h1[:n], cols, h2
     stale = _pair_rows(*block, _PAIR_LAYOUT.cut(work[:, :n]))
     fresh = _pair_rows(*block, _PAIR_LAYOUT.cut(np.full((_PAIR_LAYOUT.planes, n, m), np.nan)))
     assert stale == fresh
@@ -539,19 +674,96 @@ def test_pair_rows_ignore_stale_workspace_lanes():
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
+@pytest.mark.parametrize("case", ["one_row_tail_311_517", "one_row_half_32_517", "wide_17_8200"])
+def test_no_block_reaches_matmul_as_one_row(case, split, forks, monkeypatch):
+    # numpy hands a one-row matmul to gemv, whose bits differ from the same
+    # row of a gemm; a one-row block raises, in the helper too, from where
+    # the error reaches the parent
+    c1, c2 = pair_case(case)
+    rows, sizes = linking._pair_rows, []
+
+    def checked(block, h1, cols, h2, ws):
+        if len(block) < 2 or len(h1) != len(block) or ws.den.shape != (len(block), len(h2)):
+            raise AssertionError(f"a block of {len(block)} rows")
+        sizes.append(len(block))
+        return rows(block, h1, cols, h2, ws)
+
+    monkeypatch.setattr(linking, "_pair_rows", checked)
+    if not split:
+        monkeypatch.setattr(linking, "SPLIT_PAIRS", len(c1) * len(c2) + 1)
+    separation, partials = _pair_pass(c1, c2)
+    assert len(partials) == len(c1)
+    assert separation == reference_pair_terms(c1, c2).min()
+    assert math.fsum(partials) / (4.0 * math.pi) == reference_gauss_raw(c1, c2)
+    # the parent's blocks: all of them in one process, the front half forked
+    step = max(2, BLOCK_ELEMENTS // len(c2))
+    count = -(-len(c1) // step)
+    assert len(sizes) == (count // 2 if split else count)
+    assert len(forks) == split
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
+def test_a_nan_block_separation_reaches_the_pass(split, forks, monkeypatch):
+    # the third row block of each process reads nan, after blocks that read
+    # numbers; the fold must keep it, as Python's min() would not
+    rows, calls = linking._pair_rows, []
+
+    def third_is_nan(*args):
+        calls.append(1)
+        separation, sums = rows(*args)
+        return (math.nan if len(calls) == 3 else separation), sums
+
+    monkeypatch.setattr(linking, "_pair_rows", third_is_nan)
+    if not split:
+        monkeypatch.setattr(linking, "SPLIT_PAIRS", 2 * 1024 * 1024)
+    c1, c2 = hopf_fiber_pair(1024)
+    assert math.isnan(_pair_pass(c1, c2)[0])
+    calls.clear()
+    with pytest.raises(CurvesTooClose):
+        gauss_linking(c1, c2)
+    assert len(forks) == 2 * split
+    assert_no_child_left()
+
+
+def test_shared_midpoint_far_from_the_origin_raises():
+    # x_shaped_squares(0) share a segment midpoint, and so do its translates
+    # by integer vectors below 2^40, which keep every vertex exact. There the
+    # Gram form's squared distance of that pair is |m|^2 + |m|^2 - 2 m.m,
+    # rounding noise of about u |m|^2 of either sign, and where it is
+    # negative the root, and so the separation, is nan. The guard must read
+    # nan as too close, not pass the sum on to LinkingResult.
+    separations = []
+    for offset in np.random.default_rng(7).integers(2**30, 2**40, size=(40, 3)).astype(float):
+        c1, c2 = (c.translated(offset) for c in x_shaped_squares(0.0))
+        assert np.array_equal(c1.points[1] + c1.points[2], c2.points[1] + c2.points[2])
+        separations.append(curve_separation(c1, c2))
+        with pytest.raises(CurvesTooClose):
+            gauss_linking(c1, c2)
+    assert any(math.isnan(s) for s in separations)
+
+
+def test_guard_reads_a_nan_separation_as_too_close(monkeypatch):
+    c1, c2 = hopf_fiber_pair(64)
+    separation, partials = _pair_pass(c1, c2)
+    assert separation >= 0.5
+    monkeypatch.setattr(linking, "_pair_pass", lambda a, b: (math.nan, partials))
+    with pytest.raises(CurvesTooClose):
+        gauss_linking(c1, c2)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
 def test_pair_pass_workspace_starts_on_a_cache_line(split, forks, monkeypatch):
     # 1024 segments: 64 blocks of 16 rows, forked at row 512; a misaligned
-    # block raises, in the helper too, from where the error reaches the parent.
-    # The row sums' array is aligned too.
-    assert _pair_pass(*hopf_fiber_pair(64))[1].ctypes.data % 64 == 0
+    # block raises, in the helper too, from where the error reaches the parent
     rows, offsets = linking._pair_rows, []
 
-    def recording(m1, d1, h1, seg2, ws):
-        offset = ws.rx.ctypes.data % 64
+    def recording(block, h1, cols, h2, ws):
+        offset = ws.den.ctypes.data % 64
         if offset:
             raise AssertionError(f"workspace {offset} bytes past a cache line")
         offsets.append(offset)
-        return rows(m1, d1, h1, seg2, ws)
+        return rows(block, h1, cols, h2, ws)
 
     monkeypatch.setattr(linking, "_pair_rows", recording)
     if not split:
