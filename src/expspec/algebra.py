@@ -30,6 +30,7 @@ return linalg2 Fields.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -110,67 +111,71 @@ class DomainError(ValueError):
     """Argument outside the function's documented domain."""
 
 
-def sweep(kernel, mesh, layout=None, tables=None):
-    """Apply kernel to the consecutive CHUNK-long point ranges of a mesh.
+def sweep(kernel, mesh, layout, tables, rules):
+    """Fold a kernel's results on the consecutive CHUNK-long point ranges of a mesh.
 
-    mesh is a sphere.SphereMesh4, read only through its chunks(): the
-    kernel gets (z0, z1, z2) for each range, as views of buffers that the
-    next chunk overwrites, so it must not keep them.
-    Returns the per-chunk results in mesh order, which fold folds. Every
-    kernel given here is pointwise, so the folded results do not depend on
-    CHUNK, for chunks of 2 or more points. On numpy's AVX-512 kernels a
-    ufunc run on a 1-element array can round differently from the same
-    point among 2 or more lanes (field_c, for one). A CHUNK of 2 or more
-    leaves at most a lone last point, the south pole, where the evaluators
-    are exact.
+    mesh is a sphere.SphereMesh4, read only through its z2_values and its
+    chunks(). For each range the kernel gets (z0, z1, z2, ws, lat) and
+    returns a tuple, one value per field of the result; sweep returns
+    fold(parts, rules) of these tuples, in mesh order.
 
-    With a linalg2.Layout the kernel also gets, as its next argument, the
-    layout's named views of its workspace, cut to the chunk's length. Each
-    process allocates one workspace of layout.planes complex planes per
-    sweep, with linalg2.aligned. The planes still hold the previous chunk's
-    values, so a kernel writes every lane it reads. A kernel of a sweep
-    without a layout gets (z0, z1, z2) only.
+    z0, z1, z2 are views of buffers that the next chunk overwrites, so the
+    kernel must not keep them. Every kernel given here is pointwise, so the
+    folded results do not depend on CHUNK, for chunks of 2 or more points.
+    On numpy's AVX-512 kernels a ufunc run on a 1-element array can round
+    differently from the same point among 2 or more lanes (field_c, for
+    one). A CHUNK of 2 or more leaves at most a lone last point, the south
+    pole, where the evaluators are exact.
 
-    tables, given with a layout, evaluates the kernel's z2-only factors on
-    the latitude cosines: once per sweep, on mesh.z2_values, here, before
-    any fork, so a factor's error comes before the first chunk. The kernel
-    then also gets lat = (tables, runs), runs being the chunk's latitude
-    runs, by which linalg2._fill_tables writes a table into a plane as the
-    mesh writes z2. A table of lat_count >= 3 lanes is, by the rule above,
-    bit for bit the factor at each point of a chunk of 2 or more points.
+    ws holds the named views of layout, a linalg2.Layout, on the workspace,
+    cut to the chunk's length. Each process allocates one workspace of
+    layout.planes complex planes per sweep, with linalg2.aligned. The
+    planes still hold the previous chunk's values, so a kernel writes every
+    lane it reads. A kernel that needs no workspace takes Layout().
+
+    lat = (tab, runs): tab = tables(mesh.z2_values), the kernel's z2-only
+    factors evaluated on the latitude cosines once per sweep, here, before
+    any fork, so a factor's error comes before the first chunk; runs the
+    chunk's latitude runs, by which linalg2._fill_tables writes a table
+    into a plane as the mesh writes z2. A table of lat_count >= 3 lanes is,
+    by the rule above, bit for bit the factor at each point of a chunk of 2
+    or more points. A kernel without such factors takes tables that build
+    nothing.
 
     A sweep of at least SPLIT_POINTS points runs as fork._two_halves, whose
     blocks are the chunks: once per sweep, so once for all of certify's
     mesh evidence. The chunks and the kernel arithmetic are those of one
-    process, so every per-chunk result is bit for bit the same, and the
-    list holds the parent's chunks, then the helper's.
+    process, so every per-chunk result is bit for bit the same, and fold
+    gets the parent's chunks, then the helper's.
     """
 
-    tab = tables(mesh.z2_values) if tables else None
+    tab = tables(mesh.z2_values)
 
     def run(start, stop):
-        work = aligned((layout.planes if layout else 0, min(stop - start, CHUNK)))
-        chunks = mesh.chunks(CHUNK, start, stop, runs=True) if tables else mesh.chunks(CHUNK, start, stop)
-        for z0, z1, z2, *runs in chunks:
-            args = (z0, z1, z2, layout.cut(work[:, : len(z2)])) if layout else (z0, z1, z2)
-            yield kernel(*args, (tab, *runs)) if tables else kernel(*args)
+        work = aligned((layout.planes, min(stop - start, CHUNK)))
+        for z0, z1, z2, runs in mesh.chunks(CHUNK, start, stop):
+            yield kernel(z0, z1, z2, layout.cut(work[:, : len(z2)]), (tab, runs))
 
-    return list(_two_halves(len(mesh), CHUNK, run, len(mesh) >= SPLIT_POINTS))
+    return fold(list(_two_halves(len(mesh), CHUNK, run, len(mesh) >= SPLIT_POINTS)), rules)
 
 
 def fold(parts, rules):
-    """Fold sweep's per-chunk result tuples field by field, one rule per field.
+    """Fold per-chunk result tuples field by field, one rule per field.
 
-    A rule is sum, for counts, or np.maximum or np.minimum, which unlike
-    max() and min() keep a nan from any chunk. A folded maximum or minimum
-    is a float plus 0.0, so a -0.0 extreme reads 0.0: which zero a fold
-    over ties keeps depends on the order it meets them, so CHUNK and the
-    fork's cut would show in the sign. So no result depends on how the
-    mesh was cut: folding each half's parts, then the two folds, gives
-    the fold of all the parts. Returns a tuple, one value per field.
+    A rule is a ufunc, np.maximum or np.minimum, which unlike max() and
+    min() keeps a nan from any chunk. Its folded extreme is a float plus
+    0.0, so a -0.0 extreme reads 0.0: which zero a fold over ties keeps
+    depends on the order it meets them, so CHUNK and the fork's cut would
+    show in the sign. Any other rule is a callable that takes the field's
+    column, the tuple of its per-chunk values, and returns the folded
+    value: sum, for counts, or a merge of per-chunk arrays. No result
+    depends on how the mesh was cut as long as each rule is associative:
+    folding each half's parts, then the two folds, gives the fold of all
+    the parts. Returns a tuple, one value per field.
     """
     # a list, not a generator, for the same reason as in linalg2._rows
-    return tuple([sum(c) if rule is sum else float(rule.reduce(c)) + 0.0 for rule, c in zip(rules, zip(*parts))])
+    return tuple([float(rule.reduce(c)) + 0.0 if isinstance(rule, np.ufunc) else rule(c)
+                  for rule, c in zip(rules, zip(*parts))])
 
 
 def _coords(z0, z1, z2):
@@ -406,18 +411,9 @@ def inverse_identity_sweep(mesh, mus=MU_PROBES):
     cond = smax^2 / |det| <= COND_LIMIT = 1e6 has |det| >= 1e-6 smax^2,
     while the guard fires only at |det| <= 1e-14 smax^2 (SINGULARITY_RTOL),
     eight orders lower, and a nan lane fails the guard's <=. Returns
-    (max_residual, skipped_count), folded over the chunks by fold.
+    (max_residual, skipped_count), which sweep folds by np.maximum and sum.
     """
-    worst, skipped = fold(
-        sweep(
-            lambda z0, z1, z2, work, lat: _inverse_identity_chunk(z0, z1, z2, work, lat, mus),
-            mesh,
-            _INVERSE_LAYOUT,
-            _tables,
-        ),
-        (np.maximum, sum),
-    )
-    return worst, skipped
+    return sweep(partial(_inverse_identity_chunk, mus=mus), mesh, _INVERSE_LAYOUT, _tables, (np.maximum, sum))
 
 
 @dataclass(frozen=True)
@@ -430,6 +426,18 @@ class IdentityResiduals:
     a_rank_one: float
     b_rank_one: float
     ab_eigenvalues: float
+
+
+def _ba_residual(b, a, ba, diag, r, work, norm_work):
+    """max ||(1 - 2ba) - diag(x)|| over a chunk, as a float: for the identities and certify's path start.
+
+    ba receives b a, then 1 - 2ba, then the difference, and r the norms;
+    work is mat_mul's scratch (1 plane) and norm_work op_norm's (2).
+    diag() returns the Field to subtract, diag(phi, 1) or H(x, 0); it is
+    called once b a is formed, so it may write into the planes of a or b.
+    """
+    np.subtract(eye_like(ba), np.multiply(2.0, mat_mul(b, a, out=ba, work=work), out=ba), out=ba)
+    return float(op_norm(np.subtract(ba, diag(), out=ba), out=r, work=norm_work).max())
 
 
 # the workspace of one identity chunk, 27 planes
@@ -459,9 +467,8 @@ def _identity_chunk(x0, x1, x2, ws, lat):
 
     # 1 - 2ba = diag(phi, 1), and |phi| = 1; phi in w, which is free until
     # w = 1/(1 + i z2) below
-    planar(_fill_tables(ws.w, lat, "phi"), 0.0, 0.0, 1.0, out=ws.c)
-    np.subtract(eye, np.multiply(2.0, mat_mul(ws.b, ws.a, out=ws.t, work=ws.scratch), out=ws.t), out=ws.t)
-    r_ba = op_norm(np.subtract(ws.t, ws.c, out=ws.t), out=ws.r, work=ws.scratch).max()
+    r_ba = _ba_residual(ws.b, ws.a, ws.t, lambda: planar(_fill_tables(ws.w, lat, "phi"), 0.0, 0.0, 1.0, out=ws.c),
+                        ws.r, ws.scratch, ws.scratch)
     r_phi = np.abs(np.subtract(np.abs(ws.w, out=ws.r), 1.0, out=ws.r), out=ws.r).max()
 
     # a^2 = (z0 w) a and b^2 = (conj(z0) w) b, w = 1/(1 + i z2)
@@ -480,7 +487,7 @@ def _identity_chunk(x0, x1, x2, ws, lat):
     lo, hi = np.subtract(eig2(ws.ab, out=ws.got, work=ws.scratch), lo_hi, out=ws.got)
     r_eig = np.maximum(np.abs(lo, out=ws.r).max(), np.abs(hi, out=ws.r).max())
     # a tuple display, not tuple() of a generator (see linalg2._rows)
-    return float(r_ab), float(r_ba), float(r_phi), float(r_a2), float(r_b2), float(r_eig)
+    return float(r_ab), r_ba, float(r_phi), float(r_a2), float(r_b2), float(r_eig)
 
 
 def identity_residuals(mesh):
@@ -489,7 +496,7 @@ def identity_residuals(mesh):
     Checked against closed forms derived by hand:
     a^2 = (z0/(1+i z2)) a, b^2 = (conj z0/(1+i z2)) b (rank-one algebra),
     1-2ab = c, 1-2ba = diag(phi, 1), and eig(ab) = {product eigenvalue, 0}.
-    Each maximum folds over the chunks by fold's np.maximum rule, so a nan
-    at any point reaches it.
+    sweep folds each maximum over the chunks by np.maximum, so a nan at any
+    point reaches it.
     """
-    return IdentityResiduals(*fold(sweep(_identity_chunk, mesh, _IDENTITY_LAYOUT, _tables), (np.maximum,) * 6))
+    return IdentityResiduals(*sweep(_identity_chunk, mesh, _IDENTITY_LAYOUT, _tables, (np.maximum,) * 6))

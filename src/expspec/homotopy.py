@@ -65,7 +65,7 @@ from functools import partial
 import numpy as np
 
 from . import linking
-from .algebra import _c_column, _c_factors, _coords, _tables, _times_i, field_a, field_b, fold, phi, sweep
+from .algebra import _ba_residual, _c_column, _c_factors, _coords, _tables, _times_i, field_a, field_b, phi, sweep
 from .linalg2 import (
     FIELD,
     FLOAT,
@@ -78,7 +78,6 @@ from .linalg2 import (
     carve,
     carved,
     eye_like,
-    mat_mul,
     op_norm,
     planar,
     planes,
@@ -476,7 +475,7 @@ def antipodal_gap(mesh, _flip_equator=False):
     (hemisphere_worst_violation, inf without off-equator, off-pole points)
     and the equator coincidence (equator_max_deviation, max |f - Eh| over
     the mesh's equator latitude, -inf without one); the minima and the
-    maxima fold over the chunks by algebra.fold. It runs inside certify's
+    maxima fold over the chunks in algebra.sweep. It runs inside certify's
     one mesh sweep, after the path start on the same chunk (see
     _certify_evidence), which reads the mesh in its own order, north to
     south, as _f_eh_chunk's equator run needs. The kernel measures
@@ -540,13 +539,13 @@ def _certify_tables(z2, start):
 def _certify_chunk(x0, x1, x2, ws, lat):
     """The path start's residual, then _f_eh_chunk's four folds, on one chunk.
 
-    Returns (max ||(1 - 2ba)(x) - H(x, 0)||, then _f_eh_chunk's four
-    values); ws is _CERTIFY_LAYOUT cut to the chunk, lat its _certify_tables.
+    Returns (max ||(1 - 2ba)(x) - H(x, 0)||, by algebra._ba_residual, then
+    _f_eh_chunk's four values); ws is _CERTIFY_LAYOUT cut to the chunk, lat
+    its _certify_tables.
     """
-    ba = mat_mul(field_b(x0, x1, x2, out=ws.b, lat=lat), field_a(x0, x1, x2, out=ws.a, lat=lat), out=ws.ba, work=ws.t)
-    np.subtract(eye_like(ba), np.multiply(2.0, ba, out=ba), out=ba)
-    ba -= _fill_tables(ws.a, lat, "start")
-    return (float(op_norm(ba, out=ws.r, work=ws.norm).max()), *_f_eh_chunk(x0, x1, x2, ws.f_eh, lat))
+    start = _ba_residual(field_b(x0, x1, x2, out=ws.b, lat=lat), field_a(x0, x1, x2, out=ws.a, lat=lat), ws.ba,
+                         lambda: _fill_tables(ws.a, lat, "start"), ws.r, ws.t, ws.norm)
+    return (start, *_f_eh_chunk(x0, x1, x2, ws.f_eh, lat))
 
 
 def _certify_evidence(mesh, flip_equator=False):
@@ -558,9 +557,9 @@ def _certify_evidence(mesh, flip_equator=False):
     the det grid, whose t = 0 Field is the path start's table, the others
     in _certify_tables. So a factor's error comes first; among per-point
     errors the first failing chunk decides, the path start before f and Eh.
-    The five per-chunk values of _certify_chunk fold by algebra.fold, each
-    by its rule: the maxima of the path start and of both equator runs,
-    the minima of |f + Eh| and of the hemisphere sign.
+    sweep folds the five per-chunk values of _certify_chunk, each by its
+    rule: the maxima of the path start and of both equator runs, the minima
+    of |f + Eh| and of the hemisphere sign.
     """
     det_dev, h_start = 0.0, None
     for t in np.linspace(0.0, 1.0, PATH_T_COUNT):
@@ -569,8 +568,10 @@ def _certify_evidence(mesh, flip_equator=False):
         # np.maximum, unlike max(), keeps a nan from any t
         det_dev = np.maximum(det_dev, np.abs(np.abs(h00 * h11 - h01 * h10) - 1.0).max())
 
-    parts = sweep(_certify_chunk, mesh, _CERTIFY_LAYOUT, partial(_certify_tables, start=h_start))
-    start, min_gap, hemisphere, flipped, equator = fold(parts, (np.maximum, np.minimum, np.minimum, np.maximum, np.maximum))
+    start, min_gap, hemisphere, flipped, equator = sweep(
+        _certify_chunk, mesh, _CERTIFY_LAYOUT, partial(_certify_tables, start=h_start),
+        (np.maximum, np.minimum, np.minimum, np.maximum, np.maximum),
+    )
     path = PathInvertibility(float(det_dev), start, float(op_norm(h - eye_like(h)).max()))
     return path, AntipodalGap(
         equator_max_deviation=flipped if flip_equator else equator,

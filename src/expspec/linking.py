@@ -262,9 +262,14 @@ def _pair_pass(c1, c2):
     matmul to gemv, whose bits differ from the same row of a gemm. The
     blocks do not depend on where the pass forks. From SPLIT_PAIRS pairs
     on, a forked helper runs the back half of the row blocks
-    (fork._two_halves). The blocks' results are collected and folded once:
-    the minima by np.minimum.reduce, which keeps a nan, and the row sums by
-    one join in row order, as in one process.
+    (fork._two_halves). Each block yields one bytes object, its
+    separation's 8 bytes ahead of its row sums' float64 bytes: a helper's
+    blocks then unpickle as objects that the garbage collector does not
+    track, where 512 (float, bytes) tuples set off a collection over the
+    whole process. float64 to bytes and back is exact. The blocks are
+    collected and folded once: the minima by np.minimum.reduce, which
+    keeps a nan, and the row sums by one concatenation in row order, as in
+    one process.
     """
     cols, h2 = _column_table(c2.points)
     n, m = len(c1), len(h2)
@@ -279,10 +284,10 @@ def _pair_pass(c1, c2):
             end = min(first + step, stop - top)
             low = min(first, end - 2)
             separation, sums = _pair_rows(rows[low:end], h1[low:end], cols, h2, _PAIR_LAYOUT.cut(work[:, : end - low]))
-            yield separation, sums[8 * (first - low) :]
+            yield np.float64(separation).tobytes() + sums[8 * (first - low) :]
 
-    separations, sums = zip(*_two_halves(n, step, run, n * m >= SPLIT_PAIRS))
-    return float(np.minimum.reduce(separations)), np.frombuffer(b"".join(sums))
+    blocks = [np.frombuffer(block) for block in _two_halves(n, step, run, n * m >= SPLIT_PAIRS)]
+    return float(np.minimum.reduce([block[0] for block in blocks])), np.concatenate([block[1:] for block in blocks])
 
 
 def _pair_rows(rows, h1, cols, h2, ws):

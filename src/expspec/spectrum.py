@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ELEMENTS, field_ab, sweep
-from .linalg2 import eig2
+from .linalg2 import Layout, eig2
 
 __all__ = [
     "TargetSet",
@@ -97,13 +97,17 @@ def sample_spectrum(element, mesh):
 
     `element` is a name from algebra.ELEMENTS. The cloud is every pointwise
     eigenvalue, rounded to the 1e-12 grid and deduplicated, in
-    lexicographic order by real then imaginary part (see _dedup).
+    lexicographic order by real then imaginary part (see _dedup). The
+    kernel needs no workspace and no latitude tables; sweep merges its
+    per-chunk clouds by the same _dedup, which is associative: deduplicating
+    each half's merge, then the pair, gives the merge of all the chunks.
     """
     field = ELEMENTS[element]
     if len(mesh) == 0:
         raise ValueError("empty mesh")
-    chunks = sweep(lambda *x: _dedup(eig2(field(*x)).ravel()), mesh)
-    return _dedup(np.concatenate(chunks))
+    (cloud,) = sweep(lambda z0, z1, z2, ws, lat: (_dedup(eig2(field(z0, z1, z2)).ravel()),), mesh, Layout(),
+                     lambda z2: None, (lambda clouds: _dedup(np.concatenate(clouds)),))
+    return cloud
 
 
 def drop_zeros(cloud):

@@ -130,9 +130,10 @@ class SphereMesh4:
 
     It stores no point arrays (see the module docstring for the order of
     the points). len(mesh) is exact, point(i) is closed form, and chunks()
-    yields the coordinates of consecutive index ranges. Every route gives
-    the same bits for the same point. The chunks are views of buffers that
-    the next chunk overwrites, so a kernel must not keep them.
+    yields the coordinates of consecutive index ranges with their latitude
+    runs. Every route gives the same bits for the same point. The chunks
+    are views of buffers that the next chunk overwrites, so a kernel must
+    not keep them.
     """
 
     lat_count: int
@@ -154,18 +155,17 @@ class SphereMesh4:
     def point(self, i):
         if not 0 <= i < len(self):
             raise IndexError(f"mesh index {i} out of range")
-        z0, z1, z2 = next(self.chunks(1, i, i + 1))
+        z0, z1, z2, _ = next(self.chunks(1, i, i + 1))
         return SpherePoint4(complex(z0[0]), complex(z1[0]), float(z2[0]))
 
-    def chunks(self, size, start=0, stop=None, runs=False):
-        """Yield (z0, z1, z2) for the index ranges [i, i + size) of [start, stop).
+    def chunks(self, size, start=0, stop=None):
+        """Yield (z0, z1, z2, runs) for the index ranges [i, i + size) of [start, stop).
 
-        The arrays are views of three buffers that every chunk overwrites,
-        so a consumer must not keep them past its own chunk. Each buffer
-        starts on a 64-byte boundary (linalg2.aligned). With runs, each
-        item is (z0, z1, z2, runs), runs being latitude_runs of the range,
-        by which _fill writes z2 and a sweep fills its latitude tables
-        (linalg2._fill_tables).
+        runs is latitude_runs of the range, by which _fill writes z2 and a
+        sweep fills its latitude tables (linalg2._fill_tables). The arrays
+        are views of three buffers that every chunk overwrites, so a
+        consumer must not keep them past its own chunk. Each buffer starts
+        on a 64-byte boundary (linalg2.aligned).
         """
         stop = len(self) if stop is None else stop
         b0, b1, b2 = [aligned((min(size, stop - start),), dtype) for dtype in (np.complex128, np.complex128, np.float64)]
@@ -173,9 +173,9 @@ class SphereMesh4:
             # a tuple display: tuple() of a generator would leave one more
             # tuple on CPython's free list per chunk (see linalg2._rows)
             n = min(size, stop - i)
-            chunk, lat_runs = (b0[:n], b1[:n], b2[:n]), self.latitude_runs(i, n)
-            self._fill(i, lat_runs, *chunk)
-            yield chunk + (lat_runs,) if runs else chunk
+            chunk = (b0[:n], b1[:n], b2[:n], self.latitude_runs(i, n))
+            self._fill(i, *chunk)
+            yield chunk
 
     def arrays(self):
         """Every point as three new arrays (z0, z1, z2).
@@ -184,7 +184,7 @@ class SphereMesh4:
         in memory, so no module of the package calls it.
         """
         # the only chunk of a generator dropped at once: nothing overwrites it
-        return next(self.chunks(len(self)))
+        return next(self.chunks(len(self)))[:3]
 
     def latitude_runs(self, i, n):
         """The latitude runs of the points [i, i + n): a list of (j, k, m), in mesh order.
@@ -208,7 +208,7 @@ class SphereMesh4:
             k += m
         return runs
 
-    def _fill(self, i, runs, z0, z1, z2):
+    def _fill(self, i, z0, z1, z2, runs):
         """Write the points [i, i + len(z2)), whose latitude runs are runs, into z0, z1, z2."""
         for j, k, m in runs:
             x0, x1 = z0[k : k + m], z1[k : k + m]

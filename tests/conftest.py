@@ -37,7 +37,7 @@ def equator_ring(mesh):
     """
     start = 1 + (mesh.lat_count - 3) // 2 * mesh.shell_size
     # the only chunk of a generator dropped at once: nothing overwrites it
-    return next(mesh.chunks(mesh.shell_size, start, start + mesh.shell_size))
+    return next(mesh.chunks(mesh.shell_size, start, start + mesh.shell_size))[:3]
 
 
 def poisoned(tab, runs):

@@ -222,9 +222,10 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
     points = mesh9.arrays()
     for chunk in (default_chunk, 7, 3, 2):
         monkeypatch.setattr(algebra, "CHUNK", chunk)
-        chunks = algebra.sweep(lambda *x: [c.copy() for c in x], mesh9)
-        for got, want in zip(zip(*chunks), points):
-            assert np.array_equal(np.concatenate(got), want)
+        swept = algebra.sweep(lambda z0, z1, z2, ws, lat: (z0.copy(), z1.copy(), z2.copy()), mesh9, Layout(),
+                              lambda z2: None, (np.concatenate,) * 3)
+        for got, want in zip(swept, points, strict=True):
+            assert np.array_equal(got, want)
         assert run_all_sweeps() == one_chunk
 
 
@@ -246,9 +247,9 @@ def test_a_lone_south_pole_chunk_is_exact(name, mesh9):
     # one-chunk run for chunks of 2 or more points. Its last chunk may still
     # hold one point, the south pole, where each evaluator is exact
     evaluate, last = POINTWISE[name], len(mesh9) - 1
-    alone = np.asarray(evaluate(*next(mesh9.chunks(1, last))))[..., 0].copy()
+    alone = np.asarray(evaluate(*next(mesh9.chunks(1, last))[:3]))[..., 0].copy()
     for lanes in (2, 3, 8):
-        within = np.asarray(evaluate(*next(mesh9.chunks(lanes, last + 1 - lanes))))[..., -1]
+        within = np.asarray(evaluate(*next(mesh9.chunks(lanes, last + 1 - lanes))[:3]))[..., -1]
         assert alone.tobytes() == within.tobytes()
 
 
@@ -283,14 +284,15 @@ def test_many_chunk_sweep_leaves_no_tuples_behind(mesh9, monkeypatch):
 
     def kernel(z0, z1, z2, ws, lat):
         _identity_chunk(z0, z1, z2, ws, lat)
+        return ()
 
-    algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT, _tables)
+    algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT, _tables, ())
     enabled = gc.isenabled()
     gc.disable()
     gc.collect()  # empties the free lists
     tracemalloc.start()
     try:
-        algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT, _tables)
+        algebra.sweep(kernel, mesh9, _IDENTITY_LAYOUT, _tables, ())
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -300,10 +302,10 @@ def test_many_chunk_sweep_leaves_no_tuples_behind(mesh9, monkeypatch):
 
 
 class _Arrays:
-    """A mesh stand-in: fixed coordinate arrays, swept in slices."""
+    """A mesh stand-in: fixed coordinate arrays, swept in slices, with no latitudes."""
 
     def __init__(self, z0, z1, z2):
-        self.z0, self.z1, self.z2 = z0, z1, z2
+        self.z0, self.z1, self.z2, self.z2_values = z0, z1, z2, None
 
     def __len__(self):
         return len(self.z2)
@@ -312,7 +314,7 @@ class _Arrays:
         stop = len(self) if stop is None else stop
         for i in range(start, stop, size):
             j = min(i + size, stop)
-            yield self.z0[i:j], self.z1[i:j], self.z2[i:j]
+            yield self.z0[i:j], self.z1[i:j], self.z2[i:j], None
 
 
 class _Poisoned:
@@ -324,8 +326,8 @@ class _Poisoned:
     def __len__(self):
         return len(self.mesh)
 
-    def chunks(self, size, start=0, stop=None, runs=False):
-        for i, chunk in zip(range(start, len(self), size), self.mesh.chunks(size, start, stop, runs)):
+    def chunks(self, size, start=0, stop=None):
+        for i, chunk in zip(range(start, len(self), size), self.mesh.chunks(size, start, stop)):
             if 0 <= self.index - i < len(chunk[0]):
                 chunk[0][self.index - i] = np.nan
             yield chunk
@@ -402,19 +404,18 @@ SPLIT_MESHES = {2: (9, 8), 7: (9, 8), 1021: (9, 16), None: (9, 32)}
 @pytest.mark.parametrize("chunk", SPLIT_MESHES)
 @pytest.mark.parametrize("name", SWEEP_RUNS)
 def test_split_sweep_matches_one_process_bit_for_bit(name, chunk, forks, monkeypatch):
-    # the per-chunk parts and the folded result, forked and in one process
+    # the per-chunk parts and the folded result, forked and in one process;
+    # sweep hands fold every chunk's parts, so they are recorded there
     mesh = mesh_s4(*SPLIT_MESHES[chunk])
     monkeypatch.setattr(algebra, "CHUNK", chunk or CHUNK)
     assert CHUNK == 8192 and len(mesh) > algebra.CHUNK
-    sweep, parts = algebra.sweep, []
+    real_fold, parts = algebra.fold, []
 
-    def recording(*args, **kwargs):
-        result = sweep(*args, **kwargs)
-        parts.append([_bits(p) for p in result])
-        return result
+    def recording(chunks, rules):
+        parts.append([_bits(p) for p in chunks])
+        return real_fold(chunks, rules)
 
-    for module in (algebra, homotopy, spectrum):
-        monkeypatch.setattr(module, "sweep", recording)
+    monkeypatch.setattr(algebra, "fold", recording)
 
     def run(split_points):
         monkeypatch.setattr(algebra, "SPLIT_POINTS", split_points)
@@ -430,7 +431,7 @@ def test_split_sweep_matches_one_process_bit_for_bit(name, chunk, forks, monkeyp
     assert_no_child_left()
 
 
-def test_fold_keeps_nans_and_reads_signed_zero_ties_as_zero():
+def test_fold_keeps_nans_and_reads_signed_zero_ties_as_zero(mesh9):
     parts = [(1.0, 2.0, 3), (-1.0, 5.0, 4), (0.5, -2.0, 0), (0.25, 0.0, 2)]
     cases = {(np.maximum, np.minimum, sum): (1.0, -2.0, 9), (np.minimum, np.maximum, sum): (-1.0, 5.0, 9)}
     for rules, want in cases.items():
@@ -450,6 +451,27 @@ def test_fold_keeps_nans_and_reads_signed_zero_ties_as_zero():
     for tie in ([(-0.0,), (0.0,)], [(0.0,), (-0.0,)], [(-0.0,), (-0.0,)]):
         for rule in (np.maximum, np.minimum):
             assert _bits(fold(tie, (rule,))) == _bits((0.0,))
+    # a callable rule: sample_spectrum's cloud merge, on the per-chunk clouds
+    # of ab over mesh9 at 7 points a chunk (81 parts), each deduplicated as
+    # its kernel does; a nan cloud value in any part must survive the merge
+    merge = (lambda clouds: spectrum._dedup(np.concatenate(clouds)),)
+    z0, z1, z2 = mesh9.arrays()
+    parts = [(spectrum._dedup(eig2(algebra.field_ab(z0[i : i + 7], z1[i : i + 7], z2[i : i + 7])).ravel()),)
+             for i in range(0, len(z2), 7)]
+    (whole,) = fold(parts, merge)
+    assert whole.tobytes() == spectrum._dedup(np.concatenate([p for p, in parts])).tobytes()
+    assert whole.tobytes() == spectrum.sample_spectrum("ab", mesh9).tobytes()
+    # the fork's cut: each half's fold, then the pair's, is the fold of all parts
+    for cut in (1, 2, 40, len(parts) - 1):
+        halves = [fold(parts[:cut], merge), fold(parts[cut:], merge)]
+        assert _bits(fold(halves, merge)) == _bits((whole,))
+    for i in (0, len(parts) // 2, len(parts) - 1):
+        spoiled = [(np.append(p, complex(np.nan, 0.0)),) if j == i else (p,) for j, (p,) in enumerate(parts)]
+        (cloud,) = fold(spoiled, merge)
+        assert np.isnan(cloud[-1]) and cloud[:-1].tobytes() == whole.tobytes()
+        cut = i or 1
+        halves = [fold(spoiled[:cut], merge), fold(spoiled[cut:], merge)]
+        assert _bits(fold(halves, merge)) == _bits((cloud,))
 
 
 def test_failed_fork_runs_the_back_half_here(forks, monkeypatch, mesh9):
@@ -490,12 +512,17 @@ def test_one_cpu_sweeps_in_one_process(forks, monkeypatch, mesh9):
     assert not forks
 
 
+def _plain_sweep(kernel, mesh, rules):
+    """algebra.sweep without a workspace or latitude tables."""
+    return algebra.sweep(kernel, mesh, Layout(), lambda z2: None, rules)
+
+
 def test_split_threshold_forks_only_large_meshes(forks, monkeypatch):
     monkeypatch.setattr(algebra, "SPLIT_POINTS", 1 << 18)
-    count = lambda *chunk: None  # noqa: E731
-    algebra.sweep(count, mesh_s4(33, 32))  # 224,194 points
+    count = lambda z0, z1, z2, ws, lat: ()  # noqa: E731
+    _plain_sweep(count, mesh_s4(33, 32), ())  # 224,194 points
     assert not forks
-    algebra.sweep(count, mesh_s4(97, 32))  # 687,042 points
+    _plain_sweep(count, mesh_s4(97, 32), ())  # 687,042 points
     assert len(forks) == 1
     assert_no_child_left()
 
@@ -515,13 +542,13 @@ def test_sweep_cuts_the_workspace_to_each_chunk(split, forks, monkeypatch):
     if not split:
         monkeypatch.setattr(algebra, "SPLIT_POINTS", 171)
 
-    def kernel(z0, z1, z2, ws):
+    def kernel(z0, z1, z2, ws, lat):
         return ws.work.shape, len(z2), ws.work.ctypes.data % 64
 
-    parts = algebra.sweep(kernel, _index_mesh(170), Layout(work=planes(3)))
-    assert [n for _, n, _ in parts] == [16] * 10 + [10]
-    assert all(shape == (3, n) for shape, n, _ in parts)
-    assert all(offset == 0 for _, _, offset in parts)
+    shapes, sizes, offsets = algebra.sweep(kernel, _index_mesh(170), Layout(work=planes(3)), lambda z2: None, (list,) * 3)
+    assert sizes == [16] * 10 + [10]
+    assert shapes == [(3, n) for n in sizes]
+    assert offsets == [0] * 11
     assert len(forks) == split
     assert_no_child_left()
 
@@ -544,11 +571,11 @@ def test_forked_sweep_warns_nothing(forks):
 def _singular_at(*points):
     """A kernel that raises SingularMatrix on the chunk holding any of points."""
 
-    def kernel(z0, z1, z2):
+    def kernel(z0, z1, z2, ws, lat):
         for i in points:
             if z2[0] <= i <= z2[-1]:
                 raise SingularMatrix(f"singular at point {i}")
-        return float(z2.sum())
+        return (float(z2.sum()),)
 
     return kernel
 
@@ -562,11 +589,12 @@ def test_split_sweep_raises_what_one_process_raises(points, message, forks, monk
     # ten chunks of 16 points, cut at point 80; an error in the front half wins
     monkeypatch.setattr(algebra, "CHUNK", 16)
     with pytest.raises(SingularMatrix) as err:
-        algebra.sweep(_singular_at(*points), _index_mesh(160))
+        _plain_sweep(_singular_at(*points), _index_mesh(160), (list,))
     assert type(err.value) is SingularMatrix and str(err.value) == message
     assert forks
     assert_no_child_left()
-    assert algebra.sweep(_singular_at(), _index_mesh(160)) == [float(sum(range(i, i + 16))) for i in range(0, 160, 16)]
+    sums = [float(sum(range(i, i + 16))) for i in range(0, 160, 16)]
+    assert _plain_sweep(_singular_at(), _index_mesh(160), (list,)) == (sums,)
     assert_no_child_left()
 
 
@@ -576,12 +604,13 @@ def test_helper_error_reaches_the_parent(forks, monkeypatch):
     monkeypatch.setattr(algebra, "CHUNK", 16)
     main = os.getpid()
 
-    def kernel(z0, z1, z2):
+    def kernel(z0, z1, z2, ws, lat):
         if os.getpid() != main:
             raise SingularMatrix(f"singular in the helper at point {z2[0]:.0f}")
+        return ()
 
     with pytest.raises(SingularMatrix, match="^singular in the helper at point 80$"):
-        algebra.sweep(kernel, _index_mesh(160))
+        _plain_sweep(kernel, _index_mesh(160), ())
     assert_no_child_left()
 
 
@@ -589,7 +618,7 @@ def test_unreadable_helper_results_are_swept_here(forks, monkeypatch):
     # a result that does not pickle reaches the parent as nothing readable,
     # so the parent sweeps the back half itself
     monkeypatch.setattr(algebra, "CHUNK", 16)
-    parts = algebra.sweep(lambda z0, z1, z2: (lambda: float(z2[0])), _index_mesh(160))
+    (parts,) = _plain_sweep(lambda z0, z1, z2, ws, lat: (lambda: float(z2[0]),), _index_mesh(160), (list,))
     assert [p() for p in parts] == [float(i) for i in range(0, 160, 16)]
     assert forks
     assert_no_child_left()
@@ -600,7 +629,7 @@ def test_interrupted_sweep_kills_its_helper(forks, monkeypatch):
     # and reap it at once
     monkeypatch.setattr(algebra, "CHUNK", 16)
 
-    def kernel(z0, z1, z2):
+    def kernel(z0, z1, z2, ws, lat):
         if z2[0] >= 80:
             time.sleep(2.0)
         else:
@@ -608,7 +637,7 @@ def test_interrupted_sweep_kills_its_helper(forks, monkeypatch):
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        algebra.sweep(kernel, _index_mesh(160))
+        _plain_sweep(kernel, _index_mesh(160), ())
     assert time.monotonic() - start < 5.0
     assert forks
     assert_no_child_left()
@@ -635,16 +664,18 @@ def test_closed_two_halves_kills_its_helper(forks):
 ORPHAN_SCRIPT = """
 import os, sys, time
 from expspec import algebra, fork, mesh_s4
+from expspec.linalg2 import Layout
 algebra.CHUNK, algebra.SPLIT_POINTS = 7, 0
 fork._cpus = lambda: 2
 fd, main = int(sys.argv[1]), os.getpid()
 
-def kernel(z0, z1, z2):
+def kernel(z0, z1, z2, ws, lat):
     if os.getpid() != main:
         os.write(fd, b"x")
     time.sleep(0.2)
+    return ()
 
-algebra.sweep(kernel, mesh_s4(9, 8))
+algebra.sweep(kernel, mesh_s4(9, 8), Layout(), lambda z2: None, ())
 """
 
 
@@ -750,7 +781,7 @@ def test_buffered_evaluators_allocate_no_cast_buffer(name):
     # a float plane in a complex ufunc (s * w, or a complex plane divided by
     # a float one) is cast to complex in a 128 KiB buffer per call on a
     # chunk. The first call fills numpy's caches; the second is traced.
-    z = next(mesh_s4(65, 64).chunks(CHUNK, 1 << 20, runs=True))
+    z = next(mesh_s4(65, 64).chunks(CHUNK, 1 << 20))
     evaluate = NO_CAST_CASES[name](z, lambda k: np.empty((k, CHUNK), np.complex128))
     evaluate()
     tracemalloc.start()

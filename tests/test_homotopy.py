@@ -346,9 +346,9 @@ def test_flip_f_sweeps_the_production_kernel(mesh9, monkeypatch):
 
     sweep, calls = homotopy.sweep, []
 
-    def recording(kernel, mesh, layout=None, tables=None):
-        calls.append((kernel, layout, tables.func))
-        return sweep(kernel, mesh, layout, tables)
+    def recording(kernel, mesh, layout, tables, rules):
+        calls.append((kernel, layout, tables.func, rules))
+        return sweep(kernel, mesh, layout, tables, rules)
 
     monkeypatch.setattr(homotopy, "sweep", recording)
     build_certificates(mesh9)
@@ -365,14 +365,15 @@ def test_certify_sweeps_its_mesh_once(sabotage, mesh9, monkeypatch):
 
     sweep, calls = homotopy.sweep, []
 
-    def recording(kernel, mesh, layout=None, tables=None):
-        calls.append((kernel, mesh, layout, tables.func))
-        return sweep(kernel, mesh, layout, tables)
+    def recording(kernel, mesh, layout, tables, rules):
+        calls.append((kernel, mesh, layout, tables.func, rules))
+        return sweep(kernel, mesh, layout, tables, rules)
 
     monkeypatch.setattr(homotopy, "sweep", recording)
     build_certificates(mesh9, segments=64, sabotage=sabotage)
     assert len(calls) == 1
-    assert calls[0] == (homotopy._certify_chunk, mesh9, homotopy._CERTIFY_LAYOUT, homotopy._certify_tables)
+    rules = (np.maximum, np.minimum, np.minimum, np.maximum, np.maximum)
+    assert calls[0] == (homotopy._certify_chunk, mesh9, homotopy._CERTIFY_LAYOUT, homotopy._certify_tables, rules)
 
 
 def test_first_failing_chunk_decides_the_certify_error(mesh9, monkeypatch):
@@ -415,7 +416,8 @@ def test_first_failing_chunk_decides_the_certify_error(mesh9, monkeypatch):
     with pytest.raises(DomainError, match="z2 factor"):
         build_certificates(mesh9, segments=64)
     monkeypatch.setattr(homotopy, "phi", phi)
-    monkeypatch.setattr(homotopy, "mat_mul", path_raising_on(2))
+    # the path start's product is algebra._ba_residual's
+    monkeypatch.setattr(algebra, "mat_mul", path_raising_on(2))
     with pytest.raises(DegenerateProjection, match="f at z2 = 1"):
         build_certificates(mesh9, segments=64)
     # in the last chunk itself the path start fails first

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import time
@@ -770,5 +771,34 @@ def test_pair_pass_workspace_starts_on_a_cache_line(split, forks, monkeypatch):
         monkeypatch.setattr(linking, "SPLIT_PAIRS", 2 * 1024 * 1024)
     assert abs(hopf_invariant_of_h(1024).rounded) == 1
     assert len(offsets) == (32 if split else 64)
+    assert len(forks) == split
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
+def test_pair_pass_blocks_are_objects_the_gc_does_not_track(split, forks, monkeypatch):
+    # a forked helper pickles its blocks' results, and unpickling 512
+    # (float, bytes) tuples set off a garbage collection over the whole
+    # process. Each block is one bytes object: checked where it is made, in
+    # the helper too, from where the error reaches the parent. 1024
+    # segments: 64 blocks of 16 rows
+    two_halves, kinds = linking._two_halves, []
+
+    def checked(length, block, run, split_):
+        def untracked(start, stop):
+            for result in run(start, stop):
+                if gc.is_tracked(result):
+                    raise AssertionError(f"a block yields a tracked {type(result).__name__}")
+                yield result
+
+        for result in two_halves(length, block, untracked, split_):
+            kinds.append(type(result))
+            yield result
+
+    monkeypatch.setattr(linking, "_two_halves", checked)
+    if not split:
+        monkeypatch.setattr(linking, "SPLIT_PAIRS", 2 * 1024 * 1024)
+    assert abs(hopf_invariant_of_h(1024).rounded) == 1
+    assert kinds == [bytes] * 64
     assert len(forks) == split
     assert_no_child_left()

@@ -182,7 +182,7 @@ def test_chunks_equal_the_whole_array_mesh(lat, shell):
         for a, b in windows:
             a -= a % size  # the chunk boundaries of a whole-mesh sweep
             # copies: each chunk is a view of buffers that the next one overwrites
-            chunks = [tuple(x.copy() for x in chunk) for chunk in m.chunks(size, a, b)]
+            chunks = [tuple(x.copy() for x in chunk[:3]) for chunk in m.chunks(size, a, b)]
             assert [len(c[2]) for c in chunks] == [min(size, b - i) for i in range(a, b, size)]
             assert_same_points([np.concatenate(x) for x in zip(*chunks)], (x[a:b] for x in want))
 
@@ -212,14 +212,14 @@ def test_largest_mesh_description_is_small():
     assert peak < 1 << 20
     # a point and a chunk at the far end, without the mesh in memory
     assert m.point(len(m) - 1) == (0j, 0j, -1.0)
-    z0, z1, z2 = next(m.chunks(7, len(m) - 7))
+    z0, z1, z2, _ = next(m.chunks(7, len(m) - 7))
     assert len(z2) == 7 and z2[-1] == -1.0
 
 
 def test_chunk_buffers_start_on_a_cache_line():
     # each of the three reused buffers, for a full chunk and the last, shorter one
     mesh = mesh_s4(9, 8)
-    chunks = list((z0.ctypes.data, z1.ctypes.data, z2.ctypes.data) for z0, z1, z2 in mesh.chunks(100, 3, 530))
+    chunks = list((z0.ctypes.data, z1.ctypes.data, z2.ctypes.data) for z0, z1, z2, _ in mesh.chunks(100, 3, 530))
     assert len(chunks) == 6
     assert all(address % 64 == 0 for chunk in chunks for address in chunk)
 
@@ -232,7 +232,7 @@ def test_latitude_runs_cover_each_chunk_by_latitude(lat, shell, sizes):
     m = mesh_s4(lat, shell)
     for size in sizes:
         start = 0
-        for z0, z1, z2, runs in m.chunks(size, runs=True):
+        for z0, z1, z2, runs in m.chunks(size):
             assert runs == m.latitude_runs(start, len(z2))
             assert [k for _, k, _ in runs] == list(np.cumsum([0] + [n for *_, n in runs])[:-1])
             assert sum(n for *_, n in runs) == len(z2)

@@ -41,7 +41,7 @@ def test_table_entries_are_the_factors_of_every_chunk(name, lat, shell):
     build = BUILDERS[name]
     tables = build(mesh.z2_values)
     checked = set()
-    for z0, z1, z2, runs in mesh.chunks(CHUNK, runs=True):
+    for z0, z1, z2, runs in mesh.chunks(CHUNK):
         lat_of = _latitudes(runs, len(z2))
         assert np.array_equal(z2, mesh.z2_values[lat_of])
         # the factors at every point of the chunk, evaluated over the chunk
