@@ -30,9 +30,12 @@ the inner's, (m - n) . (d x e) = [m x d, -d] . [e, e x n] and
 |m - n|^2 = [m, |m|^2, 1] . [-2n, 1, |n|^2]: two matrix products of an
 (n, 11) row table by an (11, m) column table per row block of
 BLOCK_ELEMENTS // m rows give every pair term, so peak memory is
-O(n + m + BLOCK_ELEMENTS). From SPLIT_PAIRS pairs on, the blocks run as
-those of fork._two_halves, each process with its own rows and workspace.
-Where a row runs changes no value: the blocks are fixed by n, m and
+O(n + m + BLOCK_ELEMENTS). The blocks run as those of fork._two_halves,
+and from SPLIT_PAIRS pairs on each process runs its half with its own
+rows and workspace. Each process folds its blocks as they come, the
+separations by np.minimum and the row sums by concatenation in row
+order, and the helper sends its one fold. Where a row runs changes no
+value: the blocks are fixed by n, m and
 BLOCK_ELEMENTS, and none has one row (a product's bits may depend on its
 row count, and a one-row product is a gemv); the rest is elementwise,
 each row sum one numpy sum over a full row, merged in row order by
@@ -75,9 +78,11 @@ FIBER_POLE_CLEARANCE = 0.2  # required distance from projection pole to each fib
 # plane, so the 2-plane workspace (0.25 MiB) stays in a core's L2 cache.
 # At most 2^15: a block's larger product makes rows * m * 6 multiply-adds,
 # and OpenBLAS runs a product of at most 2^18 on the calling thread; above
-# that its second thread competes with the forked helper. 2^15 ran about
-# 5% faster in-process, but its 0.5 MiB workspace would add to certify's
-# peak RSS, which the linking pass sets at 4096 segments.
+# that its second thread competes with the forked helper. The value also
+# fixes the report's bits: a block's row count follows from it, and
+# OpenBLAS's SkylakeX dgemm rounds some entries of a product of 16 or more
+# rows differently from one of 2 to 8 rows, so another value can move the
+# Gauss sum at some segment counts on that kernel alone.
 BLOCK_ELEMENTS = 2**14
 
 # the workspace of one row block: float64 planes of (rows, m). den takes
@@ -260,16 +265,12 @@ def _pair_pass(c1, c2):
     line wherever the heap puts it. A one-row block runs as two rows, with
     the row before it, and keeps the last row's sum: numpy hands a one-row
     matmul to gemv, whose bits differ from the same row of a gemm. The
-    blocks do not depend on where the pass forks. From SPLIT_PAIRS pairs
-    on, a forked helper runs the back half of the row blocks
-    (fork._two_halves). Each block yields one bytes object, its
-    separation's 8 bytes ahead of its row sums' float64 bytes: a helper's
-    blocks then unpickle as objects that the garbage collector does not
-    track, where 512 (float, bytes) tuples set off a collection over the
-    whole process. float64 to bytes and back is exact. The blocks are
-    collected and folded once: the minima by np.minimum.reduce, which
-    keeps a nan, and the row sums by one concatenation in row order, as in
-    one process.
+    blocks do not depend on where the pass forks: they run as those of
+    fork._two_halves, and from SPLIT_PAIRS pairs on a forked helper runs
+    the back half of them. Each block yields (separation, row sums), and
+    each process folds them as they come by the rules declared here: the
+    separations by np.minimum, which keeps a nan, and the row sums by
+    concatenation in row order, as in one process.
     """
     cols, h2 = _column_table(c2.points)
     n, m = len(c1), len(h2)
@@ -284,10 +285,9 @@ def _pair_pass(c1, c2):
             end = min(first + step, stop - top)
             low = min(first, end - 2)
             separation, sums = _pair_rows(rows[low:end], h1[low:end], cols, h2, _PAIR_LAYOUT.cut(work[:, : end - low]))
-            yield np.float64(separation).tobytes() + sums[8 * (first - low) :]
+            yield separation, sums[first - low :]
 
-    blocks = [np.frombuffer(block) for block in _two_halves(n, step, run, n * m >= SPLIT_PAIRS)]
-    return float(np.minimum.reduce([block[0] for block in blocks])), np.concatenate([block[1:] for block in blocks])
+    return _two_halves(n, step, run, n * m >= SPLIT_PAIRS, (np.minimum, np.concatenate))
 
 
 def _pair_rows(rows, h1, cols, h2, ws):
@@ -300,12 +300,11 @@ def _pair_rows(rows, h1, cols, h2, ws):
     cols[6:] is the squared midpoint distance |m_i|^2 + |n_j|^2 - 2 m_i.n_j,
     and rows[:, :6] @ cols[:6] the numerator (m_i x d_i).e_j -
     d_i.(e_j x n_j) = (m_i - n_j).(d_i x e_j). Returns the block's
-    separation as a float and its row sums as float64 bytes, which a forked
-    helper pickles in a fraction of an array's time. A squared distance
-    that rounds below 0 makes its root nan, and a pair at distance 0 makes
-    its term nan or inf; these run without a floating-point warning, the
-    nan reaches the separation, and gauss_linking raises before it merges
-    the sums.
+    separation as a float and its row sums as a float64 array. A squared
+    distance that rounds below 0 makes its root nan, and a pair at
+    distance 0 makes its term nan or inf; these run without a
+    floating-point warning, the nan reaches the separation, and
+    gauss_linking raises before it merges the sums.
     """
     den, num = ws.den, ws.num
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -316,7 +315,7 @@ def _pair_rows(rows, h1, cols, h2, ws):
         separation = (np.subtract(num, h2, out=num).min(axis=1) - h1).min()
         np.matmul(rows[:, :6], cols[:6], out=num)
         num /= den
-        return float(separation), num.sum(axis=1).tobytes()
+        return float(separation), num.sum(axis=1)
 
 
 def curve_separation(c1, c2):

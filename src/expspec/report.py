@@ -339,9 +339,10 @@ def _side_suites(cfg, spec_mesh):
 def run_all(cfg):
     """Every suite in one report: identities, spectra, commutativity, certificates, families.
 
-    The suites run as two tasks of fork._two_halves, one block each.
-    The first, _mesh_suites, sweeps the verification mesh in this process
-    (its sweeps fork their own helpers). The second, _side_suites, runs
+    The suites run as two tasks of fork._two_halves, one block each,
+    whose results, one-item lists, it folds by list concatenation. The first,
+    _mesh_suites, sweeps the verification mesh in this process (its
+    sweeps fork their own helpers). The second, _side_suites, runs
     meanwhile in one helper, forked once both mesh descriptions are built
     and before any sweep. The helper starts from this process's footprint
     at the fork, so the side suites' clouds and LAPACK buffers add nothing
@@ -358,9 +359,10 @@ def run_all(cfg):
 
     def run(start, stop):
         for task in range(start, stop):
-            yield _mesh_suites(cfg, mesh) if task == 0 else _side_suites(cfg, spec_mesh)
+            yield ([_mesh_suites(cfg, mesh) if task == 0 else _side_suites(cfg, spec_mesh)],)
 
-    (identities, (worst, skipped), certify), (spectra, dist, lip, generalize) = _two_halves(2, 1, run, True)
+    (suites,) = _two_halves(2, 1, run, True, (lambda lists: sum(lists, []),))
+    (identities, (worst, skipped), certify), (spectra, dist, lip, generalize) = suites
 
     rep.merge(identities, "identities")
     for element, spec in spectra.items():

@@ -1,6 +1,9 @@
 import ast
 import gc
+import json
+import math
 import os
+import pickle
 import select
 import signal
 import subprocess
@@ -34,12 +37,12 @@ from expspec.algebra import (
     field_c,
     field_one_minus_2ab,
     field_one_minus_2ba,
-    fold,
     identity_residuals,
     inverse_identity_sweep,
     phi,
     product_eigenvalue,
 )
+from expspec.fork import fold
 from expspec.homotopy import f_map, null_homotopy_ba, suspension_eh
 from expspec.linalg2 import Layout, SingularMatrix, eig2, eye_like, mat_inv, mat_mul, op_norm, planes
 from expspec.sphere import mesh_s4
@@ -206,9 +209,8 @@ def test_sweeps_do_not_depend_on_chunking(mesh9, monkeypatch):
             (
                 identity_residuals(mesh9),
                 inverse_identity_sweep(mesh9),
-                homotopy.hemisphere_preservation(mesh9),
-                homotopy.antipodal_gap(mesh9),
-                homotopy.path_invertibility(mesh9),
+                # both certify records, (PathInvertibility, AntipodalGap), from one sweep
+                homotopy._certify_evidence(mesh9),
                 [spectrum.sample_spectrum(name, mesh9).tolist() for name in algebra.ELEMENTS],
             )
         )
@@ -401,21 +403,43 @@ SWEEP_RUNS = {
 SPLIT_MESHES = {2: (9, 8), 7: (9, 8), 1021: (9, 16), None: (9, 32)}
 
 
+def _pickled(path):
+    """Every object pickled into the file at path, in order."""
+    found = []
+    with open(path, "rb") as f:
+        while f.peek(1):
+            found.append(pickle.load(f))
+    return found
+
+
 @pytest.mark.parametrize("chunk", SPLIT_MESHES)
 @pytest.mark.parametrize("name", SWEEP_RUNS)
-def test_split_sweep_matches_one_process_bit_for_bit(name, chunk, forks, monkeypatch):
-    # the per-chunk parts and the folded result, forked and in one process;
-    # sweep hands fold every chunk's parts, so they are recorded there
+def test_split_sweep_matches_one_process_bit_for_bit(name, chunk, forks, monkeypatch, tmp_path):
+    # the per-chunk parts and the folded result, forked and in one process.
+    # Each process folds its own chunks, so every part is recorded where
+    # run makes it: this process's in a list, a helper's in a file
     mesh = mesh_s4(*SPLIT_MESHES[chunk])
     monkeypatch.setattr(algebra, "CHUNK", chunk or CHUNK)
     assert CHUNK == 8192 and len(mesh) > algebra.CHUNK
-    real_fold, parts = algebra.fold, []
+    two_halves, main, helper_parts, parts = algebra._two_halves, os.getpid(), tmp_path / "helper", []
 
-    def recording(chunks, rules):
-        parts.append([_bits(p) for p in chunks])
-        return real_fold(chunks, rules)
+    def recording(length, block, run, split, rules):
+        def recorded(start, stop):
+            for part in run(start, stop):
+                if os.getpid() == main:
+                    here.append(_bits(part))
+                else:
+                    with open(helper_parts, "ab") as f:
+                        pickle.dump(_bits(part), f)
+                yield part
 
-    monkeypatch.setattr(algebra, "fold", recording)
+        here = []
+        helper_parts.write_bytes(b"")
+        folded = two_halves(length, block, recorded, split, rules)
+        parts.append(here + _pickled(helper_parts))
+        return folded
+
+    monkeypatch.setattr(algebra, "_two_halves", recording)
 
     def run(split_points):
         monkeypatch.setattr(algebra, "SPLIT_POINTS", split_points)
@@ -428,6 +452,7 @@ def test_split_sweep_matches_one_process_bit_for_bit(name, chunk, forks, monkeyp
     split = run(0)
     assert len(forks) == len(split[0])
     assert split == one
+    assert [len(p) for p in one[0]] == [-(-len(mesh) // algebra.CHUNK)] * len(one[0])
     assert_no_child_left()
 
 
@@ -488,6 +513,17 @@ def test_failed_fork_runs_the_back_half_here(forks, monkeypatch, mesh9):
     assert_no_child_left()
 
 
+def _joined(lists):
+    """The lists' items, in order: a fold rule."""
+    return sum(lists, [])
+
+
+def _starts(start, stop):
+    """A run for fork._two_halves: each 16-long block's start, in a one-item list, folded by _joined."""
+    for i in range(start, stop, 16):
+        yield ([i],)
+
+
 def test_failed_fork_runs_the_whole_range_once(forks, monkeypatch):
     # no helper: the same single run(0, length) as an unsplit range
     def no_fork():
@@ -498,9 +534,9 @@ def test_failed_fork_runs_the_whole_range_once(forks, monkeypatch):
 
     def run(start, stop):
         calls.append((start, stop))
-        yield from range(start, stop, 16)
+        return _starts(start, stop)
 
-    assert list(algebra._two_halves(160, 16, run, True)) == list(range(0, 160, 16))
+    assert algebra._two_halves(160, 16, run, True, (_joined,)) == (list(range(0, 160, 16)),)
     assert calls == [(0, 160)]
     assert_no_child_left()
 
@@ -543,9 +579,10 @@ def test_sweep_cuts_the_workspace_to_each_chunk(split, forks, monkeypatch):
         monkeypatch.setattr(algebra, "SPLIT_POINTS", 171)
 
     def kernel(z0, z1, z2, ws, lat):
-        return ws.work.shape, len(z2), ws.work.ctypes.data % 64
+        return [ws.work.shape], [len(z2)], [ws.work.ctypes.data % 64]
 
-    shapes, sizes, offsets = algebra.sweep(kernel, _index_mesh(170), Layout(work=planes(3)), lambda z2: None, (list,) * 3)
+    shapes, sizes, offsets = algebra.sweep(kernel, _index_mesh(170), Layout(work=planes(3)), lambda z2: None,
+                                           (_joined,) * 3)
     assert sizes == [16] * 10 + [10]
     assert shapes == [(3, n) for n in sizes]
     assert offsets == [0] * 11
@@ -557,15 +594,82 @@ def test_forked_sweep_warns_nothing(forks):
     # Python 3.12 and later warn (DeprecationWarning) when os.fork runs in a
     # process with other threads, and drop that warning under an error::
     # filter; recorded under "always", a fork that warns fails here
-    def run(start, stop):
-        yield from range(start, stop, 16)
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert list(algebra._two_halves(160, 16, run, True)) == list(range(0, 160, 16))
+        assert algebra._two_halves(160, 16, _starts, True, (_joined,)) == (list(range(0, 160, 16)),)
     assert forks
     assert [str(w.message) for w in caught] == []
     assert_no_child_left()
+
+
+STATE_SCRIPT = """
+import io, json, os, pickle, resource, sys
+from types import SimpleNamespace
+import numpy as np
+from expspec import algebra, fork, mesh_s4
+from expspec.linalg2 import Layout
+
+mode, sent = sys.argv[1], []
+algebra.SPLIT_POINTS = 1 << 62 if mode == "one process" else 0
+fork._cpus = lambda: 2
+
+def refused():
+    raise OSError("fork refused")
+
+def loads(data):
+    # what a helper sent: its objects, and the bytes after the first
+    stream = io.BytesIO(data)
+    payload = pickle.load(stream)
+    sent.append([payload, len(stream.read())])
+    return payload
+
+if mode == "refused fork":
+    os.fork = refused
+fork.pickle = SimpleNamespace(loads=loads, dump=pickle.dump, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL)
+mesh = mesh_s4(33, 32)
+
+def high_water():
+    return [resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+
+readings = []
+for chunk in map(int, sys.argv[2:]):
+    algebra.CHUNK, before = chunk, high_water()
+    # each chunk's part: one chunk, no list folded yet, and three new floats,
+    # as a kernel's are; the fold counts the chunks and keeps the longest
+    # list of parts any fold was given
+    count, longest, *_ = algebra.sweep(
+        lambda z0, z1, z2, ws, lat: (1, 0, float(z2[0]), float(z2[-1]), float(z0[0].real)), mesh, Layout(),
+        lambda z2: None, (sum, lambda column: max(len(column), *column), np.maximum, np.minimum, np.maximum))
+    readings.append([count, longest, [after - b for after, b in zip(high_water(), before)], sent[:]])
+    sent.clear()
+print(json.dumps(readings))
+"""
+
+
+@pytest.mark.parametrize("mode", ["one process", "refused fork", "forked"])
+def test_sweep_state_does_not_grow_with_its_chunk_count(mode, tmp_path):
+    # a trivial kernel on the 224,194 points of 33x32, at 8,192 and then 8
+    # points a chunk: 28, then 28,025 chunks. Each process folds its parts
+    # whenever it holds isqrt(chunk count) + 1 of them, so no fold gets a
+    # longer list, and the many-chunk sweep raises neither process's max RSS:
+    # folded all at once, its parts raised this process's by about 7 MiB
+    # and the helper's by about 3 MiB. A helper pickles one object, its
+    # folded parts, and nothing after it
+    env = {**os.environ, "PYTHONPATH": str(Path(algebra.__file__).resolve().parents[1])}
+    chunks = [8192, 8]
+    out = subprocess.run([sys.executable, "-c", STATE_SCRIPT, mode, *map(str, chunks)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    points = len(mesh_s4(33, 32))
+    for chunk, (count, longest, growth, sent) in zip(chunks, json.loads(out), strict=True):
+        assert count == -(-points // chunk)
+        assert longest <= math.isqrt(count) + 1
+        if mode == "forked":
+            ((done, (back, _, *extremes)), after), = sent
+            assert done and back == count - count // 2 and len(extremes) == 3 and after == 0
+        else:
+            assert sent == []
+    self_growth, helper_growth = growth
+    assert self_growth < 1024 and helper_growth < 1024, growth
 
 
 def _singular_at(*points):
@@ -575,7 +679,7 @@ def _singular_at(*points):
         for i in points:
             if z2[0] <= i <= z2[-1]:
                 raise SingularMatrix(f"singular at point {i}")
-        return (float(z2.sum()),)
+        return ([float(z2.sum())],)
 
     return kernel
 
@@ -589,12 +693,12 @@ def test_split_sweep_raises_what_one_process_raises(points, message, forks, monk
     # ten chunks of 16 points, cut at point 80; an error in the front half wins
     monkeypatch.setattr(algebra, "CHUNK", 16)
     with pytest.raises(SingularMatrix) as err:
-        _plain_sweep(_singular_at(*points), _index_mesh(160), (list,))
+        _plain_sweep(_singular_at(*points), _index_mesh(160), (_joined,))
     assert type(err.value) is SingularMatrix and str(err.value) == message
     assert forks
     assert_no_child_left()
     sums = [float(sum(range(i, i + 16))) for i in range(0, 160, 16)]
-    assert _plain_sweep(_singular_at(), _index_mesh(160), (list,)) == (sums,)
+    assert _plain_sweep(_singular_at(), _index_mesh(160), (_joined,)) == (sums,)
     assert_no_child_left()
 
 
@@ -618,7 +722,7 @@ def test_unreadable_helper_results_are_swept_here(forks, monkeypatch):
     # a result that does not pickle reaches the parent as nothing readable,
     # so the parent sweeps the back half itself
     monkeypatch.setattr(algebra, "CHUNK", 16)
-    (parts,) = _plain_sweep(lambda z0, z1, z2, ws, lat: (lambda: float(z2[0]),), _index_mesh(160), (list,))
+    (parts,) = _plain_sweep(lambda z0, z1, z2, ws, lat: ([lambda: float(z2[0])],), _index_mesh(160), (_joined,))
     assert [p() for p in parts] == [float(i) for i in range(0, 160, 16)]
     assert forks
     assert_no_child_left()
@@ -638,24 +742,6 @@ def test_interrupted_sweep_kills_its_helper(forks, monkeypatch):
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _plain_sweep(kernel, _index_mesh(160), ())
-    assert time.monotonic() - start < 5.0
-    assert forks
-    assert_no_child_left()
-
-
-def test_closed_two_halves_kills_its_helper(forks):
-    # a consumer that stops after the first result closes the generator; the
-    # helper, whose every block would sleep 2 s, must be killed and reaped
-    def run(start, stop):
-        for _ in range(start, stop, 16):
-            if start:
-                time.sleep(2.0)
-            yield start
-
-    start = time.monotonic()
-    halves = algebra._two_halves(160, 16, run, True)
-    assert next(halves) == 0
-    halves.close()
     assert time.monotonic() - start < 5.0
     assert forks
     assert_no_child_left()

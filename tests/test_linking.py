@@ -1,4 +1,3 @@
-import gc
 import math
 import os
 import time
@@ -670,8 +669,8 @@ def test_pair_rows_ignore_stale_workspace_lanes():
     block = rows[:n], h1[:n], cols, h2
     stale = _pair_rows(*block, _PAIR_LAYOUT.cut(work[:, :n]))
     fresh = _pair_rows(*block, _PAIR_LAYOUT.cut(np.full((_PAIR_LAYOUT.planes, n, m), np.nan)))
-    assert stale == fresh
-    assert not math.isnan(fresh[0]) and not np.isnan(np.frombuffer(fresh[1])).any()
+    assert stale[0] == fresh[0] and stale[1].tobytes() == fresh[1].tobytes()
+    assert not math.isnan(fresh[0]) and not np.isnan(fresh[1]).any()
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
@@ -771,34 +770,5 @@ def test_pair_pass_workspace_starts_on_a_cache_line(split, forks, monkeypatch):
         monkeypatch.setattr(linking, "SPLIT_PAIRS", 2 * 1024 * 1024)
     assert abs(hopf_invariant_of_h(1024).rounded) == 1
     assert len(offsets) == (32 if split else 64)
-    assert len(forks) == split
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("split", [False, True], ids=["one process", "forked"])
-def test_pair_pass_blocks_are_objects_the_gc_does_not_track(split, forks, monkeypatch):
-    # a forked helper pickles its blocks' results, and unpickling 512
-    # (float, bytes) tuples set off a garbage collection over the whole
-    # process. Each block is one bytes object: checked where it is made, in
-    # the helper too, from where the error reaches the parent. 1024
-    # segments: 64 blocks of 16 rows
-    two_halves, kinds = linking._two_halves, []
-
-    def checked(length, block, run, split_):
-        def untracked(start, stop):
-            for result in run(start, stop):
-                if gc.is_tracked(result):
-                    raise AssertionError(f"a block yields a tracked {type(result).__name__}")
-                yield result
-
-        for result in two_halves(length, block, untracked, split_):
-            kinds.append(type(result))
-            yield result
-
-    monkeypatch.setattr(linking, "_two_halves", checked)
-    if not split:
-        monkeypatch.setattr(linking, "SPLIT_PAIRS", 2 * 1024 * 1024)
-    assert abs(hopf_invariant_of_h(1024).rounded) == 1
-    assert kinds == [bytes] * 64
     assert len(forks) == split
     assert_no_child_left()
